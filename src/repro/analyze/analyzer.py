@@ -27,9 +27,10 @@ from repro.nvdla.config import HardwareConfig, get_config
 from repro.nvdla.csb import decode_address
 from repro.nvdla.programming import LayerChain, build_chains
 from repro.nvdla.registers import D_OP_ENABLE, S_POINTER, S_STATUS
+from repro.nvdla.units import fresh_units
 from repro.analyze.diagnostics import AnalysisReport, Diagnostic, Severity
 from repro.analyze.passes import DEFAULT_PASSES, AnalysisContext
-from repro.analyze.surfaces import fresh_units, parse_chain
+from repro.analyze.surfaces import parse_chain
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.baremetal.pipeline import BaremetalBundle

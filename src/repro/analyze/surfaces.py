@@ -1,11 +1,13 @@
 """Descriptor-chain → surface extraction, without execution.
 
 The analyzer's front end: replay a :class:`~repro.nvdla.programming.
-LayerChain`'s events into a *fresh* set of unit register blocks (the
-same ``make_unit`` factories the engine uses), then reuse the units'
-own ``parse()`` functions to recover typed descriptors — so the
-analyzer sees exactly what the hardware model would see at launch,
-with zero ISS/bus/engine involvement.
+LayerChain`'s events into a *fresh* set of unit register files (the
+same table the engine builds its units from), then reuse the units'
+own ``parse()`` functions to recover typed descriptors — the shared
+:func:`~repro.nvdla.programming.replay_chain` and
+:func:`~repro.nvdla.programming.parse_descriptors` the fast execution
+tier lowers through — so the analyzer sees exactly what the hardware
+model would see at launch, with zero ISS/bus/engine involvement.
 
 From the descriptors it extracts :class:`Surface` records: every DMA
 read and write the layer performs, sized in packed bytes, labeled with
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.compiler.ops import ConvOp, HwOp, LrnOp, PoolOp, SdpOp
+from repro.compiler.ops import ConvOp, HwOp, PoolOp, SdpOp
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import (
     CdpDescriptor,
@@ -33,17 +35,8 @@ from repro.nvdla.descriptors import (
     TensorDesc,
 )
 from repro.nvdla.layout import weight_size_bytes
-from repro.nvdla.programming import ENABLE, SELECT, LayerChain
-from repro.nvdla.registers import D_OP_ENABLE, S_POINTER
-from repro.nvdla.units import cacc as cacc_mod
-from repro.nvdla.units import cdma as cdma_mod
-from repro.nvdla.units import cdp as cdp_mod
-from repro.nvdla.units import cmac as cmac_mod
-from repro.nvdla.units import conv_pipeline
-from repro.nvdla.units import csc as csc_mod
-from repro.nvdla.units import pdp as pdp_mod
-from repro.nvdla.units import sdp as sdp_mod
-from repro.nvdla.units.base import Unit
+from repro.nvdla.programming import LayerChain, parse_descriptors, replay_chain
+from repro.nvdla.units import Unit, fresh_units
 from repro.analyze.diagnostics import Diagnostic, Severity
 
 READ = "read"
@@ -95,23 +88,6 @@ class ParsedLayer:
         )
 
 
-def fresh_units() -> dict[str, Unit]:
-    """A standalone register file per unit the driver programs."""
-    return {
-        "CDMA": cdma_mod.make_unit(),
-        "CSC": csc_mod.make_unit(),
-        "CMAC_A": cmac_mod.make_unit("A"),
-        "CMAC_B": cmac_mod.make_unit("B"),
-        "CACC": cacc_mod.make_unit(),
-        "SDP_RDMA": sdp_mod.make_rdma_unit(),
-        "SDP": sdp_mod.make_unit(),
-        "PDP_RDMA": pdp_mod.make_rdma_unit(),
-        "PDP": pdp_mod.make_unit(),
-        "CDP_RDMA": cdp_mod.make_rdma_unit(),
-        "CDP": cdp_mod.make_unit(),
-    }
-
-
 def _error(chain: LayerChain, pass_id: str, code: str, message: str, **kw) -> Diagnostic:
     return Diagnostic(
         severity=Severity.ERROR,
@@ -122,38 +98,6 @@ def _error(chain: LayerChain, pass_id: str, code: str, message: str, **kw) -> Di
         op_index=chain.op_index,
         **kw,
     )
-
-
-def replay_chain(chain: LayerChain, units: dict[str, Unit]) -> list[Diagnostic]:
-    """Apply chain events to the register blocks; findings, not raises."""
-    diags: list[Diagnostic] = []
-    for event in chain.events:
-        unit = units.get(event.unit)
-        if unit is None:
-            diags.append(
-                _error(chain, "chain", "unknown-unit", f"no such unit {event.unit!r}",
-                       unit=event.unit)
-            )
-            continue
-        try:
-            if event.kind == SELECT:
-                unit.csb_write(S_POINTER, event.value)
-            elif event.kind == ENABLE:
-                unit.csb_write(D_OP_ENABLE, 1)
-            else:
-                unit.csb_write(unit.offset_of(event.register), event.value)
-        except Exception as exc:  # RegisterError and friends → finding
-            diags.append(
-                _error(
-                    chain,
-                    "chain",
-                    "replay-failed",
-                    f"{type(exc).__name__}: {exc}",
-                    unit=event.unit,
-                    register=event.register,
-                )
-            )
-    return diags
 
 
 def _tensor_surface(
@@ -272,37 +216,38 @@ def _extract_simple(
 def parse_chain(chain: LayerChain, op: HwOp, config: HardwareConfig) -> ParsedLayer:
     """Replay + parse one chain into descriptors and surfaces."""
     layer = ParsedLayer(chain=chain, op=op, units=fresh_units())
-    layer.diagnostics.extend(replay_chain(chain, layer.units))
-    group = chain.group
+    for event, exc in replay_chain(chain, layer.units):
+        if event.unit in layer.units:
+            layer.diagnostics.append(
+                _error(chain, "chain", "replay-failed", f"{type(exc).__name__}: {exc}",
+                       unit=event.unit, register=event.register)
+            )
+        else:
+            layer.diagnostics.append(
+                _error(chain, "chain", "unknown-unit", str(exc), unit=event.unit)
+            )
     try:
+        descriptors = parse_descriptors(layer.units, op.kind, chain.group, config)
+        layer.descriptors = descriptors
         if isinstance(op, ConvOp):
-            conv = conv_pipeline.parse(layer.units, group, config)
-            sdp = sdp_mod.parse(layer.units, group, config)
-            layer.descriptors = {"conv": conv, "sdp": sdp}
-            pdp = None
-            if sdp.dst_flying:
-                pdp = pdp_mod.parse(layer.units, group, config)
-                layer.descriptors["pdp"] = pdp
-                if not pdp.src_flying:
-                    layer.diagnostics.append(
-                        _error(
-                            chain,
-                            "chain",
-                            "dangling-flying-producer",
-                            "SDP streams its result on-chip (D_DST_FLYING) but "
-                            "PDP reads from memory — the SDP output has no "
-                            "consumer and the pooled input is unproduced",
-                            unit="SDP",
-                        )
+            pdp = descriptors.get("pdp")
+            if pdp is not None and not pdp.src_flying:
+                layer.diagnostics.append(
+                    _error(
+                        chain,
+                        "chain",
+                        "dangling-flying-producer",
+                        "SDP streams its result on-chip (D_DST_FLYING) but "
+                        "PDP reads from memory — the SDP output has no "
+                        "consumer and the pooled input is unproduced",
+                        unit="SDP",
                     )
-            _extract_conv(layer, config, conv, sdp, pdp=pdp)
+                )
+            _extract_conv(layer, config, descriptors["conv"], descriptors["sdp"], pdp=pdp)
         elif isinstance(op, SdpOp):
-            sdp = sdp_mod.parse(layer.units, group, config)
-            layer.descriptors = {"sdp": sdp}
-            _extract_sdp(layer, config, sdp)
+            _extract_sdp(layer, config, descriptors["sdp"])
         elif isinstance(op, PoolOp):
-            pdp = pdp_mod.parse(layer.units, group, config)
-            layer.descriptors = {"pdp": pdp}
+            pdp = descriptors["pdp"]
             if pdp.src_flying:
                 layer.diagnostics.append(
                     _error(
@@ -315,14 +260,8 @@ def parse_chain(chain: LayerChain, op: HwOp, config: HardwareConfig) -> ParsedLa
                     )
                 )
             _extract_simple(layer, config, pdp, "PDP_RDMA", "PDP")
-        elif isinstance(op, LrnOp):
-            cdp = cdp_mod.parse(layer.units, group, config)
-            layer.descriptors = {"cdp": cdp}
-            _extract_simple(layer, config, cdp, "CDP_RDMA", "CDP")
         else:
-            layer.diagnostics.append(
-                _error(chain, "descriptor", "unmodeled-op", f"op kind {op.kind!r}")
-            )
+            _extract_simple(layer, config, descriptors["cdp"], "CDP_RDMA", "CDP")
     except Exception as exc:  # ConfigurationError etc. → finding
         layer.diagnostics.append(
             _error(chain, "descriptor", "parse-failed", f"{type(exc).__name__}: {exc}")

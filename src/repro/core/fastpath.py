@@ -46,12 +46,14 @@ from repro.core.soc import SocRunResult, read_output_tensor
 from repro.errors import ReproError
 from repro.mem.dram import Dram, DramTiming
 from repro.mem.sparse_memory import SparseMemory
+from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision
 from repro.nvdla.engine import OpRecord
 from repro.nvdla.fastpath import (
-    estimate_op_timings,
+    FastPathOp,
     execute_op,
     lower_loadable,
+    op_timing,
     pack_input,
 )
 from repro.nvdla.mcif import Mcif
@@ -240,29 +242,27 @@ class FastPathExecutor:
     # Estimation.
     # ------------------------------------------------------------------
 
-    def estimate(
-        self, bundle: BaremetalBundle, lowered_ops: list | None = None
-    ) -> FastPathEstimate:
+    def estimate(self, bundle: BaremetalBundle) -> FastPathEstimate:
         """Whole-run cycle estimate (no execution, no guard).
 
         Deterministic per bundle: the terms depend only on the bundle's
-        artefacts and this executor's memory model.  ``lowered_ops``
-        lets a caller that already lowered the loadable skip the second
-        lowering pass.
+        artefacts and this executor's memory model.
         """
-        if lowered_ops is None:
-            timings = estimate_op_timings(
-                bundle.loadable, self.config, self.mcif, self.timing_params
-            )
-        else:
-            from repro.nvdla.cbuf import Cbuf
-            from repro.nvdla.fastpath import op_timing
+        return self._estimate(bundle, lower_loadable(bundle.loadable, self.config))
 
-            cbuf = Cbuf(self.config)
-            timings = [
-                op_timing(op, self.config, cbuf, self.mcif, self.timing_params)
-                for op in lowered_ops
-            ]
+    def _estimate(
+        self, bundle: BaremetalBundle, ops: list[FastPathOp]
+    ) -> FastPathEstimate:
+        """Price already-lowered ops with the engine's timing functions.
+
+        For a given memory port the per-op totals are *equal to* the
+        cycle-accurate per-op latencies, not an approximation of them.
+        """
+        cbuf = Cbuf(self.config)
+        timings = [
+            op_timing(op, self.config, cbuf, self.mcif, self.timing_params)
+            for op in ops
+        ]
         op_cycles = sum(t.total for t in timings)
         writes, polls = command_counts(bundle)
         params = (self.calibration or CalibrationTable()).params
@@ -308,7 +308,7 @@ class FastPathExecutor:
                 bundle=bundle,
                 storage=SparseMemory(self.address_map.dram_size),
                 ops=ops,
-                estimate=self.estimate(bundle, lowered_ops=ops),
+                estimate=self._estimate(bundle, ops),
             )
             self.dram.storage = state.storage
             for image in bundle.images.preload:
@@ -353,7 +353,7 @@ class FastPathExecutor:
             stats=stats,
             status_word=MAGIC_DONE,
             output=output,
-            op_records=self._op_records(estimate),
+            op_records=self._op_records(state.ops, estimate),
         )
 
     def _preload(self, address: int, data: bytes) -> None:
@@ -364,26 +364,23 @@ class FastPathExecutor:
             self.dram.storage, bundle, self.config, self.address_map.dram_base
         )
 
-    def _op_records(self, estimate: FastPathEstimate) -> list[OpRecord]:
+    def _op_records(
+        self, ops: list[FastPathOp], estimate: FastPathEstimate
+    ) -> list[OpRecord]:
         """Estimated schedule: ops in sequence, programming between."""
         timings = estimate.timings
         gap = estimate.programming_cycles // (len(timings) + 1) if timings else 0
         records: list[OpRecord] = []
         now = 0
-        for index, timing in enumerate(timings):
+        for index, (op, timing) in enumerate(zip(ops, timings)):
             start = now + gap
             end = start + timing.total
-            sink = {"conv": "SDP", "sdp": "SDP", "pdp": "PDP", "cdp": "CDP"}.get(
-                timing.kind, timing.kind.upper()
-            )
-            if timing.kind == "conv" and timing.detail.get("fused"):
-                sink = "PDP"  # fused conv+SDP+PDP chains complete at the PDP
             records.append(
                 OpRecord(
                     index=index,
-                    kind=timing.kind,
-                    sink=sink,
-                    group=index % 2,
+                    kind=op.kind,
+                    sink=op.sink,
+                    group=op.group,
                     start_cycle=start,
                     end_cycle=end,
                     timing=timing,

@@ -21,12 +21,7 @@ against the paper's Tables II/III regimes.
 
 from repro.nvdla.config import HardwareConfig, NV_FULL, NV_SMALL, Precision
 from repro.nvdla.engine import NvdlaEngine, OpRecord
-from repro.nvdla.fastpath import (
-    FastPathOp,
-    estimate_op_timings,
-    lower_loadable,
-    pack_input,
-)
+from repro.nvdla.fastpath import FastPathOp, lower_loadable, pack_input
 from repro.nvdla.registers import RegisterBlock, RegisterSpec
 from repro.nvdla.timing import TimingParams
 
@@ -41,7 +36,6 @@ __all__ = [
     "RegisterBlock",
     "RegisterSpec",
     "TimingParams",
-    "estimate_op_timings",
     "lower_loadable",
     "pack_input",
 ]

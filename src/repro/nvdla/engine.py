@@ -53,12 +53,9 @@ from repro.nvdla.timing import (
 )
 from repro.nvdla.units import base as unit_base
 from repro.nvdla.units import bdma as bdma_mod
-from repro.nvdla.units import cacc as cacc_mod
-from repro.nvdla.units import cdma as cdma_mod
 from repro.nvdla.units import cdp as cdp_mod
-from repro.nvdla.units import cmac as cmac_mod
 from repro.nvdla.units import conv_pipeline
-from repro.nvdla.units import csc as csc_mod
+from repro.nvdla.units import fresh_units
 from repro.nvdla.units import pdp as pdp_mod
 from repro.nvdla.units import rubik as rubik_mod
 from repro.nvdla.units import sdp as sdp_mod
@@ -130,17 +127,7 @@ class NvdlaEngine:
             "MCIF": unit_base.Unit("MCIF", _MCIF_REGISTER_NAMES),
             "SRAMIF": unit_base.Unit("SRAMIF", _SRAMIF_REGISTER_NAMES),
             "BDMA": bdma_mod.make_unit(),
-            "CDMA": cdma_mod.make_unit(),
-            "CSC": csc_mod.make_unit(),
-            "CMAC_A": cmac_mod.make_unit("A"),
-            "CMAC_B": cmac_mod.make_unit("B"),
-            "CACC": cacc_mod.make_unit(),
-            "SDP_RDMA": sdp_mod.make_rdma_unit(),
-            "SDP": sdp_mod.make_unit(),
-            "PDP_RDMA": pdp_mod.make_rdma_unit(),
-            "PDP": pdp_mod.make_unit(),
-            "CDP_RDMA": cdp_mod.make_rdma_unit(),
-            "CDP": cdp_mod.make_unit(),
+            **fresh_units(),
             "RUBIK": rubik_mod.make_unit(),
         }
         self.records: list[OpRecord] = []

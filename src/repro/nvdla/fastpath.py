@@ -4,18 +4,19 @@ The cycle-accurate path reaches the functional unit kernels through
 five indirections: generated RISC-V code, the ISS, the bus fabric,
 CSB register decode, and the engine's shadow-group launch logic.  The
 fast path removes all of them while keeping the *leaf* code identical:
-it lowers a compiled :class:`~repro.compiler.loadable.Loadable`
-straight into the same :mod:`repro.nvdla.descriptors` the engine
-would parse from its shadow registers, executes them through the same
-unit kernels (:mod:`repro.nvdla.units`), and prices them through the
-same analytic timing functions (:mod:`repro.nvdla.timing`).
+it replays each chain of the shared register program
+(:func:`repro.nvdla.programming.build_chains`, the one the VP runtime
+writes over the CSB) into fresh unit register files, parses the same
+:mod:`repro.nvdla.descriptors` out of them with the units' own parsers,
+executes those through the same unit kernels (:mod:`repro.nvdla.units`),
+and prices them through the same analytic timing functions
+(:mod:`repro.nvdla.timing`).
 
-Because descriptor construction mirrors the VP runtime's register
-programming field by field (:class:`repro.vp.runtime.NvdlaRuntime`),
-the tensors a fast-path run writes to memory are bit-identical to a
-cycle-accurate SoC run of the same bundle — the property
-``tests/nvdla/test_fastpath_differential.py`` gates on every zoo
-model.
+Because the descriptors are read back from the very register writes a
+cycle-accurate run performs, the tensors a fast-path run writes to
+memory are bit-identical to a cycle-accurate SoC run of the same
+bundle — the property ``tests/nvdla/test_fastpath_differential.py``
+gates on every zoo model.
 """
 
 from __future__ import annotations
@@ -25,34 +26,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.compiler.loadable import Loadable
-from repro.compiler.ops import (
-    ConvOp,
-    CpuSoftmaxOp,
-    EltwiseOpKind,
-    HwOp,
-    LrnOp,
-    PoolOp,
-    SdpOp,
-    TensorRef,
-)
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NvdlaError
 from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import (
     CdpDescriptor,
     ConvDescriptor,
-    EltwiseOp,
     OpTiming,
     PdpDescriptor,
-    PoolMode,
     SdpDescriptor,
-    SdpSource,
-    TensorDesc,
-    bits_to_f32,
-    f32_to_bits,
 )
-from repro.nvdla.layout import feature_strides, pack_feature
+from repro.nvdla.layout import pack_feature
 from repro.nvdla.mcif import Mcif
+from repro.nvdla.programming import (
+    LayerChain,
+    build_chains,
+    parse_descriptors,
+    replay_chain,
+)
 from repro.nvdla.timing import (
     TimingParams,
     cdp_op_timing,
@@ -62,16 +53,9 @@ from repro.nvdla.timing import (
     sdp_op_timing,
 )
 from repro.nvdla.units import cdp as cdp_mod
-from repro.nvdla.units import conv_pipeline
+from repro.nvdla.units import conv_pipeline, fresh_units
 from repro.nvdla.units import pdp as pdp_mod
 from repro.nvdla.units import sdp as sdp_mod
-
-_ELTWISE = {
-    EltwiseOpKind.ADD: EltwiseOp.ADD,
-    EltwiseOpKind.MUL: EltwiseOp.MUL,
-    EltwiseOpKind.MAX: EltwiseOp.MAX,
-}
-_POOL = {"max": PoolMode.MAX, "avg": PoolMode.AVG}
 
 
 @dataclass(frozen=True)
@@ -81,177 +65,47 @@ class FastPathOp:
     name: str
     kind: str  # 'conv' | 'sdp' | 'pdp' | 'cdp'
     sink: str  # 'SDP' | 'PDP' | 'CDP'
+    group: int  # ping-pong register group the chain programs
     descriptor: SdpDescriptor | PdpDescriptor | CdpDescriptor
     conv: ConvDescriptor | None = None  # the producer half of a fused conv
     pool: PdpDescriptor | None = None  # fused PDP epilogue (streams from SDP)
 
 
-def _tensor_desc(ref: TensorRef, precision: Precision, config: HardwareConfig) -> TensorDesc:
-    """Mirror of runtime ``_write_tensor`` + unit ``parse_tensor``."""
-    atom = config.atom_channels(ref.precision)
-    c, h, w = ref.shape
-    line, surf = feature_strides((c, h, w), atom, ref.precision)
-    return TensorDesc(
-        address=ref.require_address(),
-        width=w,
-        height=h,
-        channels=c,
-        precision=precision,
-        line_stride=line,
-        surf_stride=surf,
-    )
-
-
-def _flying_tensor_desc(
-    shape: tuple[int, int, int], precision: Precision, config: HardwareConfig
-) -> TensorDesc:
-    """On-chip link geometry: null address, canonical strides."""
-    atom = config.atom_channels(precision)
-    c, h, w = shape
-    line, surf = feature_strides((c, h, w), atom, precision)
-    return TensorDesc(
-        address=0,
-        width=w,
-        height=h,
-        channels=c,
-        precision=precision,
-        line_stride=line,
-        surf_stride=surf,
-    )
-
-
-def _conv_descriptors(
-    op: ConvOp, loadable: Loadable, config: HardwareConfig
-) -> tuple[ConvDescriptor, SdpDescriptor]:
-    k, c, r, s = op.kernel_shape
-    _, out_h, out_w = op.sdp_out_shape
-    pad_top, pad_bottom, pad_left, pad_right = op.pad
-    conv = ConvDescriptor(
-        input=_tensor_desc(op.input, op.precision, config),
-        weight_address=loadable.weight_base + (op.weight_offset or 0),
-        kernel_k=k,
-        kernel_c=c,
-        kernel_r=r,
-        kernel_s=s,
-        stride_x=op.stride[1],
-        stride_y=op.stride[0],
-        pad_left=pad_left,
-        pad_top=pad_top,
-        pad_right=pad_right,
-        pad_bottom=pad_bottom,
-        precision=op.precision,
-        out_width=out_w,
-        out_height=out_h,
-    )
-    sdp = _sdp_descriptor(op, loadable, config, source=SdpSource.FLYING)
-    return conv, sdp
-
-
-def _sdp_descriptor(
-    op: ConvOp | SdpOp,
-    loadable: Loadable,
-    config: HardwareConfig,
-    source: SdpSource,
-) -> SdpDescriptor:
-    eltwise = getattr(op, "eltwise", None)
-    eltwise_input = None
-    if eltwise is not None:
-        assert op.eltwise_input is not None
-        eltwise_input = _tensor_desc(op.eltwise_input, op.precision, config)
-    bias_address = None
-    if isinstance(op, ConvOp) and op.bias_offset is not None:
-        bias_address = loadable.weight_base + op.bias_offset
-    input_desc = None
-    if source is SdpSource.MEMORY:
-        input_desc = _tensor_desc(op.input, op.precision, config)
-    dst_flying = isinstance(op, ConvOp) and op.has_pool_epilogue
-    if dst_flying:
-        output_desc = _flying_tensor_desc(op.sdp_out_shape, op.output.precision, config)
-    else:
-        output_desc = _tensor_desc(op.output, op.output.precision, config)
-    return SdpDescriptor(
-        source=source,
-        output=output_desc,
-        out_precision=op.output.precision,
-        input=input_desc,
-        dst_flying=dst_flying,
-        bias_address=bias_address,
-        eltwise=EltwiseOp.NONE if eltwise is None else _ELTWISE[eltwise],
-        eltwise_input=eltwise_input,
-        relu=op.relu,
-        cvt_multiplier=op.cvt_mult or 1,
-        cvt_shift=op.cvt_shift,
-        ew_cvt_multiplier=getattr(op, "ew_cvt_mult", 1) or 1,
-        ew_cvt_shift=getattr(op, "ew_cvt_shift", 0),
-    )
-
-
-def _lower_one(op: HwOp, loadable: Loadable, config: HardwareConfig) -> FastPathOp:
-    if isinstance(op, ConvOp):
-        conv, sdp = _conv_descriptors(op, loadable, config)
-        if op.has_pool_epilogue:
-            pad_top, pad_bottom, pad_left, pad_right = op.pool_pad
-            pool = PdpDescriptor(
-                input=_flying_tensor_desc(op.sdp_out_shape, op.output.precision, config),
-                output=_tensor_desc(op.output, op.output.precision, config),
-                mode=_POOL[op.pool_mode],
-                kernel_w=op.pool_kernel[1],
-                kernel_h=op.pool_kernel[0],
-                stride_x=op.pool_stride[1],
-                stride_y=op.pool_stride[0],
-                pad_left=pad_left,
-                pad_top=pad_top,
-                pad_right=pad_right,
-                pad_bottom=pad_bottom,
-                src_flying=True,
-            )
-            return FastPathOp(op.name, "conv", "PDP", sdp, conv=conv, pool=pool)
-        return FastPathOp(op.name, "conv", "SDP", sdp, conv=conv)
-    if isinstance(op, SdpOp):
-        sdp = _sdp_descriptor(op, loadable, config, source=SdpSource.MEMORY)
-        return FastPathOp(op.name, "sdp", "SDP", sdp)
-    if isinstance(op, PoolOp):
-        pad_top, pad_bottom, pad_left, pad_right = op.pad
-        desc = PdpDescriptor(
-            input=_tensor_desc(op.input, op.precision, config),
-            output=_tensor_desc(op.output, op.precision, config),
-            mode=_POOL[op.mode],
-            kernel_w=op.kernel[1],
-            kernel_h=op.kernel[0],
-            stride_x=op.stride[1],
-            stride_y=op.stride[0],
-            pad_left=pad_left,
-            pad_top=pad_top,
-            pad_right=pad_right,
-            pad_bottom=pad_bottom,
+def _lower_chain(chain: LayerChain, config: HardwareConfig) -> FastPathOp:
+    """Replay one chain into fresh register files and parse it back."""
+    units = fresh_units()
+    failures = replay_chain(chain, units)
+    try:
+        if failures:
+            raise failures[0][1]  # the first write a unit rejected
+        descriptors = parse_descriptors(units, chain.op_kind, chain.group, config)
+    except NvdlaError as exc:
+        raise ConfigurationError(f"fast path cannot lower {chain.op_name}: {exc}") from exc
+    if "conv" in descriptors:
+        return FastPathOp(
+            chain.op_name,
+            "conv",
+            chain.sink,
+            chain.group,
+            descriptors["sdp"],
+            conv=descriptors["conv"],
+            pool=descriptors.get("pdp"),
         )
-        return FastPathOp(op.name, "pdp", "PDP", desc)
-    if isinstance(op, LrnOp):
-        desc = CdpDescriptor(
-            input=_tensor_desc(op.input, op.precision, config),
-            output=_tensor_desc(op.output, op.precision, config),
-            local_size=op.local_size,
-            # Floats reach the engine as IEEE-754 register bit patterns;
-            # round-trip them so estimates match the programmed values.
-            alpha=bits_to_f32(f32_to_bits(op.alpha)),
-            beta=bits_to_f32(f32_to_bits(op.beta)),
-            k=bits_to_f32(f32_to_bits(op.k)),
-        )
-        return FastPathOp(op.name, "cdp", "CDP", desc)
-    raise ConfigurationError(f"fast path cannot lower op kind {op.kind!r}")
+    [(kind, descriptor)] = descriptors.items()
+    return FastPathOp(chain.op_name, kind, chain.sink, chain.group, descriptor)
 
 
 def lower_loadable(loadable: Loadable, config: HardwareConfig) -> list[FastPathOp]:
-    """Lower every hardware op of a loadable to engine descriptors."""
+    """Lower every hardware op of a loadable to engine descriptors.
+
+    Raises :class:`~repro.errors.ConfigurationError` when a unit parser
+    rejects a programmed register value.
+    """
     if not config.supports(loadable.precision):
         raise ConfigurationError(
             f"{config.name} does not support {loadable.precision.value}"
         )
-    return [
-        _lower_one(op, loadable, config)
-        for op in loadable.schedule.ops
-        if not isinstance(op, CpuSoftmaxOp)
-    ]
+    return [_lower_chain(chain, config) for chain in build_chains(loadable, config)]
 
 
 def execute_op(
@@ -261,8 +115,7 @@ def execute_op(
     weight_cache: dict | None = None,
 ) -> None:
     """Run one lowered op through the unit kernels (moves real bytes)."""
-    if op.kind == "conv":
-        assert op.conv is not None
+    if op.conv is not None:
         acc = conv_pipeline.execute(op.conv, config, mcif, weight_cache=weight_cache)
         result = sdp_mod.execute(op.descriptor, config, mcif, flying_input=acc)
         if op.pool is not None:
@@ -285,8 +138,7 @@ def op_timing(
     params: TimingParams,
 ) -> OpTiming:
     """Price one lowered op with the engine's analytic model."""
-    if op.kind == "conv":
-        assert op.conv is not None
+    if op.conv is not None:
         if op.pool is not None:
             return fused_conv_pool_op_timing(
                 op.conv, op.descriptor, op.pool, config, cbuf, mcif, params
@@ -321,23 +173,3 @@ def pack_input(
         q = image.astype(np.float16)
     atom = config.atom_channels(ref.precision)
     return ref.require_address(), pack_feature(q, atom, ref.precision)
-
-
-def estimate_op_timings(
-    loadable: Loadable,
-    config: HardwareConfig,
-    mcif: Mcif,
-    params: TimingParams | None = None,
-) -> list[OpTiming]:
-    """Per-op cycle estimates for a whole loadable.
-
-    Uses the same timing functions the engine schedules completions
-    with, so for a given memory port the totals are *equal to* the
-    cycle-accurate per-op latencies, not an approximation of them.
-    """
-    params = params or TimingParams()
-    cbuf = Cbuf(config)
-    return [
-        op_timing(op, config, cbuf, mcif, params)
-        for op in lower_loadable(loadable, config)
-    ]

@@ -9,14 +9,17 @@ turns one scheduled :class:`~repro.compiler.ops.HwOp` into a
 selects, descriptor-register writes, and ``D_OP_ENABLE`` kicks the
 runtime performs.
 
-Two consumers share it:
+Three consumers share it:
 
 - the runtime replays the events through the CSB (so traces, and the
   golden bare-metal configs derived from them, are byte-for-byte what
-  they were when the logic lived inline), and
-- the static analyzer (:mod:`repro.analyze`) applies the same events to
-  fresh register blocks and parses typed descriptors out of them
-  without ever touching an ISS, a bus, or an engine.
+  they were when the logic lived inline),
+- the static analyzer (:mod:`repro.analyze`) and
+- the fast execution tier (:mod:`repro.nvdla.fastpath`) both apply the
+  same events to fresh register files (:func:`replay_chain`) and parse
+  typed descriptors out of them with the units' own parsers
+  (:func:`parse_descriptors`), without ever touching an ISS, a bus, or
+  an engine.
 
 Event order is load-bearing: the golden-config regression fixtures pin
 the byte-exact CSB sequence, so any reordering here is a deliberate,
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NvdlaError, RegisterError
 from repro.compiler.loadable import Loadable
 from repro.compiler.ops import (
     ConvOp,
@@ -43,6 +46,11 @@ from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import f32_to_bits
 from repro.nvdla.layout import feature_strides
+from repro.nvdla.registers import D_OP_ENABLE, S_POINTER
+from repro.nvdla.units import Unit, conv_pipeline
+from repro.nvdla.units import cdp as cdp_mod
+from repro.nvdla.units import pdp as pdp_mod
+from repro.nvdla.units import sdp as sdp_mod
 
 ELTWISE_CODE = {EltwiseOpKind.ADD: 1, EltwiseOpKind.MUL: 2, EltwiseOpKind.MAX: 3}
 POOL_CODE = {"max": 0, "avg": 1}
@@ -363,3 +371,53 @@ def build_chains(
         chains.append(program_op(op, config, loadable.weight_base, group, op_index=index))
         group ^= 1
     return chains
+
+
+def replay_chain(
+    chain: LayerChain, units: dict[str, Unit]
+) -> list[tuple[ChainEvent, NvdlaError]]:
+    """Apply a chain's events to unit register files, as the CSB would.
+
+    Replay carries on past a rejected event and returns every
+    ``(event, error)`` pair, so a checker can report them all.
+    """
+    failures: list[tuple[ChainEvent, NvdlaError]] = []
+    for event in chain.events:
+        unit = units.get(event.unit)
+        try:
+            if unit is None:
+                raise RegisterError(f"no such unit {event.unit!r}")
+            if event.kind == SELECT:
+                unit.csb_write(S_POINTER, event.value)
+            elif event.kind == ENABLE:
+                unit.csb_write(D_OP_ENABLE, 1)
+            else:
+                unit.csb_write(unit.offset_of(event.register), event.value)
+        except NvdlaError as exc:
+            failures.append((event, exc))
+    return failures
+
+
+def parse_descriptors(
+    units: dict[str, Unit], op_kind: str, group: int, config: HardwareConfig
+) -> dict[str, object]:
+    """The typed descriptors a replayed chain of ``op_kind`` launches.
+
+    Keys name the stages: ``conv`` + ``sdp`` (+ ``pdp`` when the SDP
+    result streams into a pooling epilogue), or one of ``sdp``, ``pdp``
+    and ``cdp``.  A register value a unit parser rejects raises
+    :class:`~repro.errors.NvdlaError`.
+    """
+    if op_kind == "conv":
+        conv = conv_pipeline.parse(units, group, config)
+        sdp = sdp_mod.parse(units, group, config)
+        if sdp.dst_flying:
+            return {"conv": conv, "sdp": sdp, "pdp": pdp_mod.parse(units, group, config)}
+        return {"conv": conv, "sdp": sdp}
+    if op_kind == "sdp":
+        return {"sdp": sdp_mod.parse(units, group, config)}
+    if op_kind == "pool":
+        return {"pdp": pdp_mod.parse(units, group, config)}
+    if op_kind == "lrn":
+        return {"cdp": cdp_mod.parse(units, group, config)}
+    raise ConfigurationError(f"no descriptors for op kind {op_kind!r}")

@@ -21,6 +21,24 @@ that turns the shadow registers of one ping-pong group into a typed
 descriptor from :mod:`repro.nvdla.descriptors`.
 """
 
+from repro.nvdla.units import cacc, cdma, cdp, cmac, csc, pdp, sdp
 from repro.nvdla.units.base import Unit, parse_tensor
 
-__all__ = ["Unit", "parse_tensor"]
+__all__ = ["Unit", "fresh_units", "parse_tensor"]
+
+
+def fresh_units() -> dict[str, Unit]:
+    """A standalone register file per unit a layer chain programs."""
+    return {
+        "CDMA": cdma.make_unit(),
+        "CSC": csc.make_unit(),
+        "CMAC_A": cmac.make_unit("A"),
+        "CMAC_B": cmac.make_unit("B"),
+        "CACC": cacc.make_unit(),
+        "SDP_RDMA": sdp.make_rdma_unit(),
+        "SDP": sdp.make_unit(),
+        "PDP_RDMA": pdp.make_rdma_unit(),
+        "PDP": pdp.make_unit(),
+        "CDP_RDMA": cdp.make_rdma_unit(),
+        "CDP": cdp.make_unit(),
+    }

@@ -71,16 +71,25 @@ def test_estimate_is_deterministic_and_unguarded(lenet_bundle):
     assert first.total_cycles == first.op_cycles + first.programming_cycles
 
 
-def test_estimate_matches_engine_op_latencies(lenet_bundle, table):
-    """Per-op fast-path totals equal the cycle-accurate OpRecords."""
-    soc = Soc(NV_SMALL)
-    soc.load_bundle(lenet_bundle)
-    reference = soc.run_inference(lenet_bundle)
-    executor = FastPathExecutor(NV_SMALL, calibration=table)
-    estimate = executor.estimate(lenet_bundle)
-    assert [t.total for t in estimate.timings] == [
-        r.timing.total for r in reference.op_records
-    ]
+def test_estimate_matches_engine_op_latencies(cache):
+    """Per-op fast-path totals equal the cycle-accurate OpRecords, and
+    fast-tier records carry the engine's (kind, sink, group) schedule."""
+    for model in ("lenet5", "resnet18"):
+        bundle = cache.bundle_for(model, "nv_small")
+        soc = Soc(NV_SMALL)
+        soc.load_bundle(bundle)
+        reference = soc.run_inference(bundle)
+        table = CalibrationTable()
+        executor = FastPathExecutor(NV_SMALL, calibration=table)
+        estimate = executor.estimate(bundle)
+        assert [t.total for t in estimate.timings] == [
+            r.timing.total for r in reference.op_records
+        ]
+        table.admit(model, "nv_small", "int8", reference.cycles, estimate.total_cycles)
+        fast = executor.run(bundle)
+        assert [(r.kind, r.sink, r.group) for r in fast.op_records] == [
+            (r.kind, r.sink, r.group) for r in reference.op_records
+        ], model
 
 
 def test_wrong_config_is_refused(lenet_bundle):
