@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import TraceError
 from repro.vp.trace_log import TraceLog
 
@@ -41,38 +43,67 @@ class MemorySegment:
 
 
 def extract_initial_memory(trace: TraceLog) -> list[MemorySegment]:
-    """Reconstruct initial DRAM state from the DBB transaction order."""
-    initial: dict[int, int] = {}
-    written: set[int] = set()
-    for txn in trace.dbb:
-        if txn.iswrite:
-            written.update(range(txn.address, txn.address + len(txn.data)))
-            continue
-        for offset, byte in enumerate(txn.data):
-            address = txn.address + offset
-            if address in written or address in initial:
-                continue  # intermediate data / duplicate read
-            initial[address] = byte
-    return _coalesce(initial)
+    """Reconstruct initial DRAM state from the DBB transaction order.
 
-
-def _coalesce(bytes_by_address: dict[int, int]) -> list[MemorySegment]:
-    if not bytes_by_address:
+    An address holds an initial byte iff its earliest DBB event is a
+    read; that read's byte is the value.  Computed over the whole trace
+    at once: one row per transferred byte, the earliest row of each
+    address, then contiguous runs of the initial addresses become
+    segments.
+    """
+    dbb = trace.dbb
+    starts = np.fromiter((t.address for t in dbb), dtype=np.int64, count=len(dbb))
+    lengths = np.fromiter((len(t.data) for t in dbb), dtype=np.int64, count=len(dbb))
+    # A transaction over exactly the range of an earlier one has an
+    # earlier event on every byte, so it cannot contribute; dropping
+    # those (and empty ones) first shrinks the per-byte work below.
+    by_range = np.lexsort((lengths, starts))  # stable: ties stay in trace order
+    repeats = np.zeros(len(dbb), dtype=bool)
+    repeats[by_range[1:]] = (np.diff(starts[by_range]) == 0) & (
+        np.diff(lengths[by_range]) == 0
+    )
+    keep = np.flatnonzero(~repeats & (lengths > 0))
+    if not keep.size:
         return []
-    segments: list[MemorySegment] = []
-    addresses = sorted(bytes_by_address)
-    start = prev = addresses[0]
-    chunk = bytearray([bytes_by_address[start]])
-    for address in addresses[1:]:
-        if address == prev + 1:
-            chunk.append(bytes_by_address[address])
-        else:
-            segments.append(MemorySegment(start, bytes(chunk)))
-            start = address
-            chunk = bytearray([bytes_by_address[address]])
-        prev = address
-    segments.append(MemorySegment(start, bytes(chunk)))
-    return segments
+    txns = [dbb[i] for i in keep.tolist()]
+    starts, lengths = starts[keep], lengths[keep]
+    writes = np.fromiter((t.iswrite for t in txns), dtype=bool, count=len(txns))
+    payload = np.frombuffer(b"".join(t.data for t in txns), dtype=np.uint8)
+    total = payload.size
+
+    # Row i (log order) of transaction t is byte starts[t] + i - (bytes
+    # logged before t): one arange supplies every in-transaction offset.
+    rows = np.arange(total)
+    logged_before = np.cumsum(lengths) - lengths
+    keys = np.repeat(starts - logged_before, lengths)
+    keys += rows
+
+    # Sort (address, row) pairs packed into one int64 key; the smallest
+    # key of each address is its earliest event.  The keys arrive as
+    # ascending runs (one per transaction), which the stable sort's
+    # run merging exploits.
+    low = int(starts.min())
+    shift = (total - 1).bit_length()
+    if (int((starts + lengths).max()) - 1 - low).bit_length() + shift > 63:
+        raise TraceError("DBB trace spans too many addresses and bytes to extract")
+    keys -= low
+    keys <<= shift
+    keys |= rows
+    keys.sort(kind="stable")
+    offsets = keys >> shift
+    earliest = np.ones(total, dtype=bool)
+    np.not_equal(offsets[1:], offsets[:-1], out=earliest[1:])
+    first_rows = keys[earliest] & ((1 << shift) - 1)
+    initial = ~np.repeat(writes, lengths)[first_rows]
+    addresses = offsets[earliest][initial] + low
+    data = payload[first_rows[initial]]
+    if not addresses.size:
+        return []
+    bounds = [0, *(np.flatnonzero(np.diff(addresses) != 1) + 1).tolist(), addresses.size]
+    return [
+        MemorySegment(int(addresses[lo]), data[lo:hi].tobytes())
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def split_by_regions(

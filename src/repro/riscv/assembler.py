@@ -270,6 +270,9 @@ class Assembler:
 
     @staticmethod
     def _strip_comment(line: str) -> str:
+        if '"' not in line:
+            cuts = [i for i in (line.find("#"), line.find("//"), line.find(";")) if i >= 0]
+            return (line[: min(cuts)] if cuts else line).strip()
         in_string = False
         for i, ch in enumerate(line):
             if ch == '"':
@@ -282,6 +285,9 @@ class Assembler:
     def _split_operands(rest: str) -> list[str]:
         if not rest:
             return []
+        if "(" not in rest and ")" not in rest:
+            parts = [part.strip() for part in rest.split(",")]
+            return parts if parts[-1] else parts[:-1]
         operands: list[str] = []
         depth = 0
         current = ""

@@ -4,16 +4,23 @@ A :class:`~repro.baremetal.pipeline.BaremetalBundle` is a bag of
 heterogeneous artefacts — a compiled loadable, a VP trace, register
 commands, assembly text, a machine-code image, preload blobs, the VP
 reference result — each with an existing text or binary round-trip
-(``Loadable.to_bytes``, ``TraceLog.render``/``parse_trace``, ...).
+(``Loadable.to_bytes``, ``TraceLog.to_bytes``/``from_bytes``, ...).
 This module maps each onto one section of the container format, so a
 deserialised bundle is field-for-field equivalent to the one written:
 same :meth:`artifact_digest`, bit-identical execution on both tiers.
 
 Sections (``*`` = optional): ``loadable``, ``program.json``,
 ``program.words``, ``assembly``, ``commands``, ``images.json``,
-``images.preload.<i>``, ``trace`` (zlib: hex text compresses well),
-``input_image``, ``vp_result.json``, ``vp_result.raw_output``,
-``vp_result.output``, ``vp_result.probabilities``\\*.
+``images.preload.<i>``, ``trace``, ``input_image``,
+``vp_result.json``, ``vp_result.raw_output``, ``vp_result.output``,
+``vp_result.probabilities``\\*.
+
+The ``trace`` section is :meth:`TraceLog.to_bytes
+<repro.vp.trace_log.TraceLog.to_bytes>`, stored as is: int64
+transaction columns the codec zlib-compresses itself, then the raw DBB
+payload bytes.  Version 1 objects kept the rendered hex text instead;
+they fail the version check, so a store holding them recompiles each
+deployment once and republishes it.
 """
 
 from __future__ import annotations
@@ -32,11 +39,11 @@ from repro.nvdla.config import Precision
 from repro.riscv.program import Program
 from repro.store.format import Section, read_container, write_container
 from repro.vp import InferenceResult
-from repro.vp.trace_log import parse_trace
+from repro.vp.trace_log import TraceLog
 
 BUNDLE_KIND = "baremetal-bundle"
 LOADABLE_KIND = "loadable"
-SERIAL_VERSION = 1
+SERIAL_VERSION = 2
 
 
 def _array_bytes(array: np.ndarray) -> bytes:
@@ -112,7 +119,7 @@ def serialize_bundle(bundle: BaremetalBundle) -> bytes:
             Section(f"images.preload.{index}", image.data)
             for index, image in enumerate(bundle.images.preload)
         ),
-        Section("trace", bundle.trace.render().encode(), compress=True),
+        Section("trace", bundle.trace.to_bytes()),
         Section("input_image", _array_bytes(bundle.input_image)),
         Section(
             "vp_result.json",
@@ -139,8 +146,15 @@ def serialize_bundle(bundle: BaremetalBundle) -> bytes:
     return write_container(bundle_meta(bundle), sections)
 
 
-def deserialize_bundle(blob: bytes, path: str | None = None) -> BaremetalBundle:
-    """Reconstruct a bundle; integrity failures raise, never mis-load."""
+def deserialize_bundle(
+    blob: bytes, path: str | None = None, expected_digest: str | None = None
+) -> BaremetalBundle:
+    """Reconstruct a bundle; integrity failures raise, never mis-load.
+
+    The reconstruction's :meth:`artifact_digest` must equal the one
+    recorded in the object and, when given, ``expected_digest`` (the
+    one a store ref records); it is computed once for both checks.
+    """
     meta, sections = read_container(blob, path=path)
     if meta.get("kind") != BUNDLE_KIND:
         raise StoreIntegrityError(
@@ -179,7 +193,7 @@ def deserialize_bundle(blob: bytes, path: str | None = None) -> BaremetalBundle:
             )
             for index, entry in enumerate(images_meta["preload"])
         ]
-        trace = parse_trace(section("trace").decode())
+        trace = TraceLog.from_bytes(section("trace"))
         vp_meta = json.loads(section("vp_result.json").decode())
     except StoreIntegrityError:
         raise
@@ -215,12 +229,17 @@ def deserialize_bundle(blob: bytes, path: str | None = None) -> BaremetalBundle:
         fidelity=meta["fidelity"],
         notes=meta.get("notes", {}),
     )
+    digest = bundle.artifact_digest()
     recorded = meta.get("artifact_digest")
-    if recorded is not None and bundle.artifact_digest() != recorded:
+    if recorded is not None and digest != recorded:
         raise StoreIntegrityError(
             "reconstructed bundle's artifact digest disagrees with the one "
             f"recorded at write time ({recorded[:12]}…)",
             path=path,
+        )
+    if expected_digest is not None and digest != expected_digest:
+        raise StoreIntegrityError(
+            "bundle artifact digest disagrees with its ref", path=path
         )
     return bundle
 

@@ -301,13 +301,11 @@ class BundleStore:
                 self.stats.misses += 1
                 return None
             blob = self._read_object(ref, kdigest)
-            bundle = deserialize_bundle(blob, path=str(self._object_path(ref["object"])))
-            recorded = ref.get("artifact_digest")
-            if recorded is not None and bundle.artifact_digest() != recorded:
-                raise StoreIntegrityError(
-                    "bundle artifact digest disagrees with its ref",
-                    path=str(self._object_path(ref["object"])),
-                )
+            bundle = deserialize_bundle(
+                blob,
+                path=str(self._object_path(ref["object"])),
+                expected_digest=ref.get("artifact_digest"),
+            )
         except StoreIntegrityError:
             self.stats.integrity_failures += 1
             raise
@@ -411,12 +409,9 @@ class BundleStore:
                     if static:
                         self._verify_static(loadable, path)
                 else:
-                    bundle = deserialize_bundle(blob)
-                    recorded = ref.get("artifact_digest")
-                    if recorded is not None and bundle.artifact_digest() != recorded:
-                        raise StoreIntegrityError(
-                            "artifact digest disagrees with ref", path=str(path)
-                        )
+                    bundle = deserialize_bundle(
+                        blob, expected_digest=ref.get("artifact_digest")
+                    )
                     if static:
                         self._verify_static(bundle.loadable, path)
             except StoreIntegrityError as exc:

@@ -15,14 +15,25 @@ data returned — that is what weight extraction reconstructs).
 from __future__ import annotations
 
 import re
+import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterable
+
+import numpy as np
 
 from repro.errors import TraceError
 
 CSB_KEYWORD = "nvdla.csb_adaptor"
 DBB_KEYWORD = "nvdla.dbb_adaptor"
 DBB_LINE_BYTES = 64
+
+_BINARY_MAGIC = b"VPTB"
+_BINARY_VERSION = 1
+_BINARY_HEADER = struct.Struct("<4sBIIQ")
+_COLUMN = np.dtype("<i8")
+_ZLIB_LEVEL = 1  # fixed: the store content-addresses these bytes
+_KINDS = ("csb", "dbb")
 
 
 @dataclass(frozen=True)
@@ -85,6 +96,92 @@ class TraceLog:
 
     def __len__(self) -> int:
         return len(self._order)
+
+    def to_bytes(self) -> bytes:
+        """The binary form (see the module docstring); deterministic."""
+
+        def column(values: Iterable[int], count: int) -> bytes:
+            return np.fromiter(values, dtype=_COLUMN, count=count).tobytes()
+
+        csb, dbb = self.csb, self.dbb
+        columns = zlib.compress(
+            b"".join((
+                bytes(kind == "dbb" for kind, _ in self._order),
+                column((t.cycle for t in csb), len(csb)),
+                column((t.address for t in csb), len(csb)),
+                column((t.data for t in csb), len(csb)),
+                column((t.iswrite for t in csb), len(csb)),
+                column((t.cycle for t in dbb), len(dbb)),
+                column((t.address for t in dbb), len(dbb)),
+                column((len(t.data) for t in dbb), len(dbb)),
+                column((t.iswrite for t in dbb), len(dbb)),
+            )),
+            _ZLIB_LEVEL,
+        )
+        header = _BINARY_HEADER.pack(
+            _BINARY_MAGIC, _BINARY_VERSION, len(csb), len(dbb), len(columns)
+        )
+        return b"".join((header, columns, *(t.data for t in dbb)))
+
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> TraceLog:
+        """Inverse of :meth:`to_bytes`; malformed input raises
+        :class:`~repro.errors.TraceError`."""
+        if len(blob) < _BINARY_HEADER.size:
+            raise TraceError(f"binary trace truncated to {len(blob)} bytes")
+        magic, version, n_csb, n_dbb, columns_len = _BINARY_HEADER.unpack_from(blob)
+        if magic != _BINARY_MAGIC or version != _BINARY_VERSION:
+            raise TraceError(f"not a version-{_BINARY_VERSION} binary trace")
+        payload_start = _BINARY_HEADER.size + columns_len
+        if payload_start > len(blob):
+            raise TraceError("binary trace columns overrun the blob")
+        try:
+            columns = zlib.decompress(blob[_BINARY_HEADER.size : payload_start])
+        except zlib.error as exc:
+            raise TraceError(f"binary trace columns do not decompress: {exc}") from exc
+        count = n_csb + n_dbb
+        if len(columns) != count + 4 * _COLUMN.itemsize * count:
+            raise TraceError(
+                f"binary trace columns hold {len(columns)} bytes, "
+                f"not the size of {n_csb} csb + {n_dbb} dbb transactions"
+            )
+        kinds = np.frombuffer(columns, dtype=np.uint8, count=count)
+        csb = np.frombuffer(columns, dtype=_COLUMN, count=4 * n_csb, offset=count)
+        dbb = np.frombuffer(
+            columns, dtype=_COLUMN, offset=count + 4 * _COLUMN.itemsize * n_csb
+        )
+        csb, dbb = csb.reshape(4, n_csb), dbb.reshape(4, n_dbb)
+        if np.any(kinds > 1) or np.count_nonzero(kinds) != n_dbb:
+            raise TraceError("binary trace kind bytes disagree with its counts")
+        if np.any(csb < 0) or np.any(dbb < 0) or np.any(csb[3] > 1) or np.any(dbb[3] > 1):
+            raise TraceError("binary trace column value out of range")
+        payload = blob[payload_start:]
+        if int(dbb[2].sum()) != len(payload):
+            raise TraceError(
+                f"binary trace payload holds {len(payload)} bytes, "
+                f"its dbb lengths sum to {int(dbb[2].sum())}"
+            )
+        ends = np.cumsum(dbb[2]).tolist()
+        cycles, addresses, lengths, writes = dbb.tolist()
+        # The n-th logged transaction of a kind sits at index n of its list.
+        is_dbb = kinds.astype(np.int64)
+        indices = np.where(is_dbb, np.cumsum(is_dbb), np.cumsum(1 - is_dbb)) - 1
+        return cls(
+            csb=[
+                CsbTransaction(cycle, address, data, bool(iswrite))
+                for cycle, address, data, iswrite in zip(*csb.tolist())
+            ],
+            dbb=[
+                DbbTransaction(cycle, address, payload[end - length : end], bool(iswrite))
+                for cycle, address, length, end, iswrite in zip(
+                    cycles, addresses, lengths, ends, writes
+                )
+            ],
+            _order=[
+                (_KINDS[kind], index)
+                for kind, index in zip(kinds.tolist(), indices.tolist())
+            ],
+        )
 
     def to_spans(self, frequency_hz: float = 100e6) -> list[dict]:
         """The log as ``repro.obs`` span dicts on the simulated clock.

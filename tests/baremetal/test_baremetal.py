@@ -19,7 +19,9 @@ from repro.baremetal.codegen import CodegenOptions, MAGIC_DONE, MAGIC_FAIL, esti
 from repro.baremetal.image import segments_to_bin
 from repro.baremetal.weight_extract import MemorySegment, total_bytes
 from repro.errors import CodegenError
-from repro.nvdla import NV_SMALL
+from repro.nvdla import NV_FULL, NV_SMALL
+from repro.nvdla.config import Precision
+from repro.nvdla.fastpath import pack_input
 from repro.riscv import assemble
 from repro.vp.trace_log import TraceLog
 
@@ -194,15 +196,37 @@ def test_bundle_has_all_artifacts(tiny_bundle):
     assert tiny_bundle.describe()
 
 
-def test_bundle_weight_image_matches_compiler_blob(tiny_bundle):
-    weights = next(i for i in tiny_bundle.images.preload if i.name == "weights.bin")
-    blob = tiny_bundle.loadable.weight_blob
-    assert weights.load_address == tiny_bundle.loadable.weight_base
-    # Extraction covers exactly the bytes NVDLA read; those must agree
-    # with the compiler's blob at the same offsets.
-    for offset in range(0, min(len(weights.data), len(blob)), 97):
-        if weights.data[offset] != 0:
-            assert weights.data[offset] == blob[offset]
+@pytest.fixture(
+    scope="module",
+    params=[
+        ("lenet5", "nv_small"),
+        ("lenet5", "nv_full"),
+        ("resnet18", "nv_small"),
+        ("resnet18", "nv_full"),
+    ],
+    ids="-".join,
+)
+def zoo_bundle(request):
+    from repro.nn.zoo import lenet5, resnet18_cifar
+
+    model, config_name = request.param
+    net = {"lenet5": lenet5, "resnet18": resnet18_cifar}[model]()
+    config = NV_SMALL if config_name == "nv_small" else NV_FULL
+    precision = Precision.INT8 if config_name == "nv_small" else Precision.FP16
+    return generate_baremetal(net, config, precision=precision), config
+
+
+def test_bundle_weight_image_matches_compiler_blob(zoo_bundle):
+    """The trace-extracted preload images are byte-for-byte what the
+    timing-fidelity flow builds from the loadable and the packed input."""
+    bundle, config = zoo_bundle
+    images = {image.name: image for image in bundle.images.preload}
+    weights, blob = images["weights.bin"], bundle.loadable.weight_blob
+    assert weights.load_address == bundle.loadable.weight_base
+    assert weights.data[: len(blob)] == blob
+    assert not any(weights.data[len(blob) :])  # only a zero tail beyond the blob
+    address, packed = pack_input(bundle.loadable, config, bundle.input_image)
+    assert (images["input.bin"].load_address, images["input.bin"].data) == (address, packed)
 
 
 def test_bundle_input_image_extracted(tiny_bundle):

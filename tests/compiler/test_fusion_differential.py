@@ -100,10 +100,29 @@ def _input(model: str) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=ZOO[model]().input_shape).astype(np.float32)
 
 
-@functools.lru_cache(maxsize=None)
+#: models whose bundles the cycle-accurate tests reuse.  Only these
+#: are memoised; the 224×224-class bundles are built per test so their
+#: weight blobs are freed with the test instead of living for the rest
+#: of the session.
+SHARED_MODELS = ("lenet5", "resnet18")
+
+
 def _bundle(model: str, config_name: str, mode: str):
-    """Compile one (model, config, fusion-mode) bundle, memoised so the
-    fast-tier and cycle-accurate tests share compilations."""
+    """One (model, config, fusion-mode) bundle; the shared models'
+    compilations are memoised across the fast-tier and cycle-accurate
+    tests."""
+    if model in SHARED_MODELS:
+        return _shared_bundle(model, config_name, mode)
+    return _compile_bundle(model, config_name, mode)
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_bundle(model: str, config_name: str, mode: str):
+    return _compile_bundle(model, config_name, mode)
+
+
+def _compile_bundle(model: str, config_name: str, mode: str):
+    """Compile one (model, config, fusion-mode) bundle."""
     config, precision, _ = CONFIGS[config_name]
     options = CompileOptions(
         precision=precision,

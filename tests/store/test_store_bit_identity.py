@@ -11,6 +11,9 @@ rest of the zoo suites.
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -74,3 +77,35 @@ def test_store_loaded_bundle_serves_identical_outputs(tmp_path):
     assert warmed.cache.stats.store_hits == 1
     assert warmed.cache.stats.compiles == 0
     assert np.array_equal(from_store.output, baseline.output)
+
+
+_PUBLISH_PROGRAM = """
+import sys
+from pathlib import Path
+from repro.baremetal.pipeline import bundle_cache_key
+from repro.nvdla import Precision
+from repro.serve import BundleCache
+from repro.store import BundleStore
+
+bundle = BundleCache().bundle_for("lenet5", "nv_small")
+key = bundle_cache_key("lenet5", "nv_small", Precision.INT8, "functional")
+print(BundleStore(Path(sys.argv[1])).put_bundle(key, bundle))
+"""
+
+
+def test_functional_object_digest_stable_across_processes(tmp_path):
+    """Two processes publishing the same functional deployment write the
+    same object: the binary trace section (DBB columns plus payload)
+    encodes deterministically."""
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", _PUBLISH_PROGRAM, str(tmp_path / f"store{i}")],
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.strip()
+        for i in range(2)
+    ]
+    compiled = BundleCache().bundle_for("lenet5", "nv_small")
+    assert compiled.trace.dbb  # the section carries real DBB traffic
+    assert digests[0] == digests[1] == sha256_hex(serialize_bundle(compiled))
