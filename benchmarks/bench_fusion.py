@@ -37,8 +37,7 @@ from repro.analyze import analyze_loadable
 from repro.baremetal import generate_baremetal
 from repro.compiler import CompileOptions
 from repro.core import FastPathExecutor, Soc
-from repro.core.calibration import CalibrationTable
-from repro.nn.quantize import calibrate_network
+from repro.nn.quantize import CalibrationTable, calibrate_network
 from repro.nn.zoo import ZOO
 from repro.nvdla.config import Precision, get_config
 from repro.nvdla.fastpath import pack_input
@@ -100,23 +99,11 @@ def _bundle(model: str, config_name: str, mode: str):
 def _fast_run(bundle, config_name: str, model: str):
     """Functional fast-tier run; returns (output, total_cycles, dram_bytes)."""
     _, bus = CONFIG_POINTS[config_name]
-    table = CalibrationTable()
-    executor = FastPathExecutor(
-        get_config(config_name), calibration=table, memory_bus_width_bits=bus
-    )
-    estimate = executor.estimate(bundle)
-    table.admit(
-        bundle.network,
-        bundle.config,
-        bundle.precision,
-        estimate.total_cycles,
-        estimate.total_cycles,
-        memory_bus_width_bits=bus,
-    )
+    executor = FastPathExecutor(get_config(config_name), memory_bus_width_bits=bus)
     result = executor.run(bundle, input_image=_input(model))
     assert result.ok and result.output is not None
     stats = executor.mcif.stats
-    return result.output, estimate.total_cycles, stats.bytes_read + stats.bytes_written
+    return result.output, result.cycles, stats.bytes_read + stats.bytes_written
 
 
 def _soc_run(bundle, config_name: str, model: str):

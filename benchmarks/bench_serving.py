@@ -27,7 +27,6 @@ import pytest
 
 from repro.baremetal import generate_baremetal
 from repro.core import Soc, calibrate
-from repro.core.calibration import CalibrationTable
 from repro.nn.zoo import ZOO
 from repro.nvdla import NV_FULL, NV_SMALL
 from repro.nvdla.config import Precision
@@ -143,7 +142,7 @@ def test_serving_throughput_nv_small(benchmark, report):
 
 
 def test_fastpath_serving_throughput(benchmark, report):
-    """The PR-2 acceptance gate: the calibrated fast tier vs the cached
+    """The PR-2 acceptance gate: the fast tier vs the cached
     cycle-accurate service, same warm workload, shared bundle cache.
 
     The mix spans the three model classes the zoo serves on nv_small —
@@ -194,9 +193,10 @@ def test_fastpath_serving_throughput(benchmark, report):
         f"  cycle-accurate: {n} requests in {ca_seconds:.2f} s "
         f"= {n / ca_seconds:.2f} req/s\n"
         f"  fast tier:      {n} requests in {fast_seconds:.2f} s "
-        f"= {n / fast_seconds:.2f} req/s  (one-time builds+calibration: "
+        f"= {n / fast_seconds:.2f} req/s  (one-time builds+profiles: "
         f"{build_seconds:.1f} s)\n"
-        f"  speedup:        {speedup:.1f}x\n\n" + table.render()
+        f"  speedup:        {speedup:.1f}x\n\n"
+        + "\n".join(profile.render() for profile in table.values())
     )
 
     # Acceptance: >= 10x throughput over cached cycle-accurate serving.
@@ -204,10 +204,9 @@ def test_fastpath_serving_throughput(benchmark, report):
     # Bit-identical tensors, request by request.
     for ca_response, fast_response in zip(ca_responses, fast_responses):
         assert np.array_equal(ca_response.output, fast_response.output)
-    # Reported cycles stay inside the calibrated error band.
+    # Reported cycles are the cycle-accurate ones, exactly.
     for ca_response, fast_response in zip(ca_responses, fast_responses):
-        error = abs(fast_response.cycles - ca_response.cycles) / ca_response.cycles
-        assert error <= 0.10
+        assert fast_response.cycles == ca_response.cycles
 
 
 def test_serving_mixed_nv_full(benchmark, report):
@@ -355,19 +354,13 @@ def test_zoo_bit_identity_across_processes(report):
     single-process service: outputs must be bit-identical model by
     model, request by request.
 
-    The fast tier carries the traffic; the big models are admitted with
-    placeholder cycle measurements because this test gates *output
-    identity only* — cycle fidelity for them is owned by the
-    calibration suite."""
+    The fast tier carries the traffic.  The service records each
+    bundle's cycle profile on first use; the plane's workers are
+    spawned with those recordings, so cycles must match too."""
     models = sorted(ZOO)
     rng = np.random.default_rng(WORKLOAD_SEED)
     cache = BundleCache()
-    table = CalibrationTable()
-    for model in models:
-        table.admit(
-            model, "nv_small", Precision.INT8,
-            measured_cycles=1, estimated_cycles=1,
-        )
+    table: dict = {}
     workload = [
         (replace(deployment, execution_mode="fast"), image)
         for deployment, image in _mixed_workload(

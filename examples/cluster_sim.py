@@ -7,7 +7,7 @@ is a fleet.  `repro.cluster` scales the serve layer out FireSim-style:
 N replicas (each modelling one SoC-backed `InferenceService`) behind a
 routing policy, with SLO-aware admission control shedding what the
 fleet cannot serve and an autoscaler resizing it under bursts.  The
-fleet runs on a *virtual* clock priced from the calibrated fast path,
+fleet runs on a *virtual* clock priced from recorded cycle profiles,
 so every number below reproduces bit-exactly from the seeds.
 
 1. generate a seeded Poisson workload over a lenet5+resnet18 mix,
@@ -119,10 +119,13 @@ def main() -> None:
         print(f"    {event.render()}")
 
     print("\n=== 4. fleet outputs are bit-identical to one service ===")
-    # Calibrate lenet5 (one cycle-accurate run) so the fleet can
-    # *execute* requests on the fast tier, then serve the same request
-    # set through a plain single InferenceService and compare tensors.
+    # Record lenet5's cycle profile (one timing-fidelity SoC run), let
+    # the fleet *execute* requests on the fast tier, then serve the same
+    # request set through a plain single InferenceService and compare
+    # tensors and cycles.
     table = calibrate(("lenet5",), NV_SMALL, cache=cache)
+    for profile in table.values():
+        print(f"  profile {profile.render()}")
     fast = [replace(d, execution_mode="fast") for d in deployments[:1]]
     executed = generate_workload(
         PoissonArrivals(100.0), fast, 8, seed=11, with_inputs=True
@@ -139,12 +142,13 @@ def main() -> None:
         single.request(request.deployment, request.input_image)
     singles = sorted(single.run_pending(), key=lambda r: r.request_id)
     for index, request in enumerate(executed):
-        fleet_output = fleet_result.responses[request.request_id].output
-        assert np.array_equal(fleet_output, singles[index].output)
+        fleet_response = fleet_result.responses[request.request_id]
+        assert np.array_equal(fleet_response.output, singles[index].output)
+        assert fleet_response.cycles == singles[index].cycles
     print(
         f"  {len(executed)} requests executed across "
         f"{sum(1 for r in fleet_result.replicas if r.executed)} replica services "
-        f"— outputs identical to the single-service run"
+        f"— outputs and cycles identical to the single-service run"
     )
     print("\n" + fleet_result.metrics.render())
 

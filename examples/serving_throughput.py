@@ -73,11 +73,11 @@ def main() -> None:
     if not identical or cold.cycles != warm.cycles:
         raise SystemExit("cache-hit run diverged from cold path")
 
-    print("\n=== 5. the calibrated fast tier ===")
-    # Calibrate once (one cycle-accurate run per model), then serve the
-    # same workload on the functional fast path: no ISS, no bus
-    # transactions, bit-identical tensors, cycles from the analytic
-    # model (gated to ±10 % of measured).
+    print("\n=== 5. the fast tier ===")
+    # Record each bundle's cycle profile (one timing-fidelity SoC run
+    # per model), then serve the same workload on the functional fast
+    # path: no ISS, no bus transactions, bit-identical tensors, and the
+    # cycle-accurate tier's exact cycles.
     from dataclasses import replace
 
     from repro.core import calibrate
@@ -93,8 +93,9 @@ def main() -> None:
     for fast_response in fast_responses:
         slow_response = by_id[fast_response.request_id]
         assert np.array_equal(fast_response.output, slow_response.output)
-        assert abs(fast_response.cycles - slow_response.cycles) / slow_response.cycles <= 0.10
-    print(table.render())
+        assert fast_response.cycles == slow_response.cycles
+    for profile in table.values():
+        print(profile.render())
     print(
         f"fast tier served {len(fast_responses)} requests bit-identically; "
         f"wall p50 {fast_service.metrics.wall_summary().p50 * 1e3:.1f} ms vs "

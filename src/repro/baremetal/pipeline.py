@@ -175,12 +175,11 @@ def execute_bundle(
     input_image: np.ndarray | None = None,
     frequency_hz: float = 100e6,
     memory_bus_width_bits: int = 32,
-    calibration=None,
 ):
     """Run a bundle on the selected execution tier.
 
     The one-stop dispatch the harness and CLI use: builds a throwaway
-    cycle-accurate :class:`~repro.core.soc.Soc` or a calibrated
+    cycle-accurate :class:`~repro.core.soc.Soc` or a
     :class:`~repro.core.fastpath.FastPathExecutor` for the bundle's
     hardware point and executes one inference.  Long-running callers
     (the serving layer) keep their own reusable workers instead.
@@ -211,7 +210,6 @@ def execute_bundle(
         executor = FastPathExecutor(
             get_config(bundle.config),
             frequency_hz=frequency_hz,
-            calibration=calibration,
             memory_bus_width_bits=memory_bus_width_bits,
         )
         return executor.run(bundle, input_image=input_image)

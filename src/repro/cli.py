@@ -9,12 +9,11 @@ Exposes the flows a downstream user runs most::
     python -m repro flow --model lenet5 --out artifacts/
     python -m repro table1 | table2 | table3
     python -m repro serve --models lenet5,resnet18 --requests 32
-    python -m repro serve --mode fast --calibration cal.json
+    python -m repro serve --mode fast
     python -m repro serve --processes 4 --arrival poisson --rps 200
     python -m repro bench-serve --requests 8
     python -m repro bench-serve --mode fast --processes 4
     python -m repro bench-cluster --policy all --arrival poisson --rps 100 --seed 7
-    python -m repro calibrate --models lenet5,resnet18 --out cal.json
     python -m repro synth --config nv_full
     python -m repro sanity --trace conv
     python -m repro warmup --models lenet5,resnet18 --store .repro-store
@@ -47,54 +46,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _calibration_for_cli(
-    models: list[str],
-    config,
-    precision: Precision,
-    fidelity: str,
-    path: str | None,
-    memory_bus_width_bits: int = 32,
-):
-    """Load a saved calibration table, or fit one and optionally save it.
-
-    A loaded table must cover every requested model (at the requested
-    memory width); if it does not, the requested set is recalibrated
-    and the old table's other entries are merged back in before
-    re-saving, so accumulated validation work is never dropped.
-    """
-    from pathlib import Path as _Path
-
-    from repro.core import CalibrationTable, calibrate
-
-    saved = None
-    if path and _Path(path).exists():
-        saved = CalibrationTable.load(path)
-        if all(
-            saved.has(m, config.name, precision, memory_bus_width_bits) for m in models
-        ):
-            print(f"calibration: loaded {path} ({len(saved)} entries)")
-            return saved
-        print(f"calibration: {path} missing entries, recalibrating...")
-    print(f"calibrating {','.join(models)} on {config.name} (one cycle-accurate run each)...")
-    table = calibrate(
-        tuple(models),
-        config,
-        precision=precision,
-        fidelity=fidelity,
-        memory_bus_width_bits=memory_bus_width_bits,
-    )
-    if saved is not None:
-        table.merge(saved)
-    if path:
-        table.save(path)
-        print(f"calibration: saved {path}")
-    return table
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.baremetal import execute_bundle, generate_baremetal
+    from repro.compiler import CompileOptions
     from repro.nn.zoo import ZOO
-    from repro.serve import shared_cache
 
     config = get_config(args.config)
     precision = Precision(args.precision)
@@ -102,24 +57,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"running {args.model} on {config.name} "
         f"({precision.value}, {args.fidelity}, {args.mode})..."
     )
-    from repro.compiler import CompileOptions
-
-    options = CompileOptions(precision=precision, fusion=args.fusion)
-    calibration = None
-    if args.mode == "fast":
-        calibration = _calibration_for_cli(
-            [args.model], config, precision, args.fidelity, args.calibration,
-            memory_bus_width_bits=args.memory_width,
-        )
-        bundle = shared_cache().bundle_for(
-            args.model, config, precision=precision, fidelity=args.fidelity,
-            compile_options=options,
-        )
-    else:
-        bundle = generate_baremetal(
-            ZOO[args.model](), config, precision=precision, fidelity=args.fidelity,
-            compile_options=options,
-        )
+    bundle = generate_baremetal(
+        ZOO[args.model](), config, precision=precision, fidelity=args.fidelity,
+        compile_options=CompileOptions(precision=precision, fusion=args.fusion),
+    )
     if args.verify:
         from repro.analyze import analyze_bundle
 
@@ -136,7 +77,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         execution_mode=args.mode,
         frequency_hz=args.frequency_mhz * 1e6,
         memory_bus_width_bits=args.memory_width,
-        calibration=calibration,
     )
     status = "DONE" if result.ok else f"FAIL (command {result.fail_index})"
     print(f"status:  {status}")
@@ -297,20 +237,6 @@ def _build_workload(args: argparse.Namespace):
     return workload
 
 
-def _serve_calibration(args: argparse.Namespace):
-    """The calibration table a fast-mode serve workload needs."""
-    if getattr(args, "mode", "cycle_accurate") != "fast":
-        return None
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    return _calibration_for_cli(
-        models,
-        get_config(args.config),
-        Precision(args.precision),
-        args.fidelity,
-        args.calibration,
-    )
-
-
 def _arrival_gaps(args: argparse.Namespace, count: int) -> list[float] | None:
     """Inter-arrival delays for the plane's streaming intake."""
     import numpy as np
@@ -366,7 +292,6 @@ def _cmd_serve_plane(args: argparse.Namespace, store) -> int:
         processes=args.processes,
         max_batch_size=args.batch_size,
         input_seed=args.seed,
-        calibration=_serve_calibration(args),
         cache=BundleCache(store=store) if store is not None else None,
         tracer=tracer,
     )
@@ -394,8 +319,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.processes > 1:
         return _cmd_serve_plane(args, _open_store(args))
 
-    # The shared cache keeps fast-mode calibration (which already built
-    # every deployment's bundle) and the service on one set of builds.
     # One --seed drives both the workload inputs and anything the
     # service synthesises itself, so a serve run replays exactly.
     # With --store, misses try the persistent store before compiling
@@ -408,7 +331,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_batch_size=args.batch_size,
         workers_per_key=args.workers,
         input_seed=args.seed,
-        calibration=_serve_calibration(args),
         tracer=tracer,
     )
     workload = _build_workload(args)
@@ -440,16 +362,18 @@ def _bench_serve_processes(args: argparse.Namespace) -> int:
     workload = _build_workload(args)
     n = len(workload)
     unique = list(dict.fromkeys(d for d, _ in workload))
-    calibration = _serve_calibration(args)
     store = _open_store(args)
     cache = BundleCache(store=store) if store is not None else shared_cache()
+    # One profile table for both sides: the worker processes are
+    # spawned with what the single-process warm-up recorded.
+    profiles: dict = {}
 
     service = InferenceService(
         cache=cache,
         max_batch_size=args.batch_size,
         workers_per_key=args.workers,
         input_seed=args.seed,
-        calibration=calibration,
+        calibration=profiles,
     )
     # Warm: compile every deployment once so both timed windows measure
     # steady-state serving, not the offline flow.
@@ -469,7 +393,7 @@ def _bench_serve_processes(args: argparse.Namespace) -> int:
         processes=args.processes,
         max_batch_size=args.batch_size,
         input_seed=args.seed,
-        calibration=calibration,
+        calibration=profiles,
         cache=cache,
         tracer=tracer,
     )
@@ -510,7 +434,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
 
     - ``--mode cycle_accurate`` (default): cold per-request offline
       flow vs the cached cycle-accurate service (the PR-1 comparison);
-    - ``--mode fast``: cached cycle-accurate service vs the calibrated
+    - ``--mode fast``: cached cycle-accurate service vs the
       fast tier, same workload, shared bundle cache;
     - ``--processes N`` (N > 1): the process-parallel plane vs the
       single-process service, with a bit-identity check.
@@ -533,9 +457,7 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
     store = _open_store(args)
 
     if args.mode == "fast":
-        calibration = _serve_calibration(args)
-        # Calibration already built these bundles into the shared
-        # cache; --store swaps in a store-backed cache instead.
+        # --store swaps the shared cache for a store-backed one.
         cache = BundleCache(store=store) if store is not None else shared_cache()
         baseline = InferenceService(
             cache=cache,
@@ -549,7 +471,6 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             max_batch_size=args.batch_size,
             workers_per_key=args.workers,
             input_seed=args.seed,
-            calibration=calibration,
             tracer=tracer,
         )
         results = {}
@@ -882,34 +803,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
-    from repro.core import calibrate
-
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    if not models:
-        raise SystemExit("--models needs at least one zoo model")
-    config = get_config(args.config)
-    print(f"calibrating {','.join(models)} on {config.name} ({args.precision})...")
-    # max_error=None: this command reports the fit and applies its own
-    # --max-error gate below instead of raising mid-run.
-    table = calibrate(
-        tuple(models),
-        config,
-        precision=Precision(args.precision),
-        fidelity=args.fidelity,
-        memory_bus_width_bits=args.memory_width,
-        max_error=None,
-    )
-    print(table.render())
-    if args.out:
-        path = table.save(args.out)
-        print(f"table written to {path}")
-    if table.worst_error() > args.max_error:
-        print(f"FAIL: worst error {table.worst_error():.2%} > {args.max_error:.0%}")
-        return 1
-    return 0
-
-
 def _cmd_sanity(args: argparse.Namespace) -> int:
     from repro.baremetal.sanity import ALL_TRACES, run_on_soc
     from repro.core import Soc
@@ -941,9 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--frequency-mhz", type=float, default=100.0)
     run.add_argument("--memory-width", type=int, default=32)
     run.add_argument("--mode", default="cycle_accurate", choices=["cycle_accurate", "fast"],
-                     help="execution tier: full SoC simulation or the calibrated fast path")
-    run.add_argument("--calibration", default=None,
-                     help="calibration table JSON to load/save for --mode fast")
+                     help="execution tier: full SoC simulation or the fast path")
     run.add_argument("--fusion", default="descriptor",
                      choices=["off", "graph", "descriptor"],
                      help="operator fusion level: descriptor fuses conv+SDP+PDP "
@@ -1001,8 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
         serve.add_argument("--mode", default="cycle_accurate",
                            choices=["cycle_accurate", "fast"],
                            help="execution tier for the workload's deployments")
-        serve.add_argument("--calibration", default=None,
-                           help="calibration table JSON to load/save for --mode fast")
         serve.add_argument("--store", default=None,
                            help="persistent bundle store directory: misses fetch "
                                 "verified artifacts from disk before compiling")
@@ -1068,20 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--trace-out", default=None,
                          help="write virtual-clock request spans here "
                               "(.jsonl or Perfetto .json)")
-
-    cal = sub.add_parser(
-        "calibrate",
-        help="fit + validate the fast-path cycle model against cycle-accurate runs",
-    )
-    cal.add_argument("--models", default="lenet5,resnet18",
-                     help="comma-separated zoo models to calibrate")
-    cal.add_argument("--config", default="nv_small", choices=sorted(CONFIGS))
-    cal.add_argument("--precision", default="int8", choices=[p.value for p in Precision])
-    cal.add_argument("--fidelity", default="functional", choices=["functional", "timing"])
-    cal.add_argument("--memory-width", type=int, default=32)
-    cal.add_argument("--max-error", type=float, default=0.10,
-                     help="fail when any validated pair exceeds this relative error")
-    cal.add_argument("--out", default=None, help="write the table to this JSON path")
 
     warm = sub.add_parser(
         "warmup",
@@ -1175,8 +1050,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_warmup(args)
     if args.command == "store":
         return _cmd_store(args)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args)
     if args.command == "trace":
         return _cmd_trace(args)
     if args.command == "metrics":

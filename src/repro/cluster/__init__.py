@@ -4,7 +4,7 @@ The jump from one :class:`~repro.serve.InferenceService` to a fleet:
 a seeded open-loop workload generator, pluggable routing policies,
 SLO-aware admission control, an autoscaler with realistic cold-start
 warm-up, and fleet-wide metrics — all on a deterministic virtual
-clock priced from the calibrated fast path, with optional real
+clock priced from recorded cycle profiles, with optional real
 execution for bit-identity against single-service serving.
 
 Dataflow (see README "Cluster simulation")::

@@ -10,8 +10,8 @@ rolling p99/utilisation.
 Two clocks, deliberately decoupled:
 
 - **virtual time** — the fleet's clock.  Request service time is
-  priced *deterministically* from the fast path's analytic cycle
-  estimate (:class:`ServiceTimeModel`), plus a warm-up charge whenever
+  priced *deterministically* from the bundle's recorded cycle
+  profile (:class:`ServiceTimeModel`), plus a warm-up charge whenever
   the bundle is not resident in the replica's warm-state LRU (the
   same LRU discipline — and, when executing, literally the same LRU —
   as :class:`~repro.core.fastpath.FastPathExecutor`).  Every queueing
@@ -44,8 +44,7 @@ from repro.cluster.metrics import (
 from repro.cluster.router import Router
 from repro.cluster.workload import TimedRequest
 from repro.baremetal.pipeline import bundle_cache_key
-from repro.core.calibration import CalibrationTable
-from repro.core.fastpath import FastPathExecutor
+from repro.core.fastpath import FastPathExecutor, ProfileTable
 from repro.errors import ReproError
 from repro.nvdla.config import get_config
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -86,12 +85,11 @@ def residency_key(spec: DeploymentSpec) -> tuple:
 
 
 class ServiceTimeModel:
-    """Prices requests from the fast path's analytic cycle estimate.
+    """Prices requests from the bundle's recorded cycle profile.
 
-    - *run* — the bundle's whole-run estimate (hardware-layer cycles
-      plus the calibrated CPU programming overhead) at the
-      deployment's clock.  The estimate is validated to ±10 % of the
-      cycle-accurate SoC, so one price serves both execution tiers.
+    - *run* — the bundle's whole-run cycles at the deployment's clock.
+      The profile *is* a cycle-accurate SoC run, so the price is exact
+      and one price serves both execution tiers.
     - *warm-up* — loading the bundle's preload images (program,
       weights, input) onto a replica that does not hold them resident,
       priced as bytes over a provisioning link plus a fixed setup
@@ -108,7 +106,7 @@ class ServiceTimeModel:
     def __init__(
         self,
         cache: BundleCache | None = None,
-        calibration: CalibrationTable | None = None,
+        calibration: ProfileTable | None = None,
         warmup_bandwidth_bytes_per_s: float = 32 * 1024 * 1024,
         warmup_fixed_s: float = 0.010,
         store: "BundleStore | None" = None,
@@ -123,7 +121,7 @@ class ServiceTimeModel:
             raise ReproError("acquisition bandwidths must be positive")
         # NOT `cache or ...`: an empty BundleCache is falsy (__len__).
         self.cache = cache if cache is not None else BundleCache(store=store)
-        self.calibration = calibration
+        self.profiles: ProfileTable = calibration if calibration is not None else {}
         self.warmup_bandwidth_bytes_per_s = warmup_bandwidth_bytes_per_s
         self.warmup_fixed_s = warmup_fixed_s
         self.store = store
@@ -141,7 +139,7 @@ class ServiceTimeModel:
             estimator = self._estimators[key] = FastPathExecutor(
                 get_config(spec.config),
                 frequency_hz=spec.frequency_hz,
-                calibration=self.calibration,
+                calibration=self.profiles,
                 memory_bus_width_bits=spec.memory_bus_width_bits,
             )
         return estimator
@@ -153,7 +151,7 @@ class ServiceTimeModel:
             bundle = self.cache.bundle_for(
                 spec.model, spec.config, precision=spec.precision, fidelity=spec.fidelity
             )
-            estimate = self._estimator(spec).estimate(bundle)
+            profile = self._estimator(spec).estimate(bundle)
             preload_bytes = sum(len(image.data) for image in bundle.images.preload)
             build_seconds = fetch_seconds = 0.0
             if self.store is not None:
@@ -167,7 +165,7 @@ class ServiceTimeModel:
                     self.fetch_fixed_s + artifact_bytes / self.fetch_bytes_per_s
                 )
             cost = self._costs[key] = RequestCost(
-                run_seconds=estimate.total_cycles / spec.frequency_hz,
+                run_seconds=profile.total_cycles / spec.frequency_hz,
                 warmup_seconds=self.warmup_fixed_s
                 + preload_bytes / self.warmup_bandwidth_bytes_per_s,
                 build_seconds=build_seconds,
@@ -305,7 +303,7 @@ class ClusterSimulation:
         autoscaler: Autoscaler | None = None,
         pricing: ServiceTimeModel | None = None,
         cache: BundleCache | None = None,
-        calibration: CalibrationTable | None = None,
+        calibration: ProfileTable | None = None,
         resident_capacity: int = 8,
         execute: bool = False,
         input_seed: int = 7,
@@ -322,10 +320,13 @@ class ClusterSimulation:
         self.autoscaler = autoscaler
         # NOT `cache or ...`: an empty BundleCache is falsy (__len__).
         self.cache = cache if cache is not None else BundleCache(store=store)
-        self.calibration = calibration
         self.pricing = pricing or ServiceTimeModel(
             cache=self.cache, calibration=calibration, store=store
         )
+        # Replicas share the pricing model's profiles unless handed
+        # their own: a bundle priced once is not re-recorded when a
+        # replica executes it.
+        self.profiles = calibration if calibration is not None else self.pricing.profiles
         self.store = store if store is not None else self.pricing.store
         self.resident_capacity = resident_capacity
         self.execute = execute
@@ -341,7 +342,7 @@ class ClusterSimulation:
         def build() -> InferenceService:
             return InferenceService(
                 cache=self.cache,
-                calibration=self.calibration,
+                calibration=self.profiles,
                 input_seed=self.input_seed,
                 max_resident_bundles=self.resident_capacity,
             )

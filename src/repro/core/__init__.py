@@ -11,16 +11,17 @@
   wrapper and memories,
 - :mod:`repro.core.executor` — the bare-metal run loop with poll
   fast-forwarding,
+- :mod:`repro.core.fastpath` — the fast serving tier: functional
+  replay with the bundle's recorded cycle profile,
 - :mod:`repro.core.system_builder` — the full ZCU102 test setup of
   Fig. 4 (Zynq preloader, SmartConnect, AXI interconnect, MIG DDR4).
 """
 
 from repro.core.address_map import AddressMap, DEFAULT_MAP
 from repro.core.arbiter import DramArbiter
-from repro.core.calibration import CalibrationEntry, CalibrationTable, OverheadParams
 from repro.core.executor import BaremetalExecutor, RunStats
 from repro.core.fastpath import (
-    FastPathEstimate,
+    CycleProfile,
     FastPathExecutor,
     FastPathRunRequest,
     FastPathRunResult,
@@ -34,16 +35,13 @@ from repro.core.system_builder import TestSystem, ZynqPreloader
 __all__ = [
     "AddressMap",
     "BaremetalExecutor",
-    "CalibrationEntry",
-    "CalibrationTable",
+    "CycleProfile",
     "DEFAULT_MAP",
     "DramArbiter",
-    "FastPathEstimate",
     "FastPathExecutor",
     "FastPathRunRequest",
     "FastPathRunResult",
     "NvdlaWrapper",
-    "OverheadParams",
     "ResidentStats",
     "RunStats",
     "Soc",

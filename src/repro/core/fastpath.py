@@ -1,4 +1,4 @@
-"""The fast-path execution tier: functional NumPy + analytic cycles.
+"""The fast-path execution tier: functional NumPy + recorded cycles.
 
 Serving pays the full cycle-accurate CPU+bus simulation per request on
 the default tier, which caps throughput far below what the functional
@@ -10,54 +10,38 @@ bundle without the ISS or any bus transaction —
   the NVDLA unit kernels (:mod:`repro.nvdla.fastpath`) on a private
   DRAM image, producing output tensors bit-identical to a
   cycle-accurate SoC run of the same bundle;
-- **timing** — reported cycles come from the engine's analytic per-op
-  model, priced through the *same* converter + arbiter memory chain
-  the SoC wrapper uses, plus a calibrated linear model of the CPU's
-  CSB-programming and polling overhead
-  (:mod:`repro.core.calibration`).
+- **timing** — reported cycles are a :class:`CycleProfile`: one
+  timing-fidelity SoC run of the bundle, recorded on first use and
+  returned verbatim ever after.  The bare-metal program never reads
+  tensor data and softmax runs on the host, so a bundle has exactly
+  one cycle profile per memory-bus width; the fast tier's cycles,
+  instruction counts and per-op schedule *equal* the cycle-accurate
+  tier's by construction (``tests/core/test_cycle_profile.py`` holds
+  the premise, ``tests/nvdla/test_fastpath_differential.py`` the
+  equality).
 
 Results come back as :class:`~repro.core.soc.SocRunResult`, so the
-serving layer treats both tiers uniformly.  Fast mode is refused for
-any (model, config, precision) deployment the calibration table has
-never validated against a measured run.
+serving layer treats both tiers uniformly.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.baremetal.codegen import MAGIC_DONE
 from repro.baremetal.pipeline import BaremetalBundle
-from repro.bus.width_converter import AxiWidthConverter
-from repro.core.address_map import AddressMap, DEFAULT_MAP
-from repro.core.arbiter import DramArbiter
-from repro.core.calibration import (
-    DEFAULT_ERROR_BAND,
-    CalibrationTable,
-    Observation,
-    fit_overheads,
-)
+from repro.core.address_map import DEFAULT_MAP
 from repro.core.executor import RunStats
-from repro.core.nvdla_wrapper import WrapperDbbPort
-from repro.core.soc import SocRunResult, read_output_tensor
-from repro.errors import ReproError
-from repro.mem.dram import Dram, DramTiming
+from repro.core.soc import Soc, SocRunResult, read_output_tensor
+from repro.errors import BusError, ReproError
 from repro.mem.sparse_memory import SparseMemory
-from repro.nvdla.cbuf import Cbuf
-from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision
+from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision, get_config
 from repro.nvdla.engine import OpRecord
-from repro.nvdla.fastpath import (
-    FastPathOp,
-    execute_op,
-    lower_loadable,
-    op_timing,
-    pack_input,
-)
+from repro.nvdla.fastpath import execute_op, lower_loadable, pack_input
 from repro.nvdla.mcif import Mcif
-from repro.nvdla.timing import TimingParams
 
 
 @dataclass(frozen=True)
@@ -116,25 +100,71 @@ class FastPathRunResult:
 
 
 @dataclass(frozen=True)
-class FastPathEstimate:
-    """One bundle's whole-run cycle estimate, term by term."""
+class CycleProfile:
+    """One bundle's cycle-accurate run, recorded once and replayed.
 
-    op_cycles: int  # Σ analytic hardware-layer totals
-    csb_writes: int
-    polls: int
-    programming_cycles: int  # calibrated CPU-side overhead
-    total_cycles: int
-    timings: tuple = ()  # per-op OpTiming, schedule order
+    ``stats`` are the :class:`~repro.core.executor.RunStats` of a
+    timing-fidelity SoC run and ``op_records`` the engine's schedule of
+    it.  Only ``stats.seconds`` depends on the clock; executors rescale
+    it to their own frequency.
+    """
+
+    network: str
+    config: str
+    memory_bus_width_bits: int
+    stats: RunStats
+    op_records: tuple[OpRecord, ...]
 
     @property
-    def overhead_fraction(self) -> float:
-        return self.programming_cycles / self.total_cycles if self.total_cycles else 0.0
+    def total_cycles(self) -> int:
+        return self.stats.cycles
+
+    def render(self) -> str:
+        stats = self.stats
+        return (
+            f"{self.network}/{self.config}@{self.memory_bus_width_bits}b: "
+            f"{stats.cycles:,} cycles, {stats.instructions:,} instructions, "
+            f"{len(self.op_records)} hw ops, {stats.poll_fraction:.0%} waiting on NVDLA"
+        )
 
 
-def command_counts(bundle: BaremetalBundle) -> tuple[int, int]:
-    """(write_reg, read_reg) counts of a bundle's register program."""
-    writes = sum(1 for c in bundle.commands if c.kind == "write_reg")
-    return writes, len(bundle.commands) - writes
+#: Recorded profiles keyed by (artifact digest, memory-bus width).  The
+#: clock is not part of the key: DRAM timing is in controller cycles,
+#: so frequency only scales seconds.
+ProfileTable = dict[tuple[str, int], CycleProfile]
+
+
+def record_profile(
+    bundle: BaremetalBundle,
+    config: HardwareConfig,
+    frequency_hz: float = 100e6,
+    memory_bus_width_bits: int = 32,
+) -> CycleProfile:
+    """Run ``bundle`` once on a timing-fidelity SoC and freeze the run.
+
+    Only the program is loaded: neither weights nor the input can move
+    a cycle, because the program never reads them.
+    """
+    soc = Soc(
+        config,
+        frequency_hz=frequency_hz,
+        fidelity="timing",
+        memory_bus_width_bits=memory_bus_width_bits,
+    )
+    soc.load_program(bundle.program)
+    result = soc.run_inference()
+    if not result.ok:
+        raise ReproError(
+            f"profile run of {bundle.network} failed: status "
+            f"0x{result.status_word:08x} at command {result.fail_index}"
+        )
+    return CycleProfile(
+        network=bundle.network,
+        config=bundle.config,
+        memory_bus_width_bits=memory_bus_width_bits,
+        stats=result.stats,
+        op_records=tuple(result.op_records),
+    )
 
 
 @dataclass
@@ -171,7 +201,7 @@ class _BundleState:
 
     Each bundle gets its own DRAM image plus the derived artefacts
     that are invariant across requests — lowered descriptors, the
-    cycle estimate and the unpacked-weight cache — so an interleaved
+    cycle profile and the unpacked-weight cache — so an interleaved
     workload (the scheduler round-robins deployments) never pays the
     model-switch teardown the single-SoC tier pays.  ``bundle`` is a
     strong reference on purpose: states are keyed by ``id(bundle)``.
@@ -180,55 +210,61 @@ class _BundleState:
     bundle: BaremetalBundle
     storage: SparseMemory
     ops: list
-    estimate: "FastPathEstimate"
+    profile: CycleProfile
     weight_cache: dict = field(default_factory=dict)
 
 
-class FastPathExecutor:
-    """Calibrated functional execution of bare-metal bundles.
+class _ImagePort:
+    """Functional DBB port onto the resident bundle's DRAM image.
 
-    Mirrors the SoC's constructor surface (config, frequency, memory
-    width, DRAM timing) so a deployment spec maps onto either tier
-    unchanged; `calibration` gates `run` (see module docstring).
+    The fast tier only moves bytes; nothing here is priced.
+    """
+
+    def __init__(self, dram_base: int) -> None:
+        self.dram_base = dram_base
+        self.storage: SparseMemory | None = None
+
+    def _rebase(self, address: int) -> int:
+        if address < self.dram_base:
+            raise BusError(
+                f"NVDLA DBB access at 0x{address:08x} below the DRAM window", address
+            )
+        return address - self.dram_base
+
+    def read(self, address: int, nbytes: int) -> bytes:
+        return self.storage.read(self._rebase(address), nbytes)
+
+    def write(self, address: int, data: bytes) -> None:
+        self.storage.write(self._rebase(address), data)
+
+
+class FastPathExecutor:
+    """Functional execution of bare-metal bundles with recorded cycles.
+
+    ``calibration`` is the table of recorded :class:`CycleProfile`\\ s
+    (see :func:`calibrate`); executors handed the same table share its
+    recordings.  ``None`` gives the executor a private table.  Either
+    way a missing profile is recorded on first use.  Profiles live
+    apart from the resident-bundle LRU, so an eviction never
+    re-records.
     """
 
     def __init__(
         self,
         config: HardwareConfig = NV_SMALL,
         frequency_hz: float = 100e6,
-        calibration: CalibrationTable | None = None,
-        address_map: AddressMap = DEFAULT_MAP,
-        dram_timing: DramTiming | None = None,
-        timing_params: TimingParams | None = None,
-        dma_efficiency: float = 0.5,
+        calibration: ProfileTable | None = None,
         memory_bus_width_bits: int = 32,
         max_resident_bundles: int = 8,
     ) -> None:
-        self.config = config
-        self.frequency_hz = frequency_hz
-        self.calibration = calibration
-        self.address_map = address_map
-        self.memory_bus_width_bits = memory_bus_width_bits
-        self.timing_params = timing_params or TimingParams()
-        # The exact memory chain of Soc + NvdlaWrapper, minus the CPU:
-        # identical stream pricing means identical per-op totals.
-        if dram_timing is None:
-            dram_timing = DramTiming(data_width_bits=memory_bus_width_bits)
-        self.dram = Dram(size=address_map.dram_size, timing=dram_timing)
-        self.arbiter = DramArbiter(self.dram)
-        self.width_converter = AxiWidthConverter(
-            downstream=self.arbiter,
-            master_width_bits=config.dbb_width_bits,
-            slave_width_bits=memory_bus_width_bits,
-        )
-        self.mcif = Mcif(
-            WrapperDbbPort(
-                self.arbiter, self.width_converter, dram_base=address_map.dram_base
-            ),
-            dma_efficiency=dma_efficiency,
-        )
         if max_resident_bundles <= 0:
             raise ReproError("executor needs at least one resident bundle slot")
+        self.config = config
+        self.frequency_hz = frequency_hz
+        self.profiles: ProfileTable = calibration if calibration is not None else {}
+        self.memory_bus_width_bits = memory_bus_width_bits
+        self.port = _ImagePort(DEFAULT_MAP.dram_base)
+        self.mcif = Mcif(self.port)
         self.max_resident_bundles = max_resident_bundles
         self._states: "OrderedDict[int, _BundleState]" = OrderedDict()
         self.resident_stats = ResidentStats()
@@ -238,79 +274,41 @@ class FastPathExecutor:
         """Bundles currently holding resident serving state."""
         return len(self._states)
 
-    # ------------------------------------------------------------------
-    # Estimation.
-    # ------------------------------------------------------------------
+    def estimate(self, bundle: BaremetalBundle) -> CycleProfile:
+        """The bundle's cycle profile, recorded now if it is missing."""
+        self._check_config(bundle)
+        return self._profile(bundle, bundle.artifact_digest())
 
-    def estimate(self, bundle: BaremetalBundle) -> FastPathEstimate:
-        """Whole-run cycle estimate (no execution, no guard).
-
-        Deterministic per bundle: the terms depend only on the bundle's
-        artefacts and this executor's memory model.
-        """
-        return self._estimate(bundle, lower_loadable(bundle.loadable, self.config))
-
-    def _estimate(
-        self, bundle: BaremetalBundle, ops: list[FastPathOp]
-    ) -> FastPathEstimate:
-        """Price already-lowered ops with the engine's timing functions.
-
-        For a given memory port the per-op totals are *equal to* the
-        cycle-accurate per-op latencies, not an approximation of them.
-        """
-        cbuf = Cbuf(self.config)
-        timings = [
-            op_timing(op, self.config, cbuf, self.mcif, self.timing_params)
-            for op in ops
-        ]
-        op_cycles = sum(t.total for t in timings)
-        writes, polls = command_counts(bundle)
-        params = (self.calibration or CalibrationTable()).params
-        programming = params.programming_cycles(writes, polls)
-        return FastPathEstimate(
-            op_cycles=op_cycles,
-            csb_writes=writes,
-            polls=polls,
-            programming_cycles=programming,
-            total_cycles=op_cycles + programming,
-            timings=tuple(timings),
-        )
-
-    # ------------------------------------------------------------------
-    # Execution.
-    # ------------------------------------------------------------------
-
-    def run(
-        self, bundle: BaremetalBundle, input_image: np.ndarray | None = None
-    ) -> SocRunResult:
-        """Replay one bundle functionally; cycles from the estimator."""
-        if self.calibration is None:
-            raise ReproError(
-                "fast-path execution needs a CalibrationTable; build one with "
-                "repro.core.calibrate() or `repro calibrate`"
-            )
-        self.calibration.require(
-            bundle.network,
-            bundle.config,
-            bundle.precision,
-            memory_bus_width_bits=self.memory_bus_width_bits,
-        )
+    def _check_config(self, bundle: BaremetalBundle) -> None:
         if bundle.config != self.config.name:
             raise ReproError(
                 f"bundle built for {bundle.config}, executor is {self.config.name}"
             )
 
+    def _profile(self, bundle: BaremetalBundle, digest: str) -> CycleProfile:
+        key = (digest, self.memory_bus_width_bits)
+        profile = self.profiles.get(key)
+        if profile is None:
+            profile = self.profiles[key] = record_profile(
+                bundle, self.config, self.frequency_hz, self.memory_bus_width_bits
+            )
+        return profile
+
+    def run(
+        self, bundle: BaremetalBundle, input_image: np.ndarray | None = None
+    ) -> SocRunResult:
+        """Replay one bundle functionally; cycles from its profile."""
+        self._check_config(bundle)
         state = self._states.get(id(bundle))
         if state is None:
             self.resident_stats.misses += 1
-            ops = lower_loadable(bundle.loadable, self.config)
             state = _BundleState(
                 bundle=bundle,
-                storage=SparseMemory(self.address_map.dram_size),
-                ops=ops,
-                estimate=self._estimate(bundle, ops),
+                storage=SparseMemory(DEFAULT_MAP.dram_size),
+                ops=lower_loadable(bundle.loadable, self.config),
+                profile=self._profile(bundle, bundle.artifact_digest()),
             )
-            self.dram.storage = state.storage
+            self.port.storage = state.storage
             for image in bundle.images.preload:
                 self._preload(image.load_address, image.data)
             self._states[id(bundle)] = state
@@ -320,7 +318,7 @@ class FastPathExecutor:
         else:
             self.resident_stats.hits += 1
             self._states.move_to_end(id(bundle))
-            self.dram.storage = state.storage
+            self.port.storage = state.storage
             for image in bundle.images.preload:
                 if image.name == "weights.bin":
                     continue  # read-only during a run; still loaded
@@ -331,69 +329,32 @@ class FastPathExecutor:
             address, packed = pack_input(bundle.loadable, self.config, input_image)
             self._preload(address, packed)
 
+        output = None
         if bundle.fidelity == "functional":
             for op in state.ops:
                 execute_op(op, self.config, self.mcif, weight_cache=state.weight_cache)
+            output = read_output_tensor(
+                state.storage, bundle, self.config, DEFAULT_MAP.dram_base
+            )
 
-        estimate = state.estimate
-        stats = RunStats(
-            cycles=estimate.total_cycles,
-            instructions=0,
-            seconds=estimate.total_cycles / self.frequency_hz,
-            active_cycles=estimate.total_cycles,
-            halted=True,
+        profile = state.profile
+        stats = replace(
+            profile.stats,
+            seconds=profile.stats.cycles / self.frequency_hz,
+            by_class=dict(profile.stats.by_class),
         )
-        output = None
-        if bundle.fidelity == "functional":
-            output = self._read_output(bundle)
         return SocRunResult(
             ok=True,
-            cycles=estimate.total_cycles,
+            cycles=stats.cycles,
             seconds=stats.seconds,
             stats=stats,
             status_word=MAGIC_DONE,
             output=output,
-            op_records=self._op_records(state.ops, estimate),
+            op_records=list(profile.op_records),
         )
 
     def _preload(self, address: int, data: bytes) -> None:
-        self.dram.storage.write(address - self.address_map.dram_base, data)
-
-    def _read_output(self, bundle: BaremetalBundle) -> np.ndarray:
-        return read_output_tensor(
-            self.dram.storage, bundle, self.config, self.address_map.dram_base
-        )
-
-    def _op_records(
-        self, ops: list[FastPathOp], estimate: FastPathEstimate
-    ) -> list[OpRecord]:
-        """Estimated schedule: ops in sequence, programming between."""
-        timings = estimate.timings
-        gap = estimate.programming_cycles // (len(timings) + 1) if timings else 0
-        records: list[OpRecord] = []
-        now = 0
-        for index, (op, timing) in enumerate(zip(ops, timings)):
-            start = now + gap
-            end = start + timing.total
-            records.append(
-                OpRecord(
-                    index=index,
-                    kind=op.kind,
-                    sink=op.sink,
-                    group=op.group,
-                    start_cycle=start,
-                    end_cycle=end,
-                    timing=timing,
-                    detail=dict(timing.detail),
-                )
-            )
-            now = end
-        return records
-
-
-# ----------------------------------------------------------------------
-# Calibration driver.
-# ----------------------------------------------------------------------
+        self.port.write(address, data)
 
 
 def calibrate(
@@ -402,80 +363,23 @@ def calibrate(
     precision: Precision = Precision.INT8,
     fidelity: str = "functional",
     cache=None,
-    frequency_hz: float = 100e6,
     memory_bus_width_bits: int = 32,
-    max_error: float | None = DEFAULT_ERROR_BAND,
-) -> CalibrationTable:
-    """Fit and validate a calibration table against cycle-accurate runs.
+) -> ProfileTable:
+    """Record the cycle profiles of ``models``' bundles up front.
 
-    For every model: build (or fetch) the deployment's bundle, run it
-    on a cycle-accurate SoC for the measured cycle count, and reduce
-    the bundle to the estimator's terms.  The overhead parameters are
-    least-squares fitted over all runs, then each pair is admitted to
-    the table with its estimate-vs-measurement record — which is what
-    unlocks fast mode for it.  A fit whose in-sample error exceeds
-    ``max_error`` raises instead of returning a table that would serve
-    out-of-band estimates (pass ``None`` to inspect such a fit anyway).
+    The fast tier records a profile on first use anyway; this moves
+    those SoC runs to a moment of the caller's choosing (a benchmark's
+    set-up, a service's warm-up) and returns the table to hand to
+    executors and services as ``calibration=``.
     """
-    from repro.core.soc import Soc
-    from repro.nvdla.config import get_config
-
     hw = get_config(config) if isinstance(config, str) else config
     if cache is None:
         from repro.serve.cache import shared_cache
 
         cache = shared_cache()
-
-    probe = FastPathExecutor(
-        hw,
-        frequency_hz=frequency_hz,
-        memory_bus_width_bits=memory_bus_width_bits,
-    )
-    observations: list[Observation] = []
+    executor = FastPathExecutor(hw, memory_bus_width_bits=memory_bus_width_bits)
     for model in models:
-        bundle = cache.bundle_for(model, hw, precision=precision, fidelity=fidelity)
-        soc = Soc(
-            hw,
-            frequency_hz=frequency_hz,
-            fidelity=fidelity,
-            memory_bus_width_bits=memory_bus_width_bits,
+        executor.estimate(
+            cache.bundle_for(model, hw, precision=precision, fidelity=fidelity)
         )
-        soc.load_bundle(bundle)
-        result = soc.run_inference(bundle)
-        if not result.ok:
-            raise ReproError(f"calibration run of {model} failed on the SoC")
-        terms = probe.estimate(bundle)
-        observations.append(
-            Observation(
-                model=model,
-                config=hw.name,
-                precision=precision.value,
-                op_cycles=terms.op_cycles,
-                csb_writes=terms.csb_writes,
-                polls=terms.polls,
-                measured_cycles=result.cycles,
-            )
-        )
-
-    table = CalibrationTable(fit_overheads(observations))
-    for obs in observations:
-        estimated = obs.op_cycles + table.params.programming_cycles(
-            obs.csb_writes, obs.polls
-        )
-        table.admit(
-            obs.model,
-            obs.config,
-            obs.precision,
-            obs.measured_cycles,
-            estimated,
-            memory_bus_width_bits=memory_bus_width_bits,
-            op_cycles=obs.op_cycles,
-            csb_writes=obs.csb_writes,
-            polls=obs.polls,
-        )
-    if max_error is not None and table.worst_error() > max_error:
-        raise ReproError(
-            f"calibration fit error {table.worst_error():.2%} exceeds the "
-            f"±{max_error:.0%} band:\n{table.render()}"
-        )
-    return table
+    return executor.profiles

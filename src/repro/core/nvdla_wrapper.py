@@ -52,12 +52,7 @@ class _CsbPort(BusPort):
 
 
 class WrapperDbbPort:
-    """The engine-facing memory port: converter + arbiter + rebase.
-
-    Public because the fast-path executor (:mod:`repro.core.fastpath`)
-    builds the identical converter + arbiter chain so its per-op DMA
-    pricing matches the cycle-accurate wrapper exactly.
-    """
+    """The engine-facing memory port: converter + arbiter + rebase."""
 
     def __init__(
         self,

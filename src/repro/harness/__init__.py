@@ -6,12 +6,10 @@ and EXPERIMENTS.md records the paper-vs-measured outcomes.
 """
 
 from repro.harness.experiments import (
-    FastPathRow,
     Table2Row,
     Table3Row,
     run_ablation_baremetal,
     run_ablation_width,
-    run_fastpath_validation,
     run_fig1,
     run_fig2,
     run_fig3,
@@ -28,7 +26,6 @@ from repro.harness.reporting import (
 )
 
 __all__ = [
-    "FastPathRow",
     "PAPER_TABLE2_MS",
     "PAPER_TABLE3_CYCLES",
     "Table2Row",
@@ -37,7 +34,6 @@ __all__ = [
     "ratio_summary",
     "run_ablation_baremetal",
     "run_ablation_width",
-    "run_fastpath_validation",
     "run_fig1",
     "run_fig2",
     "run_fig3",

@@ -68,49 +68,6 @@ def _run_on_soc(bundle: BaremetalBundle, soc: Soc) -> tuple[int, float]:
     return result.cycles, result.seconds
 
 
-def _calibration_for(
-    models: tuple[str, ...],
-    config: HardwareConfig,
-    precision: Precision,
-    fidelity: str,
-    memory_bus_width_bits: int = 32,
-):
-    """One calibration table per experiment, via the shared cache."""
-    from repro.core.fastpath import calibrate
-    from repro.serve import shared_cache
-
-    return calibrate(
-        models,
-        config,
-        precision=precision,
-        fidelity=fidelity,
-        cache=shared_cache(),
-        memory_bus_width_bits=memory_bus_width_bits,
-    )
-
-
-def _execute(
-    bundle: BaremetalBundle,
-    execution_mode: str,
-    frequency_hz: float,
-    memory_bus_width_bits: int = 32,
-    calibration=None,
-) -> tuple[int, float]:
-    """Run one bundle on the selected tier; (cycles, seconds)."""
-    from repro.baremetal.pipeline import execute_bundle
-
-    result = execute_bundle(
-        bundle,
-        execution_mode=execution_mode,
-        frequency_hz=frequency_hz,
-        memory_bus_width_bits=memory_bus_width_bits,
-        calibration=calibration,
-    )
-    if not result.ok:
-        raise RuntimeError(f"{execution_mode} execution of {bundle.network} failed")
-    return result.cycles, result.seconds
-
-
 # ----------------------------------------------------------------------
 # Table I.
 # ----------------------------------------------------------------------
@@ -159,24 +116,13 @@ def run_table2(
     models: tuple[str, ...] = TABLE2_MODELS,
     fidelity: str = "timing",
     with_baseline: bool = True,
-    execution_mode: str = "cycle_accurate",
 ) -> list[Table2Row]:
     """nv_small FPGA inference latencies at 100 MHz, plus the ESP
-    Linux-driver baseline at 50 MHz.
-
-    ``execution_mode="fast"`` reproduces the table from the calibrated
-    fast tier: it first calibrates the requested models against one
-    cycle-accurate run each, then reports the analytic estimates.
-    """
-    calibration = None
-    if execution_mode == "fast":
-        calibration = _calibration_for(models, NV_SMALL, Precision.INT8, fidelity)
+    Linux-driver baseline at 50 MHz."""
     rows: list[Table2Row] = []
     for model in models:
         net, bundle = _bundle_for(model, NV_SMALL, Precision.INT8, fidelity)
-        cycles, seconds = _execute(
-            bundle, execution_mode, frequency_hz=100e6, calibration=calibration
-        )
+        cycles, seconds = _run_on_soc(bundle, Soc(NV_SMALL, fidelity=fidelity))
         baseline_ms = None
         if with_baseline:
             baseline_ms = EspPlatform().run(bundle.loadable).milliseconds
@@ -220,29 +166,18 @@ class Table3Row:
 def run_table3(
     models: tuple[str, ...] = TABLE3_MODELS,
     fidelity: str = "timing",
-    execution_mode: str = "cycle_accurate",
 ) -> list[Table3Row]:
     """nv_full simulation cycle counts (FP16) at 100 MHz.
 
     Simulated with the widened 64-bit memory path the paper's
     conclusion prescribes for nv_full (the published 32-bit converter
-    is an nv_small artefact).  ``execution_mode="fast"`` reports the
-    calibrated analytic estimates instead (see :func:`run_table2`).
+    is an nv_small artefact).
     """
-    calibration = None
-    if execution_mode == "fast":
-        calibration = _calibration_for(
-            models, NV_FULL, Precision.FP16, fidelity, memory_bus_width_bits=64
-        )
     rows: list[Table3Row] = []
     for model in models:
         net, bundle = _bundle_for(model, NV_FULL, Precision.FP16, fidelity)
-        cycles, seconds = _execute(
-            bundle,
-            execution_mode,
-            frequency_hz=100e6,
-            memory_bus_width_bits=64,
-            calibration=calibration,
+        cycles, seconds = _run_on_soc(
+            bundle, Soc(NV_FULL, fidelity=fidelity, memory_bus_width_bits=64)
         )
         rows.append(
             Table3Row(
@@ -256,51 +191,6 @@ def run_table3(
             )
         )
     return rows
-
-
-# ----------------------------------------------------------------------
-# Fast-path validation.
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class FastPathRow:
-    """One deployment's measured-vs-estimated cycle comparison."""
-
-    model: str
-    config: str
-    precision: str
-    measured_cycles: int
-    estimated_cycles: int
-
-    @property
-    def error(self) -> float:
-        return (self.estimated_cycles - self.measured_cycles) / self.measured_cycles
-
-
-def run_fastpath_validation(
-    models: tuple[str, ...] = ("lenet5", "resnet18"),
-    config: HardwareConfig = NV_SMALL,
-    precision: Precision = Precision.INT8,
-    fidelity: str = "functional",
-) -> list[FastPathRow]:
-    """Calibrate the fast tier and report its per-model cycle error.
-
-    The companion experiment to the differential test suite: every row
-    compares one cycle-accurate SoC run against the calibrated
-    analytic estimate for the same bundle.
-    """
-    table = _calibration_for(models, config, precision, fidelity)
-    return [
-        FastPathRow(
-            model=model,
-            config=config.name,
-            precision=precision.value,
-            measured_cycles=table.entry(model, config.name, precision).measured_cycles,
-            estimated_cycles=table.entry(model, config.name, precision).estimated_cycles,
-        )
-        for model in models
-    ]
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,10 @@ it replays each chain of the shared register program
 (:func:`repro.nvdla.programming.build_chains`, the one the VP runtime
 writes over the CSB) into fresh unit register files, parses the same
 :mod:`repro.nvdla.descriptors` out of them with the units' own parsers,
-executes those through the same unit kernels (:mod:`repro.nvdla.units`),
-and prices them through the same analytic timing functions
-(:mod:`repro.nvdla.timing`).
+and executes those through the same unit kernels
+(:mod:`repro.nvdla.units`).  Nothing here is priced: the fast tier's
+cycles are a recorded SoC run (:class:`repro.core.fastpath.CycleProfile`),
+so the engine is the only pricing source.
 
 Because the descriptors are read back from the very register writes a
 cycle-accurate run performs, the tensors a fast-path run writes to
@@ -27,12 +28,10 @@ import numpy as np
 
 from repro.compiler.loadable import Loadable
 from repro.errors import ConfigurationError, NvdlaError
-from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import (
     CdpDescriptor,
     ConvDescriptor,
-    OpTiming,
     PdpDescriptor,
     SdpDescriptor,
 )
@@ -43,14 +42,6 @@ from repro.nvdla.programming import (
     build_chains,
     parse_descriptors,
     replay_chain,
-)
-from repro.nvdla.timing import (
-    TimingParams,
-    cdp_op_timing,
-    conv_op_timing,
-    fused_conv_pool_op_timing,
-    pdp_op_timing,
-    sdp_op_timing,
 )
 from repro.nvdla.units import cdp as cdp_mod
 from repro.nvdla.units import conv_pipeline, fresh_units
@@ -128,29 +119,6 @@ def execute_op(
         cdp_mod.execute(op.descriptor, config, mcif)
     else:  # pragma: no cover - lower_loadable only emits the four kinds
         raise ConfigurationError(f"unknown fast-path op kind {op.kind!r}")
-
-
-def op_timing(
-    op: FastPathOp,
-    config: HardwareConfig,
-    cbuf: Cbuf,
-    mcif: Mcif,
-    params: TimingParams,
-) -> OpTiming:
-    """Price one lowered op with the engine's analytic model."""
-    if op.conv is not None:
-        if op.pool is not None:
-            return fused_conv_pool_op_timing(
-                op.conv, op.descriptor, op.pool, config, cbuf, mcif, params
-            )
-        return conv_op_timing(op.conv, op.descriptor, config, cbuf, mcif, params)
-    if op.kind == "sdp":
-        return sdp_op_timing(op.descriptor, config, mcif, params)
-    if op.kind == "pdp":
-        return pdp_op_timing(op.descriptor, config, mcif, params)
-    if op.kind == "cdp":
-        return cdp_op_timing(op.descriptor, config, mcif, params)
-    raise ConfigurationError(f"unknown fast-path op kind {op.kind!r}")  # pragma: no cover
 
 
 def pack_input(

@@ -8,7 +8,7 @@ bare-metal artefacts on a pool of reusable simulated SoCs.
 - :class:`RequestScheduler` — fair per-deployment batching, with an
   admit-into-forming-batch path for continuous batching.
 - :class:`WorkerPool` / :class:`SocWorker` / :class:`FastPathWorker` —
-  reusable execution tiers: cycle-accurate SoCs and the calibrated
+  reusable execution tiers: cycle-accurate SoCs and the functional
   fast path (``DeploymentSpec(execution_mode="fast")``).
 - :class:`InferenceService` — the synchronous single-process facade;
   :class:`ServiceMetrics` for throughput / latency percentiles / hit

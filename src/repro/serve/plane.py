@@ -37,8 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.baremetal.pipeline import bundle_cache_key
-from repro.core.calibration import CalibrationTable
-from repro.core.fastpath import FastPathRunRequest, FastPathRunResult
+from repro.core.fastpath import FastPathRunRequest, FastPathRunResult, ProfileTable
 from repro.errors import ReproError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.cache import BundleCache
@@ -57,7 +56,7 @@ class ServingPlane:
         processes: int = 2,
         max_batch_size: int = 8,
         input_seed: int = 7,
-        calibration: CalibrationTable | None = None,
+        calibration: ProfileTable | None = None,
         cache: BundleCache | None = None,
         store_root: str | Path | None = None,
         admission_window_s: float = 0.0,

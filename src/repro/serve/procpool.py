@@ -13,9 +13,9 @@ Spawn-safe by construction:
   cache key and are rehydrated on the far side from the shared
   :class:`~repro.store.BundleStore` (memory → store → deterministic
   recompile, the same miss path every replica uses);
-- each process loads its calibration table exactly once, from the
-  JSON-ready payload it was spawned with, and owns its executors and
-  bundle cache for its whole lifetime.
+- each process starts from a copy of the cycle-profile table it was
+  spawned with, records the profiles it misses locally, and owns its
+  executors and bundle cache for its whole lifetime.
 
 A worker process that dies mid-batch is detected by the dispatcher,
 respawned, and the batch re-dispatched once — a second death on the
@@ -31,8 +31,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.core.calibration import CalibrationTable
-from repro.core.fastpath import FastPathRunRequest, FastPathRunResult
+from repro.core.fastpath import FastPathRunRequest, FastPathRunResult, ProfileTable
 from repro.errors import ReproError
 from repro.obs.trace import NULL_TRACER, Tracer, classify_resolution, record_unit_spans
 
@@ -140,7 +139,7 @@ def _serve_request(
 def _worker_main(
     worker_id: int,
     store_root: str | None,
-    calibration_payload: dict | None,
+    profiles: ProfileTable | None,
     max_resident_bundles: int | None,
     inbox,
     outbox,
@@ -151,15 +150,10 @@ def _worker_main(
     from repro.serve.workers import WorkerPool
     from repro.store import BundleStore
 
-    calibration = (
-        CalibrationTable.from_dict(calibration_payload)
-        if calibration_payload is not None
-        else None
-    )
     store = BundleStore(store_root) if store_root is not None else None
     cache = BundleCache(store=store)
     pool = WorkerPool(
-        calibration=calibration, max_resident_bundles=max_resident_bundles
+        calibration=profiles, max_resident_bundles=max_resident_bundles
     )
     tracer = Tracer(enabled=trace_enabled, process=worker_id)
     outbox.put(("ready", worker_id, None))
@@ -226,7 +220,7 @@ class _WorkerHandle:
             args=(
                 self.slot,
                 self.pool.store_root,
-                self.pool.calibration_payload,
+                self.pool.profiles,
                 self.pool.max_resident_bundles,
                 self.inbox,
                 self.outbox,
@@ -295,7 +289,7 @@ class ProcessWorkerPool:
         self,
         processes: int = 2,
         store_root: str | Path | None = None,
-        calibration: CalibrationTable | None = None,
+        calibration: ProfileTable | None = None,
         max_resident_bundles: int | None = None,
         start_timeout_s: float = 120.0,
         batch_timeout_s: float | None = None,
@@ -305,9 +299,9 @@ class ProcessWorkerPool:
             raise ReproError("pool needs at least one worker process")
         self.processes = processes
         self.store_root = str(store_root) if store_root is not None else None
-        self.calibration_payload = (
-            calibration.to_dict() if calibration is not None else None
-        )
+        # Pickled into each worker at spawn, so a respawned worker
+        # starts from every profile the parent has recorded since.
+        self.profiles = calibration
         self.max_resident_bundles = max_resident_bundles
         self.start_timeout_s = start_timeout_s
         self.batch_timeout_s = batch_timeout_s

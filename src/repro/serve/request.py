@@ -53,9 +53,9 @@ class DeploymentSpec:
 
     ``execution_mode`` picks the serving tier: ``"cycle_accurate"``
     replays bundles on a full simulated SoC (ISS + buses), ``"fast"``
-    uses the calibrated functional tier
+    uses the functional tier
     (:class:`~repro.core.fastpath.FastPathExecutor`) — same artefacts,
-    bit-identical outputs, analytic cycles.
+    bit-identical outputs, the same cycles (recorded once per bundle).
     """
 
     model: str

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from repro.baremetal.pipeline import BaremetalBundle
-from repro.core.calibration import CalibrationTable
+from repro.core.fastpath import ProfileTable
 from repro.obs.trace import NULL_TRACER, Tracer, record_unit_spans
 from repro.serve.cache import BundleCache
 from repro.serve.metrics import ServiceMetrics
@@ -43,7 +43,7 @@ class InferenceService:
         max_batch_size: int = 8,
         workers_per_key: int = 1,
         input_seed: int = 7,
-        calibration: CalibrationTable | None = None,
+        calibration: ProfileTable | None = None,
         max_resident_bundles: int | None = None,
         tracer: Tracer = NULL_TRACER,
     ) -> None:

@@ -5,10 +5,10 @@ Two worker tiers share one interface (``run(bundle, input_image)`` →
 
 - :class:`SocWorker` owns one cycle-accurate
   :class:`~repro.core.soc.Soc` and replays bundles on it;
-- :class:`FastPathWorker` owns one calibrated
+- :class:`FastPathWorker` owns one
   :class:`~repro.core.fastpath.FastPathExecutor` — no ISS, no bus
-  transactions, outputs bit-identical to the SoC tier with cycles
-  from the analytic model.
+  transactions, outputs bit-identical to the SoC tier and cycles
+  equal to it (the bundle's recorded cycle profile).
 
 Workers are keyed by the *hardware* point plus execution mode (config,
 frequency, fidelity, memory width, mode) — never the model, since
@@ -31,8 +31,7 @@ import numpy as np
 
 from repro.baremetal.image import BinImage
 from repro.baremetal.pipeline import BaremetalBundle
-from repro.core.calibration import CalibrationTable
-from repro.core.fastpath import FastPathExecutor
+from repro.core.fastpath import FastPathExecutor, ProfileTable
 from repro.core.soc import Soc, SocRunResult
 from repro.errors import ReproError
 from repro.nvdla.config import get_config
@@ -130,19 +129,13 @@ class SocWorker:
 
 
 class FastPathWorker:
-    """One reusable calibrated fast-path executor.
-
-    The executor refuses bundles whose (model, config, precision) was
-    never calibrated — see
-    :meth:`repro.core.calibration.CalibrationTable.require` — so a
-    service cannot silently serve uncalibrated estimates.
-    """
+    """One reusable fast-path executor."""
 
     def __init__(
         self,
         worker_id: int,
         spec: DeploymentSpec,
-        calibration: CalibrationTable | None,
+        calibration: ProfileTable | None,
         max_resident_bundles: int | None = None,
     ) -> None:
         self.worker_id = worker_id
@@ -172,20 +165,22 @@ class WorkerPool:
 
     ``workers_per_key`` > 1 round-robins successive runs of one
     hardware point over several worker instances — the single-process
-    stand-in for a sharded fleet.  ``calibration`` is handed to every
-    fast-path worker the pool creates.
+    stand-in for a sharded fleet.  Every fast-path worker the pool
+    creates shares one cycle-profile table: ``calibration`` when given
+    (see :func:`repro.core.fastpath.calibrate`), else a pool-private
+    one, so a bundle is recorded once per pool, not once per worker.
     """
 
     def __init__(
         self,
         workers_per_key: int = 1,
-        calibration: CalibrationTable | None = None,
+        calibration: ProfileTable | None = None,
         max_resident_bundles: int | None = None,
     ) -> None:
         if workers_per_key <= 0:
             raise ReproError("pool needs at least one worker per hardware point")
         self.workers_per_key = workers_per_key
-        self.calibration = calibration
+        self.profiles: ProfileTable = calibration if calibration is not None else {}
         # None = FastPathExecutor's own default; fleet replicas set this
         # so their modelled warm-state capacity matches the executor's.
         self.max_resident_bundles = max_resident_bundles
@@ -200,7 +195,7 @@ class WorkerPool:
             return FastPathWorker(
                 self._next_id,
                 spec,
-                self.calibration,
+                self.profiles,
                 max_resident_bundles=self.max_resident_bundles,
             )
         return SocWorker(self._next_id, spec)

@@ -34,27 +34,6 @@ def test_table2_lenet_row_shape():
     assert row.speedup_vs_baseline and row.speedup_vs_baseline > 10
 
 
-def test_table2_fast_mode_matches_cycle_accurate():
-    """The calibrated fast tier regenerates Table II within its band."""
-    reference = run_table2(models=("lenet5",), fidelity="timing")[0]
-    fast = run_table2(models=("lenet5",), fidelity="timing", execution_mode="fast")[0]
-    assert abs(fast.cycles - reference.cycles) / reference.cycles <= 0.10
-
-
-def test_fastpath_validation_rows():
-    from repro.harness import run_fastpath_validation
-    from repro.nvdla.config import Precision
-
-    rows = run_fastpath_validation(
-        ("lenet5",), NV_SMALL, Precision.INT8, fidelity="timing"
-    )
-    assert len(rows) == 1
-    row = rows[0]
-    assert row.model == "lenet5" and row.config == "nv_small"
-    assert row.measured_cycles > 0
-    assert abs(row.error) <= 0.10
-
-
 def test_fig1_diagram_mentions_artefacts():
     text = run_fig1("lenet5")
     assert "NVDLA compiler" in text

@@ -1,18 +1,16 @@
 """Differential lockdown of the fast execution tier.
 
-For every zoo model on nv_small the calibrated fast path must agree
-with the cycle-accurate reference on both axes the serving layer
-exposes:
+For every zoo model on nv_small (INT8), and for lenet5 and resnet18 on
+nv_full (FP16, 64-bit memory path), the fast path must agree with the
+cycle-accurate reference on both axes the serving layer exposes:
 
 - **function** — output tensors bit-identical to a full SoC run of
   the same bundle (same program, same preloads, same input);
-- **timing** — estimated cycles within ±10 % of the measured
-  cycle-accurate count.
-
-Calibration is deliberately fitted on the two cheap-to-build models
-only; every 224×224-class model is validated out-of-sample, so the
-suite catches an overhead model that merely memorises its calibration
-runs.
+- **timing** — *exactly* the same run: cycles, instructions,
+  active/skipped cycles, the instruction-class mix, and every op's
+  (kind, sink, group, start, end, priced total).  The fast tier
+  replays a recorded timing-fidelity run, so anything short of
+  equality is a bug.
 """
 
 from __future__ import annotations
@@ -23,12 +21,12 @@ import pytest
 from repro.baremetal import generate_baremetal
 from repro.core import FastPathExecutor, Soc, calibrate
 from repro.nn.zoo import ZOO
-from repro.nvdla import NV_SMALL
+from repro.nvdla import NV_FULL, NV_SMALL
+from repro.nvdla.config import Precision
 from repro.serve.cache import BundleCache
 from repro.serve.request import make_input_for
 
-ERROR_BAND = 0.10
-CALIBRATION_MODELS = ("lenet5", "resnet18")
+SHARED_MODELS = ("lenet5", "resnet18")
 
 ZOO_CASES = [
     pytest.param("lenet5", id="lenet5"),
@@ -42,21 +40,38 @@ ZOO_CASES = [
 
 @pytest.fixture(scope="module")
 def cache():
-    """Holds the small calibration bundles; big models build per test."""
+    """Holds the small bundles; big models build per test."""
     return BundleCache()
 
 
 @pytest.fixture(scope="module")
 def table(cache):
-    return calibrate(CALIBRATION_MODELS, NV_SMALL, cache=cache)
+    return calibrate(SHARED_MODELS, NV_SMALL, cache=cache)
 
 
 def _bundle(model: str, cache: BundleCache):
-    if model in CALIBRATION_MODELS:
+    if model in SHARED_MODELS:
         return cache.bundle_for(model, "nv_small")
     # 224×224-class bundles are built locally so module memory does not
     # accumulate all six weight blobs + traces at once.
     return generate_baremetal(ZOO[model](), NV_SMALL)
+
+
+def timing_view(run) -> tuple:
+    """Everything a run (or a recorded profile) reports about time, in
+    comparable form."""
+    stats = run.stats
+    return (
+        stats.cycles,
+        stats.instructions,
+        stats.active_cycles,
+        stats.skipped_cycles,
+        stats.by_class,
+        [
+            (r.kind, r.sink, r.group, r.start_cycle, r.end_cycle, r.timing.total)
+            for r in run.op_records
+        ],
+    )
 
 
 @pytest.mark.parametrize("model", ZOO_CASES)
@@ -67,13 +82,7 @@ def test_fast_path_matches_cycle_accurate(model, cache, table):
     reference = soc.run_inference(bundle)
     assert reference.ok, f"cycle-accurate {model} run failed"
 
-    executor = FastPathExecutor(NV_SMALL, calibration=table)
-    estimate = executor.estimate(bundle)
-    if not table.has(model, "nv_small", "int8"):
-        # Out-of-sample pair: admit it with the *pre-computed* estimate
-        # (admission records the comparison, it cannot influence it).
-        table.admit(model, "nv_small", "int8", reference.cycles, estimate.total_cycles)
-    result = executor.run(bundle)
+    result = FastPathExecutor(NV_SMALL, calibration=table).run(bundle)
     assert result.ok
 
     # Function: bit-identical output tensors.
@@ -81,14 +90,9 @@ def test_fast_path_matches_cycle_accurate(model, cache, table):
     assert np.array_equal(reference.output, result.output), (
         f"{model}: fast-path output diverges from the cycle-accurate SoC"
     )
-
-    # Timing: the estimate the fast tier *reports* is the gated one.
-    assert result.cycles == estimate.total_cycles
-    error = (result.cycles - reference.cycles) / reference.cycles
-    assert abs(error) <= ERROR_BAND, (
-        f"{model}: estimated {result.cycles:,} vs measured {reference.cycles:,} "
-        f"cycles ({error:+.2%}, band ±{ERROR_BAND:.0%})"
-    )
+    # Timing: the very same run, not an estimate of it.
+    assert timing_view(result) == timing_view(reference), model
+    assert result.seconds == reference.seconds
 
 
 def test_fresh_inputs_stay_bit_identical(cache, table):
@@ -105,36 +109,30 @@ def test_fresh_inputs_stay_bit_identical(cache, table):
         reference = worker.run(bundle, input_image=image)
         fast = executor.run(bundle, input_image=image)
         assert np.array_equal(reference.output, fast.output)
+        assert timing_view(fast) == timing_view(reference)
 
 
 def test_fp16_nv_full_differential(cache):
-    """The wide FP16 build agrees too (64-bit memory path, Table III)."""
-    from repro.nvdla import NV_FULL
-    from repro.nvdla.config import Precision
-
-    table = calibrate(
-        ("lenet5",), NV_FULL, precision=Precision.FP16, cache=cache,
-        memory_bus_width_bits=64,
-    )
-    bundle = cache.bundle_for("resnet18", NV_FULL, precision=Precision.FP16)
-    soc = Soc(NV_FULL, memory_bus_width_bits=64)
-    soc.load_bundle(bundle)
-    reference = soc.run_inference(bundle)
-    executor = FastPathExecutor(NV_FULL, calibration=table, memory_bus_width_bits=64)
-    estimate = executor.estimate(bundle)
-    table.admit(
-        "resnet18", "nv_full", "fp16", reference.cycles, estimate.total_cycles,
-        memory_bus_width_bits=64,
-    )
-    result = executor.run(bundle)
-    assert np.array_equal(reference.output, result.output)
-    assert abs(result.cycles - reference.cycles) / reference.cycles <= ERROR_BAND
+    """The wide FP16 builds agree too (64-bit memory path, Table III)."""
+    executor = FastPathExecutor(NV_FULL, memory_bus_width_bits=64)
+    for model in SHARED_MODELS:
+        bundle = cache.bundle_for(model, NV_FULL, precision=Precision.FP16)
+        soc = Soc(NV_FULL, memory_bus_width_bits=64)
+        soc.load_bundle(bundle)
+        reference = soc.run_inference(bundle)
+        result = executor.run(bundle)
+        assert np.array_equal(reference.output, result.output), model
+        assert timing_view(result) == timing_view(reference), model
 
 
-def test_calibration_entries_within_band(table):
-    """The fitted table itself validates every calibrated pair."""
-    for model in CALIBRATION_MODELS:
-        entry = table.entry(model, "nv_small", "int8")
-        assert entry.within(ERROR_BAND), (
-            f"{model}: calibration error {entry.error:+.2%} outside ±{ERROR_BAND:.0%}"
-        )
+def test_calibration_entries_within_band(cache, table):
+    """``calibrate`` records one profile per model, equal to a
+    cycle-accurate run of that bundle (the band is zero)."""
+    for model in SHARED_MODELS:
+        bundle = cache.bundle_for(model, "nv_small")
+        profile = table[(bundle.artifact_digest(), 32)]
+        soc = Soc(NV_SMALL)
+        soc.load_bundle(bundle)
+        reference = soc.run_inference(bundle)
+        assert profile.stats == reference.stats, model
+        assert list(profile.op_records) == reference.op_records, model

@@ -17,7 +17,7 @@ import pytest
 
 from repro.baremetal import generate_baremetal
 from repro.compiler import compile_network
-from repro.core import CalibrationTable, FastPathExecutor, Soc
+from repro.core import FastPathExecutor, Soc
 from repro.errors import ConfigurationError
 from repro.nn.zoo import lenet5
 from repro.nvdla import NV_SMALL, lower_loadable
@@ -46,11 +46,7 @@ def _patch_register(monkeypatch, layer: str, register: str, change) -> None:
 
 
 def _fast_output(bundle) -> np.ndarray:
-    table = CalibrationTable()
-    executor = FastPathExecutor(NV_SMALL, calibration=table)
-    estimate = executor.estimate(bundle)
-    table.admit(bundle.network, "nv_small", "int8", estimate.total_cycles, estimate.total_cycles)
-    return executor.run(bundle).output
+    return FastPathExecutor(NV_SMALL).run(bundle).output
 
 
 def test_patched_register_moves_fast_tier_with_cycle_accurate(monkeypatch):

@@ -1,6 +1,6 @@
 """Property tests for the analytic timing model.
 
-The fast tier reports these estimates as SoC latency, so the model
+Every tier reports these prices as SoC latency, so the model
 must behave like physics, not like a lookup table: more work can never
 cost fewer cycles (monotonicity in spatial and channel dims), a layer
 with almost no work costs only the fixed programming/launch overhead,
@@ -176,4 +176,6 @@ def test_whole_bundle_estimate_deterministic_across_executors(tiny_net):
     first = FastPathExecutor(CFG).estimate(bundle)
     second = FastPathExecutor(CFG).estimate(bundle)
     assert first.total_cycles == second.total_cycles
-    assert [t.total for t in first.timings] == [t.total for t in second.timings]
+    assert [r.timing.total for r in first.op_records] == [
+        r.timing.total for r in second.op_records
+    ]

@@ -73,41 +73,34 @@ def test_bench_serve_reports_speedup(capsys):
     assert "speedup" in out and "req/s" in out
 
 
-def test_calibrate_writes_table(tmp_path, capsys):
-    path = tmp_path / "cal.json"
-    code = main(
-        ["calibrate", "--models", "lenet5", "--fidelity", "timing", "--out", str(path)]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert path.exists()
-    assert "fast-path calibration" in out and "lenet5/nv_small/int8" in out
-
-
-def test_serve_fast_mode_with_saved_calibration(tmp_path, capsys):
-    path = tmp_path / "cal.json"
-    assert main(
-        ["calibrate", "--models", "lenet5", "--fidelity", "timing", "--out", str(path)]
-    ) == 0
+def test_serve_fast_mode_records_its_profile(capsys):
     code = main(
         [
             "serve", "--models", "lenet5", "--requests", "3",
-            "--fidelity", "timing", "--mode", "fast", "--calibration", str(path),
+            "--fidelity", "timing", "--mode", "fast",
         ]
     )
     out = capsys.readouterr().out
     assert code == 0
-    assert f"loaded {path}" in out
     assert "requests: 3" in out
     assert "+fast" in out  # per-deployment metrics name the tier
 
 
 def test_run_fast_mode_autocalibrates(capsys):
-    code = main(["run", "--model", "lenet5", "--fidelity", "timing", "--mode", "fast"])
+    """Fast mode records the bundle's profile on first use and reports
+    exactly the cycle-accurate run's latency."""
+    args = ["run", "--model", "lenet5", "--fidelity", "timing"]
+    assert main(args) == 0
+    reference = capsys.readouterr().out
+    code = main(args + ["--mode", "fast"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "calibrating lenet5" in out
     assert "DONE" in out and "cycles" in out
+
+    def latency(text):
+        return next(line for line in text.splitlines() if line.startswith("latency:"))
+
+    assert latency(out) == latency(reference)
 
 
 def test_warmup_then_store_hits(tmp_path, capsys):
