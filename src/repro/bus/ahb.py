@@ -27,9 +27,6 @@ from repro.bus.types import BusPort, Reply, Transfer
 class AhbStats:
     """Cumulative traffic counters for one AHB segment."""
 
-    transfers: int = 0
-    beats: int = 0
-    cycles: int = 0
     bytes: int = 0
     by_master: dict[str, int] = field(default_factory=dict)
 
@@ -43,15 +40,18 @@ class AhbLiteBus(BusPort):
         The slave (or decoder) reached through this segment.
     address_phase_cycles:
         Cost of the (non-overlapped) address phase that starts every
-        transaction; 1 for a standard AHB-Lite master.
+        transaction; :attr:`ADDRESS_PHASE_CYCLES` for a standard
+        AHB-Lite master.
     data_width_bits:
         Width of the data phase; beats wider than the bus are split.
     """
 
+    ADDRESS_PHASE_CYCLES = 1
+
     def __init__(
         self,
         downstream: BusPort,
-        address_phase_cycles: int = 1,
+        address_phase_cycles: int = ADDRESS_PHASE_CYCLES,
         data_width_bits: int = 32,
     ) -> None:
         if data_width_bits % 8 != 0:
@@ -72,9 +72,6 @@ class AhbLiteBus(BusPort):
         reply = self._downstream.transfer(xfer)
         data_cycles = reply.cycles * split
         total = self._address_phase + data_cycles
-        self.stats.transfers += 1
-        self.stats.beats += xfer.burst_len * split
-        self.stats.cycles += total
         self.stats.bytes += xfer.total_bytes
         self.stats.by_master[xfer.master] = self.stats.by_master.get(xfer.master, 0) + 1
         return Reply(data=reply.data, cycles=total, ok=reply.ok)

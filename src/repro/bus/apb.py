@@ -17,7 +17,6 @@ from repro.bus.types import AccessType, BusPort, Reply, Transfer
 @dataclass
 class ApbStats:
     transfers: int = 0
-    cycles: int = 0
 
 
 class ApbBus(BusPort):
@@ -34,8 +33,16 @@ class ApbBus(BusPort):
     def downstream(self) -> BusPort:
         return self._downstream
 
+    @classmethod
+    def beat_cycles(cls, completer_cycles: int) -> int:
+        """Cycles of one beat whose completer takes ``completer_cycles``.
+
+        The completer's own cost beyond one ideal cycle shows up as
+        PREADY wait states inside the ACCESS phase.
+        """
+        return cls.SETUP_CYCLES + cls.ACCESS_CYCLES + max(0, completer_cycles - 1)
+
     def transfer(self, xfer: Transfer) -> Reply:
-        per_beat = self.SETUP_CYCLES + self.ACCESS_CYCLES
         total_cycles = 0
         data = bytearray()
         for beat in range(xfer.burst_len):
@@ -55,11 +62,7 @@ class ApbBus(BusPort):
                     address=address, size=xfer.size, access=AccessType.READ, master=xfer.master
                 )
             reply = self._downstream.transfer(beat_xfer)
-            # The completer's own cost beyond one ideal cycle shows up
-            # as PREADY wait states inside the ACCESS phase.
-            wait_states = max(0, reply.cycles - 1)
-            total_cycles += per_beat + wait_states
+            total_cycles += self.beat_cycles(reply.cycles)
             data.extend(reply.data)
         self.stats.transfers += xfer.burst_len
-        self.stats.cycles += total_cycles
         return Reply(data=bytes(data), cycles=total_cycles)

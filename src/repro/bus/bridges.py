@@ -27,18 +27,20 @@ class _LatencyBridge(BusPort):
     def __init__(self, downstream: BusPort) -> None:
         self._downstream = downstream
         self.transfers = 0
-        self.cycles = 0
 
     @property
     def downstream(self) -> BusPort:
         return self._downstream
 
+    @classmethod
+    def crossed(cls, downstream_cycles: int) -> int:
+        """Cycles of a transfer whose far side takes ``downstream_cycles``."""
+        return downstream_cycles + cls.CROSSING_CYCLES
+
     def transfer(self, xfer: Transfer) -> Reply:
         reply = self._downstream.transfer(xfer)
-        total = reply.cycles + self.CROSSING_CYCLES
         self.transfers += 1
-        self.cycles += total
-        return Reply(data=reply.data, cycles=total, ok=reply.ok)
+        return Reply(data=reply.data, cycles=self.crossed(reply.cycles), ok=reply.ok)
 
 
 class AhbToApbBridge(_LatencyBridge):

@@ -17,6 +17,16 @@ from repro.errors import AlignmentError, BusError
 _VALID_BEAT_SIZES = (1, 2, 4, 8)
 
 
+def check_beat(address: int, size: int, sizes: tuple[int, ...] = _VALID_BEAT_SIZES) -> None:
+    """Reject a beat size outside ``sizes`` or an address it does not divide."""
+    if size not in sizes:
+        raise BusError(f"unsupported beat size {size}", address)
+    if address % size != 0:
+        raise AlignmentError(
+            f"address 0x{address:08x} not aligned to {size}-byte beat", address
+        )
+
+
 class AccessType(Enum):
     """Direction of a bus transfer."""
 
@@ -52,13 +62,7 @@ class Transfer:
     master: str = "cpu"
 
     def __post_init__(self) -> None:
-        if self.size not in _VALID_BEAT_SIZES:
-            raise BusError(f"unsupported beat size {self.size}", self.address)
-        if self.address % self.size != 0:
-            raise AlignmentError(
-                f"address 0x{self.address:08x} not aligned to {self.size}-byte beat",
-                self.address,
-            )
+        check_beat(self.address, self.size)
         if self.burst_len < 1:
             raise BusError("burst_len must be at least 1", self.address)
         if self.access is AccessType.WRITE:

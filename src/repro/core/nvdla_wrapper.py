@@ -7,7 +7,11 @@ between the µRISC-V and NVDLA interfaces."
 Two paths through the wrapper:
 
 - **register path** — AHB-Lite (from the system bus) → AHB→APB bridge
-  → APB → APB→CSB adapter → the engine's CSB port,
+  → APB → APB→CSB adapter → the engine's CSB port.  None of those hops
+  holds state a single-beat access can observe, so the SoC's data port
+  calls the engine directly and charges
+  :data:`REGISTER_PATH_CYCLES`, the latency the hops compose to;
+  :class:`CsbPort` is the CSB end of the hop-by-hop model,
 - **data path** — the engine's 64-bit DBB → AXI 64→32 width converter
   → the DRAM arbiter.
 
@@ -31,24 +35,35 @@ from repro.nvdla.engine import NvdlaEngine
 from repro.nvdla.timing import TimingParams
 
 
-class _CsbPort(BusPort):
+CSB_WIDTH_ERROR = "CSB supports single 32-bit accesses only"
+
+
+class CsbPort(BusPort):
     """Bus-port adapter over the engine's CSB interface."""
 
     CSB_CYCLES = 2  # request + response on the single-outstanding CSB
 
-    def __init__(self, engine_getter) -> None:
-        self._engine_getter = engine_getter
+    def __init__(self, engine: NvdlaEngine) -> None:
+        self._engine = engine
 
     def transfer(self, xfer: Transfer) -> Reply:
         if xfer.size != 4 or xfer.burst_len != 1:
-            raise BusError("CSB supports single 32-bit accesses only", xfer.address)
-        engine = self._engine_getter()
+            raise BusError(CSB_WIDTH_ERROR, xfer.address)
+        engine = self._engine
         if xfer.access is AccessType.WRITE:
             assert xfer.data is not None
             engine.csb_write(xfer.address, int.from_bytes(xfer.data, "little"))
             return Reply(cycles=self.CSB_CYCLES)
         value = engine.csb_read(xfer.address)
         return Reply(data=value.to_bytes(4, "little"), cycles=self.CSB_CYCLES)
+
+
+#: Cycles one register access holds the wrapper's AHB side: the
+#: AHB→APB crossing, then one APB setup/access pair whose ACCESS phase
+#: waits out the APB→CSB adapter and the CSB round trip.
+REGISTER_PATH_CYCLES = AhbToApbBridge.crossed(
+    ApbBus.beat_cycles(ApbToCsbAdapter.crossed(CsbPort.CSB_CYCLES))
+)
 
 
 class WrapperDbbPort:
@@ -97,8 +112,8 @@ class WrapperDbbPort:
 class NvdlaWrapper:
     """NVDLA engine plus its interface bridges.
 
-    Exposes ``csb_target`` — the bus port the system-bus decoder maps
-    at ``0x0`` — and owns the DBB path into the arbiter.
+    Owns the DBB path into the arbiter; the register path is priced by
+    :data:`REGISTER_PATH_CYCLES` (see the module docstring).
     """
 
     def __init__(
@@ -130,15 +145,6 @@ class NvdlaWrapper:
             dma_efficiency=dma_efficiency,
         )
         arbiter.attach_contention_source(self.engine.mcif, clock)
-        # Register path: AHB→APB bridge, APB segment, APB→CSB adapter.
-        self.csb_adapter = ApbToCsbAdapter(_CsbPort(lambda: self.engine))
-        self.apb = ApbBus(self.csb_adapter)
-        self.ahb_apb_bridge = AhbToApbBridge(self.apb)
-
-    @property
-    def csb_target(self) -> BusPort:
-        """The decoder-facing register window (AHB side)."""
-        return self.ahb_apb_bridge
 
     @property
     def irq_asserted(self) -> bool:

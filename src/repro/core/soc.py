@@ -5,7 +5,8 @@ Wires together:
 - the µRISC-V core (Harvard AHB-Lite ports: instructions from BRAM
   program memory, data into the system bus),
 - the system bus — an AHB segment feeding the address decoder with the
-  two slave windows (NVDLA registers, DRAM),
+  two slave windows (NVDLA registers, DRAM), each resolved once to a
+  direct route (:class:`SystemBus`),
 - the NVDLA wrapper (bridges + width converter + engine),
 - the DRAM arbiter in front of the 512 MB data memory.
 
@@ -31,13 +32,13 @@ from repro.baremetal.codegen import (
 from repro.baremetal.pipeline import BaremetalBundle
 from repro.bus.ahb import AhbLiteBus
 from repro.bus.bridges import AhbToAxiBridge
-from repro.bus.interconnect import AddressDecoder, Region
+from repro.bus.types import AccessType, BusPort, Reply, Transfer, check_beat
 from repro.clock import Clock
 from repro.core.address_map import AddressMap, DEFAULT_MAP, PROGRAM_MEMORY_SIZE
 from repro.core.arbiter import DramArbiter
 from repro.core.executor import BaremetalExecutor, RunStats
-from repro.core.nvdla_wrapper import NvdlaWrapper
-from repro.errors import ReproError
+from repro.core.nvdla_wrapper import CSB_WIDTH_ERROR, REGISTER_PATH_CYCLES, NvdlaWrapper
+from repro.errors import AddressDecodeError, BusError, ReproError
 from repro.mem.bram import Bram
 from repro.mem.dram import Dram, DramTiming
 from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision
@@ -64,6 +65,88 @@ class SocRunResult:
     @property
     def milliseconds(self) -> float:
         return self.seconds * 1e3
+
+
+class SystemBus(BusPort):
+    """The core's data port: AHB-Lite into the system-bus decoder.
+
+    Each decoder window is resolved once, at construction, to one
+    route:
+
+    - **NVDLA registers** — a direct call to the engine's CSB port,
+      charged the AHB address phase plus the wrapper's composed
+      :data:`~repro.core.nvdla_wrapper.REGISTER_PATH_CYCLES`;
+    - **DRAM** — the arbiter's CPU port (so contention and DRAM row
+      state stay exact), plus the AHB address phase and the AHB→AXI
+      crossing.
+
+    The decoder's checks stay: beat size and alignment, straddling and
+    unmapped addresses, and the CSB's single-32-bit rule.  The 32-bit
+    core issues 1-, 2- and 4-byte single beats only.
+    ``tests/core/test_system_bus.py`` pins every route to the
+    hop-by-hop walk through the ``repro.bus`` layer models.
+    """
+
+    BEAT_SIZES = (1, 2, 4)
+
+    def __init__(
+        self, address_map: AddressMap, wrapper: NvdlaWrapper, arbiter: DramArbiter
+    ) -> None:
+        self._engine = wrapper.engine
+        self._arbiter = arbiter
+        ahb = AhbLiteBus.ADDRESS_PHASE_CYCLES
+        self.register_cycles = ahb + REGISTER_PATH_CYCLES
+        self._dram_adder = ahb + AhbToAxiBridge.CROSSING_CYCLES
+        self._windows = (
+            ("nvdla", address_map.nvdla_base, address_map.nvdla_limit),
+            ("dram", address_map.dram_base, address_map.dram_limit),
+        )
+
+    def _decode(self, address: int, size: int) -> tuple[int, bool]:
+        """Window-relative offset of a beat, and whether it is a register access."""
+        check_beat(address, size, self.BEAT_SIZES)
+        for name, base, limit in self._windows:
+            if base <= address <= limit:
+                if address + size - 1 > limit:
+                    raise AddressDecodeError(
+                        f"burst 0x{address:08x}+{size} crosses out of region {name!r}",
+                        address,
+                    )
+                register = name == "nvdla"
+                if register and size != 4:
+                    raise BusError(CSB_WIDTH_ERROR, address - base)
+                return address - base, register
+        raise AddressDecodeError(f"no slave mapped at 0x{address:08x}", address)
+
+    def read(self, address: int, size: int = 4, master: str = "cpu") -> Reply:
+        offset, register = self._decode(address, size)
+        if register:
+            value = self._engine.csb_read(offset)
+            return Reply(data=value.to_bytes(4, "little"), cycles=self.register_cycles)
+        reply = self._arbiter.transfer(
+            Transfer(address=offset, size=size, access=AccessType.READ, master=master)
+        )
+        return Reply(data=reply.data, cycles=self._dram_adder + reply.cycles, ok=reply.ok)
+
+    def write(self, address: int, value: int, size: int = 4, master: str = "cpu") -> Reply:
+        offset, register = self._decode(address, size)
+        if register:
+            self._engine.csb_write(offset, value)
+            return Reply(cycles=self.register_cycles)
+        data = int(value).to_bytes(size, "little")
+        reply = self._arbiter.transfer(
+            Transfer(address=offset, size=size, access=AccessType.WRITE, data=data, master=master)
+        )
+        return Reply(cycles=self._dram_adder + reply.cycles, ok=reply.ok)
+
+    def transfer(self, xfer: Transfer) -> Reply:
+        if xfer.burst_len != 1:
+            raise BusError("the core's data port issues single beats only", xfer.address)
+        if xfer.access is AccessType.WRITE:
+            assert xfer.data is not None
+            value = int.from_bytes(xfer.data, "little")
+            return self.write(xfer.address, value, xfer.size, xfer.master)
+        return self.read(xfer.address, xfer.size, xfer.master)
 
 
 class Soc:
@@ -103,25 +186,7 @@ class Soc:
             memory_bus_width_bits=memory_bus_width_bits,
         )
         self.program_memory = Bram(size=program_memory_size)
-        # Data path to DRAM: AHB→AXI bridge in front of the arbiter.
-        self.ahb_axi_bridge = AhbToAxiBridge(self.arbiter)
-        self.decoder = AddressDecoder(
-            [
-                Region(
-                    "nvdla",
-                    address_map.nvdla_base,
-                    address_map.nvdla_limit,
-                    self.wrapper.csb_target,
-                ),
-                Region(
-                    "dram",
-                    address_map.dram_base,
-                    address_map.dram_limit,
-                    self.ahb_axi_bridge,
-                ),
-            ]
-        )
-        self.system_bus = AhbLiteBus(self.decoder)
+        self.system_bus = SystemBus(address_map, self.wrapper, self.arbiter)
         self.ibus = AhbLiteBus(self.program_memory)
         self.cpu = Cpu(ibus=self.ibus, dbus=self.system_bus)
         self.executor = BaremetalExecutor(self.cpu, self.clock)
@@ -130,9 +195,7 @@ class Soc:
     # Loading.
     # ------------------------------------------------------------------
 
-    def reset_for_run(
-        self, scrub_dram: bool = True, keep_fetch_cache: bool = False
-    ) -> None:
+    def reset_for_run(self, scrub_dram: bool = True) -> None:
         """Return the SoC to its power-on state so it can be reused.
 
         The serving layer keeps SoC instances alive across requests
@@ -141,13 +204,13 @@ class Soc:
         back to cycle zero.  With ``scrub_dram`` the data memory is
         cleared too, which makes a reused SoC bit-identical to a
         freshly constructed one; callers that are about to reload the
-        same preload images may skip the scrub to save the rewrite, and
-        callers replaying the *same program* may keep the CPU fetch
-        cache (see :meth:`repro.riscv.cpu.Cpu.reset`).
+        same preload images may skip the scrub to save the rewrite.
+        Program memory, and with it the CPU's decode table, is left
+        alone: only :meth:`load_program` changes it.
         """
         self.clock.reset()
         self.wrapper.engine.reset()
-        self.cpu.reset(keep_fetch_cache=keep_fetch_cache)
+        self.cpu.reset()
         self.dram.stats = type(self.dram.stats)()
         self.dram._open_rows.clear()
         self.arbiter.stats = type(self.arbiter.stats)()
@@ -160,6 +223,7 @@ class Soc:
 
     def load_program(self, program: Program) -> None:
         self.program_memory.load_image(program.to_bytes(), base=program.base)
+        self.cpu.invalidate_decode_table()
         self.cpu.reset_pc = program.entry or program.base
         self.cpu.reset()
 

@@ -40,7 +40,7 @@ from repro.nvdla.config import HardwareConfig
 from repro.nvdla.csb import decode_address
 from repro.nvdla.descriptors import OpTiming, SdpSource
 from repro.nvdla.mcif import DbbPort, Mcif, McifStats
-from repro.nvdla.registers import GroupStatus
+from repro.nvdla.registers import D_OP_ENABLE, GroupStatus
 from repro.nvdla.timing import (
     TimingParams,
     bdma_op_timing,
@@ -138,8 +138,6 @@ class NvdlaEngine:
     # CSB access (what the APB→CSB adapter drives).
     # ------------------------------------------------------------------
 
-    CSB_ACCESS_CYCLES = 1
-
     def csb_read(self, offset: int) -> int:
         unit_name, reg_offset = decode_address(offset)
         if unit_name == "GLB":
@@ -153,8 +151,6 @@ class NvdlaEngine:
             return
         unit = self.units[unit_name]
         unit.csb_write(reg_offset, value)
-        from repro.nvdla.registers import D_OP_ENABLE
-
         if reg_offset == D_OP_ENABLE and value & 1:
             self._maybe_launch()
 

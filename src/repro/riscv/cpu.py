@@ -7,6 +7,17 @@ space from DRAM).  Each :meth:`Cpu.step` executes one instruction
 functionally and returns its cycle cost from the
 :class:`~repro.riscv.pipeline.PipelineModel` plus bus wait states.
 
+Instructions are decoded once per program address.  The first time a
+pc executes, the core fetches its word and builds a table entry: the
+operation, its operands, the fetch wait and the pipeline's
+:meth:`~repro.riscv.pipeline.PipelineModel.static_cost`.  Later visits
+execute straight from the entry.  Entries hold no pc-relative values,
+so addresses that hold the same word (generated register-programming
+code repeats a handful of encodings) share everything but the fetch
+wait.  Program memory is only reachable through the instruction port,
+so the table stays valid until a program load
+(:meth:`Cpu.load_program` or :meth:`Cpu.invalidate_decode_table`).
+
 The CPU also tracks *polling streaks* — repeated loads from the same
 address returning the same value inside a tight backward loop.  The
 SoC executor uses the streak to fast-forward simulated time to the
@@ -17,23 +28,20 @@ poll iterations (cycle accounting is unchanged; see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
-from repro.bus.types import BusPort
+from repro.bus.types import AccessType, BusPort, Transfer
 from repro.errors import CpuFault
-from repro.riscv.isa import Decoded, decode, sign_extend, to_s32, to_u32
-from repro.riscv.pipeline import PipelineModel
+from repro.riscv.isa import CSR_ADDRESSES, Decoded, Format, decode, to_s32, to_u32
+from repro.riscv.pipeline import PipelineModel, StaticCost
 from repro.riscv.program import Program
 
 # Semihosting ecall numbers (RISC-V Linux-like ABI subset).
 ECALL_EXIT = 93
 ECALL_PUTCHAR = 64
 
-
-@lru_cache(maxsize=1 << 16)
-def _decode_cached(word: int) -> Decoded:
-    return decode(word)
+_MASK = 0xFFFFFFFF
 
 
 @dataclass
@@ -69,6 +77,28 @@ class _PollTracker:
         self.streak = 0
 
 
+# Operation kinds of a decode-table entry, most frequent first.
+_ALU_I, _CONST, _STORE, _LOAD, _BRANCH, _ALU_R, _JAL, _JALR = range(8)
+_LOAD_SIGNED, _AUIPC, _CSR, _ECALL, _EBREAK, _NOP = range(8, 14)
+
+
+class _Entry(NamedTuple):
+    """One pre-decoded program address."""
+
+    kind: int
+    #: ALU or branch function, load/store size in bytes, or (CSR) the
+    #: decoded instruction.
+    op: Callable | int | Decoded | None
+    rd: int
+    rs1: int
+    rs2: int
+    #: Immediate (lui: the loaded value; auipc/jal/branch: the pc
+    #: offset), or load/store offset.
+    imm: int
+    cost: StaticCost
+    fetch_wait: int
+
+
 class Cpu:
     """RV32IM core with 4-stage pipeline timing.
 
@@ -82,9 +112,8 @@ class Cpu:
         Initial program counter.
     pipeline:
         Timing model; a default 4-stage model is created if omitted.
-    fetch_cache:
-        Cache fetched words by pc (valid because program memory is
-        immutable at run time); decoding is cached globally.
+        Its static costs are priced into the decode table, so change
+        its parameters only before a program load.
     """
 
     def __init__(
@@ -93,32 +122,25 @@ class Cpu:
         dbus: BusPort,
         reset_pc: int = 0,
         pipeline: PipelineModel | None = None,
-        fetch_cache: bool = True,
     ) -> None:
         self.ibus = ibus
         self.dbus = dbus
         self.pipeline = pipeline or PipelineModel()
         self.reset_pc = reset_pc
-        self._fetch_cache_enabled = fetch_cache
-        self._fetch_cache: dict[int, tuple[int, int]] = {}
+        self._table: dict[int, _Entry] = {}
+        self._by_word: dict[int, tuple] = {}  # word -> entry minus fetch wait
         self.console = bytearray()
         self.csrs: dict[int, int] = {}
         self.poll = _PollTracker()
-        self.trace_hook = None  # optional callable(pc, Decoded)
         self.reset()
 
     # ------------------------------------------------------------------
     # Control.
     # ------------------------------------------------------------------
 
-    def reset(self, keep_fetch_cache: bool = False) -> None:
-        """Return to the reset state.
-
-        ``keep_fetch_cache`` is timing-safe only when program memory is
-        unchanged since the cache was filled: cached fetches return the
-        exact (word, wait) pair the bus produced, so replaying the same
-        program yields identical cycles either way.
-        """
+    def reset(self) -> None:
+        """Return to the reset state (the decode table survives: it
+        depends only on program memory)."""
         self.regs = [0] * 32
         self.pc = self.reset_pc
         self.halted = False
@@ -127,8 +149,6 @@ class Cpu:
         self.instret = 0
         self.pipeline.reset()
         self.poll.reset()
-        if not keep_fetch_cache:
-            self._fetch_cache.clear()
 
     def state(self) -> CpuState:
         return CpuState(
@@ -140,8 +160,10 @@ class Cpu:
             exit_code=self.exit_code,
         )
 
-    def invalidate_fetch_cache(self) -> None:
-        self._fetch_cache.clear()
+    def invalidate_decode_table(self) -> None:
+        """Forget every decoded address; call after rewriting program memory."""
+        self._table.clear()
+        self._by_word.clear()
 
     # ------------------------------------------------------------------
     # Execution.
@@ -152,69 +174,81 @@ class Cpu:
         if self.halted:
             return 0
         pc = self.pc
-        word, fetch_wait = self._fetch(pc)
-        try:
-            d = _decode_cached(word)
-        except Exception as exc:
-            raise CpuFault(f"illegal instruction 0x{word:08x}: {exc}", pc=pc) from exc
-
-        next_pc = (pc + 4) & 0xFFFFFFFF
-        taken = False
-        bus_wait = 0
+        entry = self._table.get(pc)
+        if entry is None:
+            entry = self._decode_at(pc)
+        kind, op, rd, rs1, rs2, imm, cost, bus_wait = entry  # data waits add to the fetch wait
         regs = self.regs
-        m = d.mnemonic
+        next_pc = (pc + 4) & _MASK
+        taken = False
 
-        if d.spec.fmt.name == "R":
-            a, b = regs[d.rs1], regs[d.rs2]
-            self._write_reg(d.rd, _alu_r(m, a, b, pc))
-        elif m == "lui":
-            self._write_reg(d.rd, to_u32(d.imm << 12))
-        elif m == "auipc":
-            self._write_reg(d.rd, to_u32(pc + (d.imm << 12)))
-        elif m == "jal":
-            self._write_reg(d.rd, next_pc)
-            next_pc = to_u32(pc + d.imm)
+        if kind == _ALU_I:
+            if rd:
+                regs[rd] = op(regs[rs1], imm) & _MASK
+        elif kind == _CONST:
+            if rd:
+                regs[rd] = imm
+        elif kind == _STORE:
+            address = (regs[rs1] + imm) & _MASK
+            value = regs[rs2] & ((1 << (op << 3)) - 1)
+            try:
+                reply = self.dbus.write(address, value, op, master="cpu")
+            except Exception as exc:
+                raise CpuFault(f"store fault at 0x{address:08x}: {exc}", pc=pc) from exc
+            if reply.cycles > 1:
+                bus_wait += reply.cycles - 1
+            self.poll.reset()
+        elif kind == _LOAD or kind == _LOAD_SIGNED:
+            address = (regs[rs1] + imm) & _MASK
+            try:
+                reply = self.dbus.read(address, op, master="cpu")
+            except Exception as exc:
+                raise CpuFault(f"load fault at 0x{address:08x}: {exc}", pc=pc) from exc
+            value = reply.value()
+            if kind == _LOAD_SIGNED:
+                half = 1 << ((op << 3) - 1)
+                value = (((value & ((half << 1) - 1)) ^ half) - half) & _MASK
+            if reply.cycles > 1:
+                bus_wait += reply.cycles - 1
+            if rd:
+                regs[rd] = value & _MASK
+            self.poll.observe_load(pc, address, value)
+        elif kind == _BRANCH:
+            if op(regs[rs1], regs[rs2]):
+                next_pc = (pc + imm) & _MASK
+                taken = True
+        elif kind == _ALU_R:
+            if rd:
+                regs[rd] = op(regs[rs1], regs[rs2]) & _MASK
+        elif kind == _JAL:
+            if rd:
+                regs[rd] = next_pc
+            next_pc = (pc + imm) & _MASK
             taken = True
-        elif m == "jalr":
-            target = to_u32(regs[d.rs1] + d.imm) & ~1
-            self._write_reg(d.rd, next_pc)
+        elif kind == _JALR:
+            target = (regs[rs1] + imm) & 0xFFFFFFFE
+            if rd:
+                regs[rd] = next_pc
             next_pc = target
             taken = True
-        elif d.is_branch:
-            if _branch_taken(m, regs[d.rs1], regs[d.rs2]):
-                next_pc = to_u32(pc + d.imm)
-                taken = True
-        elif d.is_load:
-            address = to_u32(regs[d.rs1] + d.imm)
-            value, bus_wait = self._load(m, address, pc)
-            self._write_reg(d.rd, value)
-            self.poll.observe_load(pc, address, value)
-        elif d.is_store:
-            address = to_u32(regs[d.rs1] + d.imm)
-            bus_wait = self._store(m, address, regs[d.rs2], pc)
-            self.poll.reset()
-        elif d.spec.fmt.name in ("I", "SHIFT"):
-            self._write_reg(d.rd, _alu_i(m, regs[d.rs1], d.imm, pc))
-        elif d.spec.fmt.name in ("CSR", "CSRI"):
-            self._execute_csr(d)
-        elif m == "ecall":
+        elif kind == _AUIPC:
+            if rd:
+                regs[rd] = (pc + imm) & _MASK
+        elif kind == _CSR:
+            self._execute_csr(op)
+        elif kind == _ECALL:
             self._execute_ecall()
-        elif m == "ebreak":
+        elif kind == _EBREAK:
             self.halted = True
             if self.exit_code is None:
                 self.exit_code = 0
-        elif m == "fence":
-            pass
-        else:  # pragma: no cover - table is exhaustive
-            raise CpuFault(f"unimplemented mnemonic {m}", pc=pc)
+        # _NOP (fence): nothing to do.
 
-        cost = self.pipeline.instruction_cycles(d, taken=taken, bus_wait=bus_wait + fetch_wait)
-        self.cycles += cost
+        cycles = self.pipeline.charge(cost, taken, bus_wait)
+        self.cycles += cycles
         self.instret += 1
         self.pc = next_pc
-        if self.trace_hook is not None:
-            self.trace_hook(pc, d)
-        return cost
+        return cycles
 
     def run(self, max_instructions: int = 10_000_000) -> CpuState:
         """Run until halt or the instruction budget is exhausted."""
@@ -229,8 +263,6 @@ class Cpu:
     def load_program(self, program: Program) -> None:
         """Copy a program image into instruction memory and reset."""
         data = program.to_bytes()
-        from repro.bus.types import Transfer, AccessType  # local to avoid cycle
-
         self.ibus.transfer(
             Transfer(
                 address=program.base,
@@ -241,6 +273,7 @@ class Cpu:
                 master="loader",
             )
         )
+        self.invalidate_decode_table()
         self.reset_pc = program.entry if program.entry is not None else program.base
         self.reset()
 
@@ -248,48 +281,27 @@ class Cpu:
     # Internals.
     # ------------------------------------------------------------------
 
+    def _decode_at(self, pc: int) -> _Entry:
+        """Fetch, decode and price the instruction at ``pc``; cache it."""
+        reply = self.ibus.read(pc, 4, master="ifetch")
+        word = reply.value()
+        resolved = self._by_word.get(word)
+        if resolved is None:
+            try:
+                decoded = decode(word)
+            except Exception as exc:
+                raise CpuFault(f"illegal instruction 0x{word:08x}: {exc}", pc=pc) from exc
+            resolved = (*_operation(decoded), self.pipeline.static_cost(decoded))
+            self._by_word[word] = resolved
+        entry = _Entry(*resolved, max(0, reply.cycles - 1))
+        self._table[pc] = entry
+        return entry
+
     def _write_reg(self, rd: int, value: int) -> None:
         if rd != 0:
             self.regs[rd] = to_u32(value)
 
-    def _fetch(self, pc: int) -> tuple[int, int]:
-        if self._fetch_cache_enabled:
-            cached = self._fetch_cache.get(pc)
-            if cached is not None:
-                return cached
-        reply = self.ibus.read(pc, 4, master="ifetch")
-        word = reply.value()
-        wait = max(0, reply.cycles - 1)
-        if self._fetch_cache_enabled:
-            self._fetch_cache[pc] = (word, wait)
-        return word, wait
-
-    def _load(self, mnemonic: str, address: int, pc: int) -> tuple[int, int]:
-        size = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4}[mnemonic]
-        try:
-            reply = self.dbus.read(address, size, master="cpu")
-        except Exception as exc:
-            raise CpuFault(f"load fault at 0x{address:08x}: {exc}", pc=pc) from exc
-        raw = reply.value()
-        if mnemonic == "lb":
-            value = to_u32(sign_extend(raw, 8))
-        elif mnemonic == "lh":
-            value = to_u32(sign_extend(raw, 16))
-        else:
-            value = raw
-        return value, max(0, reply.cycles - 1)
-
-    def _store(self, mnemonic: str, address: int, value: int, pc: int) -> int:
-        size = {"sb": 1, "sh": 2, "sw": 4}[mnemonic]
-        try:
-            reply = self.dbus.write(address, value & ((1 << (8 * size)) - 1), size, master="cpu")
-        except Exception as exc:
-            raise CpuFault(f"store fault at 0x{address:08x}: {exc}", pc=pc) from exc
-        return max(0, reply.cycles - 1)
-
     def _csr_read(self, address: int) -> int:
-        from repro.riscv.isa import CSR_ADDRESSES
-
         if address in (CSR_ADDRESSES["mcycle"], CSR_ADDRESSES["cycle"]):
             return to_u32(self.cycles)
         if address in (CSR_ADDRESSES["mcycleh"], CSR_ADDRESSES["cycleh"]):
@@ -304,7 +316,7 @@ class Cpu:
 
     def _execute_csr(self, d: Decoded) -> None:
         old = self._csr_read(d.csr)
-        if d.spec.fmt.name == "CSRI":
+        if d.spec.fmt is Format.CSRI:
             operand = d.imm
             write = d.mnemonic == "csrrwi" or operand != 0
         else:
@@ -334,89 +346,115 @@ class Cpu:
         return self.console.decode("utf-8", errors="replace")
 
 
-def _alu_r(mnemonic: str, a: int, b: int, pc: int) -> int:
-    sa, sb = to_s32(a), to_s32(b)
-    if mnemonic == "add":
-        return a + b
-    if mnemonic == "sub":
-        return a - b
-    if mnemonic == "sll":
-        return a << (b & 31)
-    if mnemonic == "slt":
-        return int(sa < sb)
-    if mnemonic == "sltu":
-        return int(a < b)
-    if mnemonic == "xor":
-        return a ^ b
-    if mnemonic == "srl":
-        return a >> (b & 31)
-    if mnemonic == "sra":
-        return sa >> (b & 31)
-    if mnemonic == "or":
-        return a | b
-    if mnemonic == "and":
-        return a & b
-    if mnemonic == "mul":
-        return sa * sb
-    if mnemonic == "mulh":
-        return (sa * sb) >> 32
-    if mnemonic == "mulhsu":
-        return (sa * b) >> 32
-    if mnemonic == "mulhu":
-        return (a * b) >> 32
-    if mnemonic == "div":
-        if b == 0:
-            return -1
-        if sa == -(1 << 31) and sb == -1:
-            return sa
-        quotient = abs(sa) // abs(sb)  # RISC-V divides toward zero
-        return -quotient if (sa < 0) != (sb < 0) else quotient
-    if mnemonic == "divu":
-        return 0xFFFFFFFF if b == 0 else a // b
-    if mnemonic == "rem":
-        if b == 0:
-            return sa
-        if sa == -(1 << 31) and sb == -1:
-            return 0
-        remainder = abs(sa) % abs(sb)  # remainder takes the dividend's sign
-        return -remainder if sa < 0 else remainder
-    if mnemonic == "remu":
-        return a if b == 0 else a % b
-    raise CpuFault(f"unimplemented R-type {mnemonic}", pc=pc)
+# ----------------------------------------------------------------------
+# Decode-time resolution of each instruction to an operation.
+# ----------------------------------------------------------------------
 
 
-def _alu_i(mnemonic: str, a: int, imm: int, pc: int) -> int:
-    sa = to_s32(a)
-    if mnemonic == "addi":
-        return a + imm
-    if mnemonic == "slti":
-        return int(sa < imm)
-    if mnemonic == "sltiu":
-        return int(a < to_u32(imm))
-    if mnemonic == "xori":
-        return a ^ to_u32(imm)
-    if mnemonic == "ori":
-        return a | to_u32(imm)
-    if mnemonic == "andi":
-        return a & to_u32(imm)
-    if mnemonic == "slli":
-        return a << imm
-    if mnemonic == "srli":
-        return a >> imm
-    if mnemonic == "srai":
-        return sa >> imm
-    raise CpuFault(f"unimplemented I-type {mnemonic}", pc=pc)
+def _s32(value: int) -> int:
+    """A register value (unsigned 32-bit) read as signed."""
+    return value - 0x100000000 if value & 0x80000000 else value
 
 
-def _branch_taken(mnemonic: str, a: int, b: int) -> bool:
-    if mnemonic == "beq":
-        return a == b
-    if mnemonic == "bne":
-        return a != b
-    if mnemonic == "blt":
-        return to_s32(a) < to_s32(b)
-    if mnemonic == "bge":
-        return to_s32(a) >= to_s32(b)
-    if mnemonic == "bltu":
-        return a < b
-    return a >= b  # bgeu
+def _div(a: int, b: int) -> int:
+    sa, sb = _s32(a), _s32(b)
+    if b == 0:
+        return -1
+    if sa == -(1 << 31) and sb == -1:
+        return sa
+    quotient = abs(sa) // abs(sb)  # RISC-V divides toward zero
+    return -quotient if (sa < 0) != (sb < 0) else quotient
+
+
+def _rem(a: int, b: int) -> int:
+    sa, sb = _s32(a), _s32(b)
+    if b == 0:
+        return sa
+    if sa == -(1 << 31) and sb == -1:
+        return 0
+    remainder = abs(sa) % abs(sb)  # remainder takes the dividend's sign
+    return -remainder if sa < 0 else remainder
+
+
+# Results are masked to 32 bits by the caller.
+_R_OPS: dict[str, Callable[[int, int], int]] = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "sll": lambda a, b: a << (b & 31),
+    "slt": lambda a, b: int(_s32(a) < _s32(b)),
+    "sltu": lambda a, b: int(a < b),
+    "xor": lambda a, b: a ^ b,
+    "srl": lambda a, b: a >> (b & 31),
+    "sra": lambda a, b: _s32(a) >> (b & 31),
+    "or": lambda a, b: a | b,
+    "and": lambda a, b: a & b,
+    "mul": lambda a, b: _s32(a) * _s32(b),
+    "mulh": lambda a, b: (_s32(a) * _s32(b)) >> 32,
+    "mulhsu": lambda a, b: (_s32(a) * b) >> 32,
+    "mulhu": lambda a, b: (a * b) >> 32,
+    "div": _div,
+    "divu": lambda a, b: 0xFFFFFFFF if b == 0 else a // b,
+    "rem": _rem,
+    "remu": lambda a, b: a if b == 0 else a % b,
+}
+
+# The immediates of these compare/logic ops are used zero-extended.
+_UNSIGNED_IMM = frozenset({"sltiu", "xori", "ori", "andi"})
+
+_I_OPS: dict[str, Callable[[int, int], int]] = {
+    "addi": lambda a, imm: a + imm,
+    "slti": lambda a, imm: int(_s32(a) < imm),
+    "sltiu": lambda a, imm: int(a < imm),
+    "xori": lambda a, imm: a ^ imm,
+    "ori": lambda a, imm: a | imm,
+    "andi": lambda a, imm: a & imm,
+    "slli": lambda a, imm: a << imm,
+    "srli": lambda a, imm: a >> imm,
+    "srai": lambda a, imm: _s32(a) >> imm,
+}
+
+_BRANCH_OPS: dict[str, Callable[[int, int], bool]] = {
+    "beq": lambda a, b: a == b,
+    "bne": lambda a, b: a != b,
+    "blt": lambda a, b: _s32(a) < _s32(b),
+    "bge": lambda a, b: _s32(a) >= _s32(b),
+    "bltu": lambda a, b: a < b,
+    "bgeu": lambda a, b: a >= b,
+}
+
+_ACCESS_BYTES = {"lb": 1, "lbu": 1, "lh": 2, "lhu": 2, "lw": 4, "sb": 1, "sh": 2, "sw": 4}
+
+
+def _operation(d: Decoded) -> tuple:
+    """``(kind, op, rd, rs1, rs2, imm)`` of a decoded instruction."""
+    m = d.mnemonic
+    fmt = d.spec.fmt
+    if fmt is Format.R:
+        return _ALU_R, _R_OPS[m], d.rd, d.rs1, d.rs2, 0
+    if m == "lui":
+        return _CONST, None, d.rd, 0, 0, to_u32(d.imm << 12)
+    if m == "auipc":
+        return _AUIPC, None, d.rd, 0, 0, d.imm << 12
+    if m == "jal":
+        return _JAL, None, d.rd, 0, 0, d.imm
+    if m == "jalr":
+        return _JALR, None, d.rd, d.rs1, 0, d.imm
+    if d.is_branch:
+        return _BRANCH, _BRANCH_OPS[m], 0, d.rs1, d.rs2, d.imm
+    if d.is_load:
+        kind = _LOAD_SIGNED if m in ("lb", "lh") else _LOAD
+        return kind, _ACCESS_BYTES[m], d.rd, d.rs1, 0, d.imm
+    if d.is_store:
+        return _STORE, _ACCESS_BYTES[m], 0, d.rs1, d.rs2, d.imm
+    if fmt is Format.I or fmt is Format.SHIFT:
+        imm = to_u32(d.imm) if m in _UNSIGNED_IMM else d.imm
+        return _ALU_I, _I_OPS[m], d.rd, d.rs1, 0, imm
+    if fmt is Format.CSR or fmt is Format.CSRI:
+        return _CSR, d, d.rd, d.rs1, 0, d.imm
+    if m == "ecall":
+        return _ECALL, None, 0, 0, 0, 0
+    if m == "ebreak":
+        return _EBREAK, None, 0, 0, 0, 0
+    if m == "fence":
+        return _NOP, None, 0, 0, 0, 0
+    raise CpuFault(f"unimplemented mnemonic {m}")  # pragma: no cover - table is exhaustive

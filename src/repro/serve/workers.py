@@ -107,8 +107,9 @@ class SocWorker:
         """
         if self._is_replay(bundle):
             # Program BRAM and reset PC are untouched since the last
-            # run, so skip the program reload and keep the fetch cache.
-            self.soc.reset_for_run(scrub_dram=False, keep_fetch_cache=True)
+            # run, so skip the program reload (the CPU's decode table
+            # stays warm with it).
+            self.soc.reset_for_run(scrub_dram=False)
             for image in bundle.images.preload:
                 if image.name == "weights.bin":
                     continue  # read-only during a run; still loaded

@@ -23,6 +23,7 @@ from repro.core import FastPathExecutor, Soc, calibrate
 from repro.nn.zoo import ZOO
 from repro.nvdla import NV_FULL, NV_SMALL
 from repro.nvdla.config import Precision
+from repro.riscv.program import Program
 from repro.serve.cache import BundleCache
 from repro.serve.request import make_input_for
 
@@ -49,12 +50,30 @@ def table(cache):
     return calibrate(SHARED_MODELS, NV_SMALL, cache=cache)
 
 
-def _bundle(model: str, cache: BundleCache):
+#: The program of every bundle built here, by (model, config name,
+#: precision).  Programs are small and fidelity-independent, so the ISS
+#: golden suite (``test_iss_golden.py``, collected after this module)
+#: replays them instead of compiling the zoo again.
+PROGRAMS: dict[tuple[str, str, Precision], Program] = {}
+
+
+def _bundle(
+    model: str,
+    cache: BundleCache,
+    config=NV_SMALL,
+    precision: Precision = Precision.INT8,
+    fidelity: str = "functional",
+):
     if model in SHARED_MODELS:
-        return cache.bundle_for(model, "nv_small")
-    # 224×224-class bundles are built locally so module memory does not
-    # accumulate all six weight blobs + traces at once.
-    return generate_baremetal(ZOO[model](), NV_SMALL)
+        bundle = cache.bundle_for(model, config, precision=precision, fidelity=fidelity)
+    else:
+        # 224×224-class bundles are built locally so module memory does
+        # not accumulate all six weight blobs + traces at once.
+        bundle = generate_baremetal(
+            ZOO[model](), config, precision=precision, fidelity=fidelity
+        )
+    PROGRAMS[(model, config.name, precision)] = bundle.program
+    return bundle
 
 
 def timing_view(run) -> tuple:
@@ -116,7 +135,7 @@ def test_fp16_nv_full_differential(cache):
     """The wide FP16 builds agree too (64-bit memory path, Table III)."""
     executor = FastPathExecutor(NV_FULL, memory_bus_width_bits=64)
     for model in SHARED_MODELS:
-        bundle = cache.bundle_for(model, NV_FULL, precision=Precision.FP16)
+        bundle = _bundle(model, cache, NV_FULL, Precision.FP16)
         soc = Soc(NV_FULL, memory_bus_width_bits=64)
         soc.load_bundle(bundle)
         reference = soc.run_inference(bundle)

@@ -265,6 +265,38 @@ def test_load_fault_includes_pc():
     assert excinfo.value.pc is not None
 
 
+def test_load_program_rebuilds_decode_table():
+    """Decoded entries survive :meth:`Cpu.reset` but never a program load."""
+    cpu = run_asm("li a0, 5\n li t0, 3\n add a0, a0, t0\n li a7, 93\n ecall\n")
+    assert cpu.regs[10] == 8
+    cpu.reset()
+    cpu.run()
+    assert cpu.regs[10] == 8
+    program_b = assemble("li a0, 5\n li t0, 3\n sub a0, a0, t0\n li a7, 93\n ecall\n")
+    cpu.load_program(program_b)
+    cpu.run()
+    fresh = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    fresh.load_program(program_b)
+    fresh.run()
+    assert cpu.regs[10] == fresh.regs[10] == 2
+    assert cpu.cycles == fresh.cycles
+    assert cpu.pipeline.stats == fresh.pipeline.stats
+
+
+def test_illegal_word_faults_only_when_executed():
+    program = assemble("li a0, 1\n j done\n .word 0xFFFFFFFF\ndone:\n li a7, 93\n ecall\n")
+    cpu = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    cpu.load_program(program)
+    cpu.run()
+    assert cpu.exit_code == 1
+    illegal_pc = program.to_bytes().index(b"\xff" * 4)
+    cpu.reset_pc = illegal_pc
+    cpu.reset()
+    with pytest.raises(CpuFault, match="illegal instruction 0xffffffff") as excinfo:
+        cpu.step()
+    assert excinfo.value.pc == illegal_pc
+
+
 def test_poll_tracker_detects_streak():
     cpu = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
     cpu.load_program(

@@ -68,8 +68,31 @@ def test_worker_reuse_across_bundles_bit_identical(lenet_bundle, tiny_bundle):
     assert worker.stats.runs == len(sequence)
 
 
+def test_worker_alternating_zoo_models_matches_fresh_soc(lenet_bundle):
+    """The CPU's decode table survives resets and is rebuilt only on a
+    program load: a worker alternating lenet5 ↔ resnet18 (with a replay
+    of each in between) reproduces a fresh SoC run for run — cycles,
+    run statistics, op records and outputs."""
+    from repro.nn.zoo import ZOO
+
+    resnet_bundle = generate_baremetal(ZOO["resnet18"](), NV_SMALL)
+    worker = SocWorker(0, SPEC)
+    sequence = [lenet_bundle, lenet_bundle, resnet_bundle, resnet_bundle, lenet_bundle, resnet_bundle]
+    for bundle in sequence:
+        reused = worker.run(bundle)
+        fresh_soc = Soc(NV_SMALL)
+        fresh_soc.load_bundle(bundle)
+        fresh = fresh_soc.run_inference(bundle)
+        assert reused.ok and fresh.ok
+        assert reused.cycles == fresh.cycles
+        assert reused.stats == fresh.stats
+        assert reused.op_records == fresh.op_records
+        assert np.array_equal(reused.output, fresh.output)
+        assert worker.soc.cpu.pipeline.stats == fresh_soc.cpu.pipeline.stats
+
+
 def test_same_bundle_fast_path_bit_identical(lenet_bundle, rng):
-    """Back-to-back same-bundle runs (no DRAM scrub, kept fetch cache,
+    """Back-to-back same-bundle runs (no DRAM scrub, warm decode table,
     fresh inputs) match fresh-SoC runs input by input."""
     from repro.nn.zoo import lenet5
 
