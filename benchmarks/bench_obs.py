@@ -48,10 +48,15 @@ from repro.nn.zoo import ZOO
 WORKLOAD_SEED = 2025
 
 #: Tracer touch points one request pays on the disabled path, counted
-#: from the instrumentation sites in service.py (root start, synth
-#: scope, execute start, plus the per-request share of batch spans) and
-#: procpool.py — deliberately rounded *up* so the gate overstates cost.
-DISABLED_CALLS_PER_REQUEST = 12
+#: on the costliest route, a one-request batch served by a worker
+#: process of the plane.  serve/executor.py: batch start, resolve start
+#: and end, batch end (4 per batch); the serving-span opener call and
+#: its start, the synth scope, the execute start and the enabled guard
+#: (5 per request).  serve/procpool.py: the `_serve_span` hop and its
+#: guard (2 per request), the span-drain guard (1 per batch).
+#: serve/plane.py: the intake, wire-request, response and queue-span
+#: guards (4).  16 in all; the in-process service pays 9 of them.
+DISABLED_CALLS_PER_REQUEST = 16
 
 
 def _fast_workload(models=("lenet5", "resnet18"), requests=32):

@@ -148,9 +148,7 @@ class ServiceTimeModel:
         key = residency_key(spec) + (spec.memory_bus_width_bits, spec.frequency_hz)
         cost = self._costs.get(key)
         if cost is None:
-            bundle = self.cache.bundle_for(
-                spec.model, spec.config, precision=spec.precision, fidelity=spec.fidelity
-            )
+            bundle, _ = self.cache.resolve(spec)
             profile = self._estimator(spec).estimate(bundle)
             preload_bytes = sum(len(image.data) for image in bundle.images.preload)
             build_seconds = fetch_seconds = 0.0

@@ -36,18 +36,15 @@ class CompileOptions:
     calibration: CalibrationTable | None = None
     calibration_samples: int = 2
     weight_align: int = 64
-    #: Fuse residual adds into the producing conv's SDP pass (the real
-    #: compiler's schedule); disable for the fusion ablation.
-    fuse_eltwise: bool = True
     #: Fusion tier: ``"descriptor"`` additionally collapses conv →
     #: SDP/pool pairs into single pipelined chains (PDP streams the
     #: SDP result on-chip, no intermediate DRAM surface);
     #: ``"graph"`` keeps only the graph-IR absorption (BN/Scale/ReLU
-    #: folding plus ``fuse_eltwise``); ``"off"`` emits one descriptor
-    #: chain per network layer — standalone ReLU SDP ops, standalone
-    #: eltwise ops, every intermediate through DRAM.  BN/Scale folding
-    #: always happens — a standalone BatchNorm has no hardware
-    #: lowering.
+    #: folding, residual adds riding the producing conv's SDP pass);
+    #: ``"off"`` emits one descriptor chain per network layer —
+    #: standalone ReLU SDP ops, standalone eltwise ops, every
+    #: intermediate through DRAM.  BN/Scale folding always happens — a
+    #: standalone BatchNorm has no hardware lowering.
     fusion: str = "descriptor"
 
 
@@ -88,11 +85,10 @@ def compile_network(
         config,
         precision,
         calibration,
-        fuse_eltwise=options.fuse_eltwise and options.fusion != "off",
         absorb_relu=options.fusion != "off",
     )
     if options.fusion == "descriptor":
-        fuse_descriptor_chains(schedule, fuse_eltwise=options.fuse_eltwise)
+        fuse_descriptor_chains(schedule)
     tiling = analyze_schedule(schedule, config)
     weight_blob = pack_schedule_weights(schedule, config, align=options.weight_align)
     memory_map = allocate_memory(

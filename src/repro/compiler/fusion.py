@@ -65,6 +65,9 @@ class FusionPlan:
     consumed: set[str] = field(default_factory=set)
     # blob -> blob aliases for elided layers (dropout): top -> bottom
     aliases: dict[str, str] = field(default_factory=dict)
+    # graph-level absorption on (False only for fusion="off"): ReLUs
+    # fold into producers and residual adds ride the conv's SDP pass
+    absorb: bool = True
 
     def resolve_blob(self, blob: str) -> str:
         seen: set[str] = set()
@@ -90,11 +93,12 @@ def plan_fusion(net: Network, layers: list[Layer], absorb_relu: bool = True) -> 
     inception branches) stay materialised.
 
     ``absorb_relu=False`` (the ``fusion="off"`` ablation) keeps every
-    ReLU as a standalone SDP layer — one descriptor chain per network
-    layer, each paying its own DRAM round-trip.  BN/Scale still fold:
+    ReLU as a standalone SDP layer and every residual add as a
+    standalone eltwise op — one descriptor chain per network layer,
+    each paying its own DRAM round-trip.  BN/Scale still fold:
     a standalone BatchNorm has no hardware lowering.
     """
-    plan = FusionPlan()
+    plan = FusionPlan(absorb=absorb_relu)
     by_index = {layer.name: i for i, layer in enumerate(layers)}
     consumers: dict[str, list[Layer]] = {}
     for layer in layers:
@@ -289,7 +293,7 @@ def _try_fuse_pool(conv, pool, reads, output_blob) -> bool:
     return True
 
 
-def _try_fuse_sdp(conv, sdp, reads, output_blob, fuse_eltwise=True) -> bool:
+def _try_fuse_sdp(conv, sdp, reads, output_blob) -> bool:
     """Fold a standalone relu/eltwise ``SdpOp`` into the conv's SDP stage."""
     from repro.compiler.ops import EltwiseOpKind, SdpOp
     from repro.nn.quantize import requant_constants
@@ -297,8 +301,6 @@ def _try_fuse_sdp(conv, sdp, reads, output_blob, fuse_eltwise=True) -> bool:
 
     if not isinstance(sdp, SdpOp) or conv.has_pool_epilogue:
         return False
-    if sdp.eltwise is not None and not fuse_eltwise:
-        return False  # honour the eltwise-fusion ablation knob
     if conv.relu or conv.eltwise is not None:
         return False  # the conv's SDP stage is already claimed
     if sdp.precision is not conv.precision:
@@ -327,7 +329,7 @@ def _try_fuse_sdp(conv, sdp, reads, output_blob, fuse_eltwise=True) -> bool:
     return True
 
 
-def fuse_descriptor_chains(schedule, fuse_eltwise=True) -> int:
+def fuse_descriptor_chains(schedule) -> int:
     """Collapse conv → SDP/pool pairs into single pipelined chains.
 
     Mutates ``schedule`` in place and returns the number of ops
@@ -353,7 +355,7 @@ def fuse_descriptor_chains(schedule, fuse_eltwise=True) -> int:
             if not isinstance(conv, ConvOp):
                 continue
             if _try_fuse_pool(conv, follower, reads, output_blob) or _try_fuse_sdp(
-                conv, follower, reads, output_blob, fuse_eltwise=fuse_eltwise
+                conv, follower, reads, output_blob
             ):
                 del schedule.ops[idx + 1]
                 fused += 1

@@ -180,7 +180,6 @@ def lower_network(
     config: HardwareConfig,
     precision: Precision,
     calibration: CalibrationTable | None,
-    fuse_eltwise: bool = True,
     absorb_relu: bool = True,
 ) -> Schedule:
     """Run pruning, fusion, scale resolution and op emission."""
@@ -192,7 +191,7 @@ def lower_network(
     concat_aliases = plan_concats(net, layers, plan)
     scales = resolve_scales(net, layers, plan, calibration, precision)
     atom = config.atom_channels(precision)
-    builder = _Lowerer(net, config, precision, plan, concat_aliases, scales, atom, fuse_eltwise)
+    builder = _Lowerer(net, config, precision, plan, concat_aliases, scales, atom)
     return builder.build(layers)
 
 
@@ -206,7 +205,6 @@ class _Lowerer:
         concat_aliases: dict[str, ConcatAlias],
         scales: dict[str, float],
         atom: int,
-        fuse_eltwise: bool = True,
     ) -> None:
         self.net = net
         self.config = config
@@ -215,7 +213,6 @@ class _Lowerer:
         self.concat_aliases = concat_aliases
         self.scales = scales
         self.atom = atom
-        self.fuse_eltwise = fuse_eltwise
         self.refs: dict[str, TensorRef] = {}
         self.schedule = Schedule()
 
@@ -495,7 +492,7 @@ class _Lowerer:
         eltwise group), and the output converter is recomputed for the
         fused output blob.
         """
-        if not self.fuse_eltwise:
+        if not self.plan.absorb:
             return False
         if not self.schedule.ops or not isinstance(self.schedule.ops[-1], ConvOp):
             return False

@@ -23,8 +23,6 @@ from repro.core.executor import BaremetalExecutor, RunStats
 from repro.core.fastpath import (
     CycleProfile,
     FastPathExecutor,
-    FastPathRunRequest,
-    FastPathRunResult,
     ResidentStats,
     calibrate,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "DEFAULT_MAP",
     "DramArbiter",
     "FastPathExecutor",
-    "FastPathRunRequest",
-    "FastPathRunResult",
     "NvdlaWrapper",
     "ResidentStats",
     "RunStats",

@@ -222,6 +222,15 @@ class Soc:
             self.dram.storage.write(0, bytes(STATUS_CYCLES_HI + 4))
 
     def load_program(self, program: Program) -> None:
+        """Load ``program`` into program memory and reset the CPU to it.
+
+        Only the program side is reset: the CPU (registers, pc, decode
+        table).  The clock, the engine, the statistics and the DRAM
+        contents and open rows keep the state of any earlier run, so
+        on a used SoC the next run's cycle count would include that
+        run.  Callers reusing a SoC must call :meth:`reset_for_run`
+        first; the pair then runs exactly as a fresh SoC does.
+        """
         self.program_memory.load_image(program.to_bytes(), base=program.base)
         self.cpu.invalidate_decode_table()
         self.cpu.reset_pc = program.entry or program.base

@@ -21,12 +21,10 @@ against the paper's Tables II/III regimes.
 
 from repro.nvdla.config import HardwareConfig, NV_FULL, NV_SMALL, Precision
 from repro.nvdla.engine import NvdlaEngine, OpRecord
-from repro.nvdla.fastpath import FastPathOp, lower_loadable, pack_input
 from repro.nvdla.registers import RegisterBlock, RegisterSpec
 from repro.nvdla.timing import TimingParams
 
 __all__ = [
-    "FastPathOp",
     "HardwareConfig",
     "NV_FULL",
     "NV_SMALL",
@@ -36,6 +34,4 @@ __all__ = [
     "RegisterBlock",
     "RegisterSpec",
     "TimingParams",
-    "lower_loadable",
-    "pack_input",
 ]

@@ -10,15 +10,20 @@ bare-metal artefacts on a pool of reusable simulated SoCs.
 - :class:`WorkerPool` / :class:`SocWorker` / :class:`FastPathWorker` —
   reusable execution tiers: cycle-accurate SoCs and the functional
   fast path (``DeploymentSpec(execution_mode="fast")``).
+- :func:`~repro.serve.executor.execute_batch` — the one request
+  executor: resolve the bundle once per batch, synthesise missing
+  inputs from :func:`~repro.serve.request.request_rng`, run each
+  request on the pool's worker, record ``execute`` and ``unit.*``
+  spans.  Both serving modes below call it.
 - :class:`InferenceService` — the synchronous single-process facade;
   :class:`ServiceMetrics` for throughput / latency percentiles / hit
   rates, per deployment and per worker process.
 - :class:`ServingPlane` / :class:`ProcessWorkerPool` — the
   process-parallel plane: an asyncio request plane (streaming arrivals,
   continuous batching) over spawn-safe worker processes that rehydrate
-  bundles from the persistent store by cache key.  Outputs are
-  bit-identical to the single-process service (see
-  :func:`~repro.serve.request.request_rng`).
+  bundles from the persistent store by cache key and serve each
+  shipped batch with the same executor, so outputs, cycles and span
+  trees match the single-process service.
 """
 
 from repro.serve.cache import BundleCache, BundleCacheStats, shared_cache

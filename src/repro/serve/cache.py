@@ -35,6 +35,7 @@ from repro.nn.zoo import ZOO
 from repro.nvdla.config import HardwareConfig, Precision, get_config
 
 if TYPE_CHECKING:
+    from repro.serve.request import DeploymentSpec
     from repro.store import BundleStore
 
 
@@ -78,20 +79,15 @@ class BundleCache:
         self.store = store
         self._entries: "OrderedDict[tuple, BaremetalBundle]" = OrderedDict()
         self.stats = BundleCacheStats()
+        #: Where the latest get_or_build found its bundle: "memory",
+        #: "store" or "compile".
+        self.last_source = "memory"
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
-
-    def lookup(self, key: tuple) -> BaremetalBundle | None:
-        """Peek without counting a miss (counts a hit when present)."""
-        bundle = self._entries.get(key)
-        if bundle is not None:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-        return bundle
 
     def get_or_build(
         self, key: tuple, build: Callable[[], BaremetalBundle]
@@ -100,9 +96,11 @@ class BundleCache:
         if bundle is not None:
             self._entries.move_to_end(key)
             self.stats.hits += 1
+            self.last_source = "memory"
             return bundle
         self.stats.misses += 1
         bundle = self._fetch_from_store(key)
+        self.last_source = "store" if bundle is not None else "compile"
         if bundle is None:
             self.stats.compiles += 1
             began = time.perf_counter()
@@ -166,6 +164,16 @@ class BundleCache:
                 seed=seed,
             ),
         )
+
+    def resolve(self, deployment: "DeploymentSpec") -> tuple[BaremetalBundle, str]:
+        """A serving deployment's bundle and its source (:attr:`last_source`)."""
+        bundle = self.bundle_for(
+            deployment.model,
+            deployment.config,
+            precision=deployment.precision,
+            fidelity=deployment.fidelity,
+        )
+        return bundle, self.last_source
 
     def clear(self) -> None:
         self._entries.clear()

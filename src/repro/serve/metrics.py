@@ -165,6 +165,17 @@ class ServiceMetrics:
             slice_.wall_latencies.append(wall_seconds)
             slice_.cycle_latencies.append(float(cycles))
 
+    def record_resolution(self, source: str) -> None:
+        """Count one bundle resolution by its :meth:`BundleCache.resolve` source."""
+        if source == "memory":
+            self.bundle_hits += 1
+            return
+        self.bundle_misses += 1
+        if source == "store":
+            self.bundle_store_hits += 1
+        else:
+            self.bundle_compiles += 1
+
     def record_process(self, slot: int, stats: dict) -> None:
         """Fold one worker process's counters into the aggregate view."""
         self.per_process[slot] = dict(stats)

@@ -20,11 +20,13 @@ deployment once, publishes it to the shared
 :class:`~repro.store.BundleStore`, and ships requests carrying only the
 deployment's ``bundle_cache_key`` — workers rehydrate from the store.
 
-Determinism: synthesised inputs are drawn from
-:func:`~repro.serve.request.request_rng`, seeded by ``(input_seed,
-request_id)`` on whichever side synthesises them, so an N-process plane
-returns outputs bit-identical to the single-process service —
-``tests/serve/test_plane.py`` runs the differential.
+Each worker process serves its batches with
+:func:`~repro.serve.executor.execute_batch`, the executor the
+single-process service uses, so synthesised inputs (drawn from
+:func:`~repro.serve.request.request_rng` ``(input_seed, request_id)``),
+outputs, cycles and span shapes match it; an N-process plane is
+bit-identical to the service — ``tests/serve/test_plane.py`` runs the
+differential.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from repro.baremetal.pipeline import bundle_cache_key
-from repro.core.fastpath import FastPathRunRequest, FastPathRunResult, ProfileTable
+from repro.core.fastpath import ProfileTable
 from repro.errors import ReproError
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.cache import BundleCache
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.procpool import ProcessWorkerPool
+from repro.serve.procpool import FastPathRunRequest, FastPathRunResult, ProcessWorkerPool
 from repro.serve.request import DeploymentSpec, InferenceRequest, InferenceResponse
 from repro.serve.scheduler import Batch, RequestScheduler
 from repro.store import BundleStore
@@ -150,23 +152,10 @@ class ServingPlane:
         is in the store the worker processes rehydrate from."""
         if deployment in self._published:
             return
-        misses_before = self.cache.stats.misses
-        store_hits_before = self.cache.stats.store_hits
-        self.cache.bundle_for(
-            deployment.model,
-            deployment.config,
-            precision=deployment.precision,
-            fidelity=deployment.fidelity,
-        )
-        if self.cache.stats.misses == misses_before:
-            self.metrics.bundle_hits += 1
-        else:
-            self.metrics.bundle_misses += 1
+        _, source = self.cache.resolve(deployment)
+        self.metrics.record_resolution(source)
+        if source != "memory":
             self._first_miss.add(deployment)
-            if self.cache.stats.store_hits > store_hits_before:
-                self.metrics.bundle_store_hits += 1
-            else:
-                self.metrics.bundle_compiles += 1
         self._published.add(deployment)
 
     def _run_request(self, request: InferenceRequest) -> FastPathRunRequest:
@@ -179,18 +168,12 @@ class ServingPlane:
                 trace_ctx = Tracer.context(root)
         return FastPathRunRequest(
             request_id=request.request_id,
-            model=spec.model,
-            config=spec.config,
-            precision=spec.precision.value,
-            fidelity=spec.fidelity,
-            execution_mode=spec.execution_mode,
-            frequency_hz=spec.frequency_hz,
-            memory_bus_width_bits=spec.memory_bus_width_bits,
+            deployment=spec,
             bundle_key=bundle_cache_key(
                 spec.model, spec.config, spec.precision, spec.fidelity
             ),
             input_image=request.input_image,
-            input_seed=(self.input_seed, request.request_id),
+            input_seed=self.input_seed,
             trace_ctx=trace_ctx,
         )
 

@@ -8,14 +8,19 @@ Spawn-safe by construction:
 
 - worker processes are started with the ``spawn`` method (no forked
   locks, works identically on every platform and under pytest);
-- nothing heavier than :class:`~repro.core.fastpath.FastPathRunRequest`
-  crosses the process boundary — bundles travel as their deployment
-  cache key and are rehydrated on the far side from the shared
+- nothing heavier than a :class:`FastPathRunRequest` crosses the
+  process boundary — bundles travel as their deployment cache key and
+  are rehydrated on the far side from the shared
   :class:`~repro.store.BundleStore` (memory → store → deterministic
   recompile, the same miss path every replica uses);
 - each process starts from a copy of the cycle-profile table it was
   spawned with, records the profiles it misses locally, and owns its
   executors and bundle cache for its whole lifetime.
+
+Each shipped batch is served by
+:func:`~repro.serve.executor.execute_batch`, the executor the
+in-process service uses too, so both modes resolve, synthesise,
+execute and trace alike.
 
 A worker process that dies mid-batch is detected by the dispatcher,
 respawned, and the batch re-dispatched once — a second death on the
@@ -28,12 +33,17 @@ from __future__ import annotations
 import multiprocessing
 import queue as queue_module
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from repro.core.fastpath import FastPathRunRequest, FastPathRunResult, ProfileTable
+import numpy as np
+
+from repro.baremetal.pipeline import bundle_cache_key
+from repro.core.fastpath import ProfileTable
 from repro.errors import ReproError
-from repro.obs.trace import NULL_TRACER, Tracer, classify_resolution, record_unit_spans
+from repro.obs.trace import Tracer
+from repro.serve.executor import execute_batch
+from repro.serve.request import DeploymentSpec
 
 _SPAWN = multiprocessing.get_context("spawn")
 
@@ -42,98 +52,104 @@ class WorkerProcessDied(ReproError):
     """Internal signal: the worker process exited before replying."""
 
 
+@dataclass(frozen=True)
+class FastPathRunRequest:
+    """Spawn-safe description of one inference run.
+
+    No bundle crosses the process boundary: ``bundle_key`` (see
+    :func:`repro.baremetal.pipeline.bundle_cache_key`) is checked
+    against ``deployment`` on arrival, and the worker rehydrates the
+    bundle from the shared store or recompiles it deterministically.
+    A missing ``input_image`` is drawn from
+    ``request_rng(input_seed, request_id)`` in the worker.
+    """
+
+    request_id: int
+    deployment: DeploymentSpec
+    bundle_key: tuple | None = None
+    input_image: np.ndarray | None = None
+    input_seed: int | None = None  # the serving plane's input seed
+    # Tracing context (trace_id, parent span_id) from Tracer.context():
+    # the worker process parents its spans under the plane's request
+    # span so the trace stitches across the process boundary.
+    trace_ctx: tuple[str, str] | None = None
+
+
+@dataclass(frozen=True)
+class FastPathRunResult:
+    """Picklable outcome of one :class:`FastPathRunRequest`."""
+
+    request_id: int
+    ok: bool
+    output: np.ndarray | None
+    cycles: int
+    sim_seconds: float
+    wall_seconds: float  # host time inside the worker's run()
+    worker_id: int = 0  # in-process worker id within its process
+    # Finished span dicts the worker process recorded for the whole
+    # batch ride on its last result (empty when tracing is off); the
+    # plane ingests them.
+    spans: tuple = ()
+
+
 # ----------------------------------------------------------------------
 # Code that runs inside the worker process.
 # ----------------------------------------------------------------------
 
 
-def _serve_request(
-    cache, pool, request: FastPathRunRequest, tracer: Tracer = NULL_TRACER
-) -> FastPathRunResult:
-    """One inference inside the worker process."""
-    from repro.baremetal.pipeline import bundle_cache_key
-    from repro.nvdla.config import Precision
-    from repro.serve.request import DeploymentSpec, make_input, request_rng
-
-    # Parent this process's spans under the plane's request span: the
-    # shipped (trace_id, span_id) is all the context stitching needs.
+def _serve_span(tracer: Tracer, request: FastPathRunRequest):
+    """``worker.serve``, parented under the plane's request span: the
+    shipped (trace_id, span_id) is all the context stitching needs."""
     if tracer.enabled and request.trace_ctx is not None:
         trace_id, parent_id = request.trace_ctx
-        serve_span = tracer.start(
+        return tracer.start(
             "worker.serve", trace_id=trace_id, parent=parent_id,
-            request_id=request.request_id, model=request.model,
+            request_id=request.request_id, model=request.deployment.model,
         )
-    else:
-        serve_span = tracer.start("worker.serve", request_id=request.request_id)
+    return tracer.start("worker.serve", request_id=request.request_id)
 
-    spec = DeploymentSpec(
-        request.model,
-        config=request.config,
-        precision=Precision(request.precision),
-        fidelity=request.fidelity,
-        frequency_hz=request.frequency_hz,
-        memory_bus_width_bits=request.memory_bus_width_bits,
-        execution_mode=request.execution_mode,
+
+def _execute_shipped(
+    cache, pool, batch_id: int, requests: list[FastPathRunRequest], tracer: Tracer
+) -> list[FastPathRunResult]:
+    """Check a shipped batch's wire form, then run it through the executor."""
+    if not requests:
+        return []
+    deployment, input_seed = requests[0].deployment, requests[0].input_seed
+    expected = bundle_cache_key(
+        deployment.model, deployment.config, deployment.precision, deployment.fidelity
     )
-    if request.bundle_key is not None:
-        expected = bundle_cache_key(
-            spec.model, spec.config, spec.precision, spec.fidelity,
-            seed=request.flow_seed,
-        )
-        if tuple(request.bundle_key) != expected:
+    for request in requests:
+        if (request.deployment, request.input_seed) != (deployment, input_seed):
+            raise ReproError(
+                f"request {request.request_id}: one shipped batch serves one "
+                f"deployment with one input seed"
+            )
+        if request.bundle_key is not None and tuple(request.bundle_key) != expected:
             raise ReproError(
                 f"request {request.request_id}: shipped bundle key "
                 f"{request.bundle_key!r} does not name this deployment "
                 f"(expected {expected!r})"
             )
-    stats_before = cache.stats.to_dict() if tracer.enabled else None
-    resolve_span = tracer.start("bundle.resolve", parent=serve_span)
-    bundle = cache.bundle_for(
-        spec.model,
-        spec.config,
-        precision=spec.precision,
-        fidelity=spec.fidelity,
-        seed=request.flow_seed,
+    executed = execute_batch(
+        cache, pool, deployment, requests, input_seed, batch_id,
+        lambda request: _serve_span(tracer, request), tracer,
     )
-    if tracer.enabled:
-        tracer.end(
-            resolve_span,
-            source=classify_resolution(stats_before, cache.stats.to_dict()),
+    results = [
+        FastPathRunResult(
+            request_id=request.request_id,
+            ok=result.ok,
+            output=result.output,
+            cycles=result.cycles,
+            sim_seconds=result.seconds,
+            wall_seconds=wall,
+            worker_id=executed.worker.worker_id,
         )
-    image = request.input_image
-    if image is None and spec.fidelity == "functional":
-        if request.input_seed is None:
-            raise ReproError(
-                f"request {request.request_id} has neither an input image "
-                f"nor an input seed"
-            )
-        with tracer.span("input.synthesize", parent=serve_span):
-            image = make_input(
-                bundle.loadable.input_tensor.shape, request_rng(*request.input_seed)
-            )
-    worker = pool.worker_for(spec)
-    execute_span = tracer.start("execute", parent=serve_span,
-                                mode=spec.execution_mode)
-    began = time.perf_counter()
-    result = worker.run(bundle, input_image=image)
-    wall = time.perf_counter() - began
-    worker.stats.busy_seconds += wall
+        for request, (result, wall) in zip(requests, executed.runs)
+    ]
     if tracer.enabled:
-        tracer.end(execute_span, cycles=result.cycles,
-                   sim_seconds=result.seconds, worker_id=worker.worker_id)
-        record_unit_spans(tracer, execute_span,
-                          getattr(result, "op_records", ()), result.cycles)
-        tracer.end(serve_span, ok=result.ok)
-    return FastPathRunResult(
-        request_id=request.request_id,
-        ok=result.ok,
-        output=result.output,
-        cycles=result.cycles,
-        sim_seconds=result.seconds,
-        wall_seconds=wall,
-        worker_id=worker.worker_id,
-        spans=tuple(tracer.drain()) if tracer.enabled else (),
-    )
+        results[-1] = replace(results[-1], spans=tuple(tracer.drain()))
+    return results
 
 
 def _worker_main(
@@ -163,10 +179,7 @@ def _worker_main(
             return
         batch_id, requests = message
         try:
-            results = [
-                _serve_request(cache, pool, request, tracer=tracer)
-                for request in requests
-            ]
+            results = _execute_shipped(cache, pool, batch_id, requests, tracer)
         except Exception as exc:  # ship the failure, keep serving
             tracer.drain()  # half-built spans of a failed batch
             outbox.put(("error", batch_id, f"{type(exc).__name__}: {exc}"))

@@ -18,18 +18,12 @@ import time
 
 import numpy as np
 
-from repro.baremetal.pipeline import BaremetalBundle
 from repro.core.fastpath import ProfileTable
-from repro.obs.trace import NULL_TRACER, Tracer, record_unit_spans
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.cache import BundleCache
+from repro.serve.executor import execute_batch
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.request import (
-    DeploymentSpec,
-    InferenceRequest,
-    InferenceResponse,
-    make_input,
-    request_rng,
-)
+from repro.serve.request import DeploymentSpec, InferenceRequest, InferenceResponse
 from repro.serve.scheduler import Batch, RequestScheduler
 from repro.serve.workers import WorkerPool
 
@@ -59,9 +53,9 @@ class InferenceService:
         self.metrics = ServiceMetrics()
         self.tracer = tracer
         # Inputs the service synthesises are drawn per request from
-        # request_rng(input_seed, request_id) — see that function for
-        # the determinism convention — so the tensor request i receives
-        # does not depend on batch interleaving or worker count.
+        # request_rng(input_seed, request_id) (see execute_batch), so
+        # the tensor request i receives does not depend on batch
+        # interleaving or worker count.
         self.input_seed = input_seed
         self._next_request_id = 0
 
@@ -110,92 +104,44 @@ class InferenceService:
     # Serving.
     # ------------------------------------------------------------------
 
-    def bundle_for(self, deployment: DeploymentSpec) -> tuple[BaremetalBundle, bool]:
-        """The deployment's memoised artefacts; True when cache-hit."""
-        misses_before = self.cache.stats.misses
-        store_hits_before = self.cache.stats.store_hits
-        bundle = self.cache.bundle_for(
-            deployment.model,
-            deployment.config,
-            precision=deployment.precision,
-            fidelity=deployment.fidelity,
-        )
-        hit = self.cache.stats.misses == misses_before
-        if hit:
-            self.metrics.bundle_hits += 1
-            source = "memory"
-        else:
-            self.metrics.bundle_misses += 1
-            if self.cache.stats.store_hits > store_hits_before:
-                self.metrics.bundle_store_hits += 1
-                source = "store"
-            else:
-                self.metrics.bundle_compiles += 1
-                source = "compile"
-        self._last_resolution = source
-        return bundle, hit
-
     def _serve_batch(self, batch: Batch) -> list[InferenceResponse]:
+        deployment = batch.deployment
         tracer = self.tracer
-        # Batch-scope work (one bundle resolution serves every request)
-        # gets its own trace so per-request trees stay single-rooted.
-        batch_span = tracer.start(
-            "batch", trace_id=f"batch-{batch.batch_id}",
-            batch_id=batch.batch_id, size=len(batch.requests),
-            deployment=batch.deployment.describe(),
-        )
-        resolve_span = tracer.start("bundle.resolve", parent=batch_span)
-        bundle, cache_hit = self.bundle_for(batch.deployment)
-        tracer.end(resolve_span, source=getattr(self, "_last_resolution", "memory"))
-        worker = self.pool.worker_for(batch.deployment)
-        responses: list[InferenceResponse] = []
-        for request in batch.requests:
-            root = tracer.start(
+
+        def request_span(request: InferenceRequest):
+            return tracer.start(
                 "request", trace_id=f"req-{request.request_id}",
                 request_id=request.request_id,
-                deployment=batch.deployment.describe(),
+                deployment=deployment.describe(),
                 batch_id=batch.batch_id,
             )
-            image = request.input_image
-            if image is None and batch.deployment.fidelity == "functional":
-                shape = bundle.loadable.input_tensor.shape
-                with tracer.span("input.synthesize", parent=root):
-                    image = make_input(
-                        shape, request_rng(self.input_seed, request.request_id)
-                    )
-            execute_span = tracer.start(
-                "execute", parent=root, mode=batch.deployment.execution_mode
-            )
-            began = time.perf_counter()
-            result = worker.run(bundle, input_image=image)
-            wall = time.perf_counter() - began
-            worker.stats.busy_seconds += wall
-            if tracer.enabled:
-                tracer.end(execute_span, cycles=result.cycles,
-                           sim_seconds=result.seconds,
-                           worker_id=worker.worker_id)
-                record_unit_spans(tracer, execute_span,
-                                  getattr(result, "op_records", ()), result.cycles)
-                tracer.end(root, ok=result.ok, cycles=result.cycles)
+
+        executed = execute_batch(
+            self.cache, self.pool, deployment, batch.requests, self.input_seed,
+            batch.batch_id, request_span, tracer,
+        )
+        self.metrics.record_resolution(executed.source)
+        cache_hit = executed.source == "memory"
+        responses: list[InferenceResponse] = []
+        for request, (result, wall) in zip(batch.requests, executed.runs):
             self.metrics.record(
-                wall, result.cycles, result.ok, deployment=batch.deployment.describe()
+                wall, result.cycles, result.ok, deployment=deployment.describe()
             )
             responses.append(
                 InferenceResponse(
                     request_id=request.request_id,
-                    deployment=batch.deployment,
+                    deployment=deployment,
                     ok=result.ok,
                     output=result.output,
                     cycles=result.cycles,
                     sim_seconds=result.seconds,
                     wall_seconds=wall,
                     cache_hit=cache_hit,
-                    worker_id=worker.worker_id,
+                    worker_id=executed.worker.worker_id,
                     batch_id=batch.batch_id,
                 )
             )
             cache_hit = True  # later requests of the batch reuse the bundle
-        tracer.end(batch_span)
         self.metrics.batches += 1
         return responses
 

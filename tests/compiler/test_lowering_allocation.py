@@ -19,6 +19,10 @@ def _op_kinds(loadable):
     return [op.kind for op in loadable.schedule.ops]
 
 
+def _eltwise_op(ops):
+    return next(op for op in ops if isinstance(op, SdpOp) and op.eltwise is not None)
+
+
 def test_tiny_net_lowering(tiny_net):
     loadable = compile_network(tiny_net, NV_SMALL)
     kinds = _op_kinds(loadable)
@@ -49,13 +53,13 @@ def test_residual_net_int8_fuses_eltwise_with_operand_converter(residual_net):
 
 
 def test_residual_net_fusion_can_be_disabled(residual_net):
-    loadable = compile_network(
-        residual_net, NV_SMALL, CompileOptions(fuse_eltwise=False)
-    )
-    kinds = _op_kinds(loadable)
-    assert "sdp" in kinds  # materialised eltwise op
-    sdp = next(op for op in loadable.schedule.ops if isinstance(op, SdpOp))
-    assert sdp.eltwise is not None and sdp.relu
+    loadable = compile_network(residual_net, NV_SMALL, CompileOptions(fusion="off"))
+    ops = loadable.schedule.ops
+    sdp = _eltwise_op(ops)  # materialised eltwise op
+    # fusion="off" keeps the trailing ReLU as an SDP op of its own.
+    assert not sdp.relu
+    relu = ops[ops.index(sdp) + 1]
+    assert isinstance(relu, SdpOp) and relu.relu and relu.eltwise is None
 
 
 def test_residual_net_fp16_fuses_eltwise(residual_net):
@@ -71,10 +75,8 @@ def test_residual_net_fp16_fuses_eltwise(residual_net):
 
 
 def test_eltwise_operands_share_scale(residual_net):
-    loadable = compile_network(
-        residual_net, NV_SMALL, CompileOptions(fuse_eltwise=False)
-    )
-    sdp = next(op for op in loadable.schedule.ops if isinstance(op, SdpOp))
+    loadable = compile_network(residual_net, NV_SMALL, CompileOptions(fusion="off"))
+    sdp = _eltwise_op(loadable.schedule.ops)
     assert sdp.input.scale == sdp.eltwise_input.scale == sdp.output.scale
 
 
@@ -171,11 +173,9 @@ def test_allocator_reuses_buffers():
 def test_allocator_respects_liveness_of_shortcut(residual_net):
     """The eltwise shortcut (input tensor) must not be overwritten by
     intermediate buffers before the add executes."""
-    loadable = compile_network(
-        residual_net, NV_SMALL, CompileOptions(fuse_eltwise=False)
-    )
+    loadable = compile_network(residual_net, NV_SMALL, CompileOptions(fusion="off"))
     ops = loadable.schedule.ops
-    sdp = next(op for op in ops if isinstance(op, SdpOp))
+    sdp = _eltwise_op(ops)
     shortcut_addr = sdp.eltwise_input.address
     for op in ops[: ops.index(sdp)]:
         for out in op.outputs():

@@ -129,34 +129,37 @@ def test_nvdla_register_write_costs_more_than_bram(soc):
     assert soc2.cpu.cycles == soc.cpu.cycles + access - 1
 
 
+PROGRAM_A = f"""
+    li t0, 0x{DRAM_BASE + 0x100:08x}
+    li t1, 7
+    sw t1, 0(t0)
+loop:
+    addi t1, t1, -1
+    bnez t1, loop
+    li a0, 1
+    li a7, 93
+    ecall
+"""
+
+# 11 instructions, 62 cycles on a fresh SoC; reads an NVDLA register
+# and touches DRAM, so both the clock and a DRAM row are involved.
+PROGRAM_B = f"""
+    li t0, 0x0000B00C
+    lw t1, 0(t0)
+    mul t2, t1, t1
+    li t3, 0x{DRAM_BASE + 0x104:08x}
+    sh t2, 2(t3)
+    lw a0, 0(t3)
+    li a7, 93
+    ecall
+"""
+
+
 def test_program_reload_rebuilds_decode_table(soc):
     """Program B loaded over program A on a used SoC runs exactly as on
     a fresh SoC: no decode-table entry of A survives the load."""
-    program_a = assemble(
-        f"""
-        li t0, 0x{DRAM_BASE + 0x100:08x}
-        li t1, 7
-        sw t1, 0(t0)
-    loop:
-        addi t1, t1, -1
-        bnez t1, loop
-        li a0, 1
-        li a7, 93
-        ecall
-        """
-    )
-    program_b = assemble(
-        f"""
-        li t0, 0x0000B00C
-        lw t1, 0(t0)
-        mul t2, t1, t1
-        li t3, 0x{DRAM_BASE + 0x104:08x}
-        sh t2, 2(t3)
-        lw a0, 0(t3)
-        li a7, 93
-        ecall
-        """
-    )
+    program_a = assemble(PROGRAM_A)
+    program_b = assemble(PROGRAM_B)
 
     def observe(target: Soc) -> tuple:
         stats = target.executor.run()
@@ -171,6 +174,28 @@ def test_program_reload_rebuilds_decode_table(soc):
     fresh.load_program(program_b)
     assert reloaded == observe(fresh)
     assert reloaded[3] != first[3]
+
+
+def test_used_soc_needs_reset_for_run_before_load_program(soc):
+    """The load_program contract: it resets only the program side, so a
+    used SoC reproduces a fresh one's cycles only after reset_for_run."""
+    program_b = assemble(PROGRAM_B)
+    fresh = Soc(NV_SMALL)
+    fresh.load_program(program_b)
+    fresh_stats = fresh.executor.run()
+    assert (fresh_stats.instructions, fresh_stats.cycles) == (11, 62)
+
+    soc.load_program(assemble(PROGRAM_A))
+    soc.executor.run()
+    soc.load_program(program_b)
+    # Without the reset the clock carries the previous run's cycles.
+    assert soc.executor.run().cycles > fresh_stats.cycles
+
+    soc.load_program(assemble(PROGRAM_A))
+    soc.executor.run()
+    soc.reset_for_run()
+    soc.load_program(program_b)
+    assert soc.executor.run() == fresh_stats
 
 
 def test_preload_and_describe(soc):

@@ -20,7 +20,8 @@ from repro.compiler import compile_network
 from repro.core import FastPathExecutor, Soc
 from repro.errors import ConfigurationError
 from repro.nn.zoo import lenet5
-from repro.nvdla import NV_SMALL, lower_loadable
+from repro.nvdla import NV_SMALL
+from repro.nvdla.fastpath import lower_loadable
 from repro.nvdla import programming
 from repro.nvdla.programming import WRITE
 from repro.vp import runtime

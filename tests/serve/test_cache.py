@@ -160,6 +160,22 @@ def test_store_backed_miss_path(tmp_path):
     assert store.stats.hits == store_reads
 
 
+def test_resolve_names_the_bundle_source(tmp_path):
+    from repro.serve import DeploymentSpec
+    from repro.store import BundleStore
+
+    store = BundleStore(tmp_path / "store")
+    spec = DeploymentSpec("lenet5", fidelity="timing")
+    cache = BundleCache(store=store)
+    built, source = cache.resolve(spec)
+    assert source == "compile"
+    again, source = cache.resolve(spec)
+    assert again is built and source == "memory"
+    fetched, source = BundleCache(store=store).resolve(spec)
+    assert source == "store"
+    assert fetched.artifact_digest() == built.artifact_digest()
+
+
 def test_stats_invariant_and_to_dict(tmp_path):
     from repro.store import BundleStore
 

@@ -8,10 +8,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FastPathRunRequest
 from repro.errors import ReproError
-from repro.serve import BundleCache
-from repro.serve.procpool import ProcessWorkerPool
+from repro.serve import BundleCache, DeploymentSpec
+from repro.serve.procpool import FastPathRunRequest, ProcessWorkerPool
 from repro.store import BundleStore
 
 
@@ -25,12 +24,7 @@ def store_root(tmp_path_factory):
 
 def _run_request(request_id: int) -> FastPathRunRequest:
     return FastPathRunRequest(
-        request_id=request_id,
-        model="lenet5",
-        config="nv_small",
-        precision="int8",
-        execution_mode="cycle_accurate",
-        input_seed=(7, request_id),
+        request_id=request_id, deployment=DeploymentSpec("lenet5"), input_seed=7
     )
 
 
@@ -66,7 +60,7 @@ def test_worker_side_failure_reports_without_killing_worker(store_root):
     with ProcessWorkerPool(processes=1, store_root=store_root) as pool:
         handle = pool.handles[0]
         bad = FastPathRunRequest(
-            request_id=0, model="not-a-model", config="nv_small", precision="int8"
+            request_id=0, deployment=DeploymentSpec("not-a-model")
         )
         with pytest.raises(ReproError, match="failed a batch"):
             pool.run_batch(handle, [bad])
@@ -80,11 +74,9 @@ def test_shipped_bundle_key_is_checked(store_root):
         handle = pool.handles[0]
         forged = FastPathRunRequest(
             request_id=0,
-            model="lenet5",
-            config="nv_small",
-            precision="int8",
+            deployment=DeploymentSpec("lenet5"),
             bundle_key=("bogus",),
-            input_seed=(7, 0),
+            input_seed=7,
         )
         with pytest.raises(ReproError, match="does not name this deployment"):
             pool.run_batch(handle, [forged])

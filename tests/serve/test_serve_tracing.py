@@ -169,3 +169,62 @@ def test_plane_spans_all_closed_across_fidelities(cache):
     assert all(s["end_s"] is not None for s in tracer.finished)
     trees = build_trees(tracer.finished)
     assert sum(len(t.orphans) for t in trees) == 0
+
+
+def _in_order(node):
+    return sorted(node.children, key=lambda child: child.span["start_s"])
+
+
+def _serving_shapes(spans, serving_name):
+    """Per request trace: the serving span's child names, and the
+    (name, cycles) sequence of the unit spans below its execute."""
+    shapes = {}
+    for tree in _request_trees(spans):
+        serving = next(node for _, node in tree.roots[0].walk()
+                       if node.name == serving_name)
+        children = _in_order(serving)
+        execute = next(child for child in children if child.name == "execute")
+        units = [(unit.name, unit.span["attrs"]["cycles"])
+                 for unit in _in_order(execute)]
+        shapes[tree.trace_id] = ([child.name for child in children], units)
+    return shapes
+
+
+def _resolves_per_batch(spans):
+    """The bundle.resolve children of every batch trace's root."""
+    return [
+        [child for child in tree.roots[0].children if child.name == "bundle.resolve"]
+        for tree in build_trees(spans) if tree.trace_id.startswith("batch-")
+    ]
+
+
+def test_in_process_and_worker_process_span_trees_match(cache):
+    """One span taxonomy for both modes: the same requests served in
+    process and by a 1-process plane give the same tree below each
+    request's serving span, and one bundle.resolve per batch."""
+    service_tracer = Tracer(enabled=True, process=-1)
+    service = InferenceService(cache=cache, tracer=service_tracer)
+    for _ in range(4):
+        service.request(LENET)
+    assert all(r.ok for r in service.run_pending())
+
+    plane_tracer = Tracer(enabled=True, process=-1)
+    with ServingPlane(processes=1, cache=cache, tracer=plane_tracer) as plane:
+        responses = plane.serve([plane.request(LENET) for _ in range(4)])
+    assert all(r.ok for r in responses)
+
+    in_process = _serving_shapes(service_tracer.finished, "request")
+    in_worker = _serving_shapes(plane_tracer.finished, "worker.serve")
+    assert sorted(in_process) == sorted(in_worker) == [f"req-{i}" for i in range(4)]
+    for trace_id, (children, units) in in_process.items():
+        assert children == ["input.synthesize", "execute"]
+        assert units and all(name.startswith("unit.") for name, _ in units)
+        assert in_worker[trace_id] == (children, units)
+
+    for tracer, metrics in ((service_tracer, service.metrics),
+                            (plane_tracer, plane.metrics)):
+        batches = _resolves_per_batch(tracer.finished)
+        assert len(batches) == metrics.batches >= 1
+        for resolves in batches:
+            assert len(resolves) == 1
+            assert resolves[0].span["attrs"]["source"] in ("memory", "store", "compile")

@@ -73,8 +73,8 @@ def test_cached_bundles_share_artifact_digest():
     service.request(LENET, make_input_for(net, rng))
     service.request(LENET, make_input_for(net, rng))
     service.run_pending()
-    bundle, hit = service.bundle_for(LENET)
-    assert hit
+    bundle, source = service.cache.resolve(LENET)
+    assert source == "memory"
     # The digest is stable across calls and covers the whole artefact set.
     assert bundle.artifact_digest() == bundle.artifact_digest()
     assert len(bundle.artifact_digest()) == 64
