@@ -1,9 +1,10 @@
 """Determinism lint: keep wall clocks out of virtual-clock code.
 
-The cluster simulation, the virtual platform, and the serving
-scheduler all run on *virtual* clocks — reproducibility of every
-benchmark gate depends on no code path in them consulting the host's
-wall clock or an unseeded RNG.  This AST-based checker forbids, inside
+The cluster simulation, the virtual platform, the serving scheduler
+and the simulator core (NVDLA, µRISC-V, SoC, memories, buses, clock)
+all run on *virtual* clocks — reproducibility of every benchmark gate
+and of every simulated cycle count depends on no code path in them
+consulting the host's wall clock or an unseeded RNG.  This AST-based checker forbids, inside
 the modules named by :data:`DEFAULT_TARGETS`:
 
 - wall-clock reads: ``time.time()``, ``time.time_ns()``,
@@ -28,11 +29,19 @@ import ast
 from dataclasses import dataclass
 from pathlib import Path
 
-#: Virtual-clock modules, relative to the repo root.
+#: Virtual-clock modules, relative to the repo root: the cluster
+#: simulation, the serving scheduler, and the simulator core whose
+#: cycle counts are the paper's metric.
 DEFAULT_TARGETS: tuple[str, ...] = (
     "src/repro/cluster",
     "src/repro/vp",
     "src/repro/serve/scheduler.py",
+    "src/repro/nvdla",
+    "src/repro/riscv",
+    "src/repro/core",
+    "src/repro/mem",
+    "src/repro/bus",
+    "src/repro/clock.py",
 )
 
 ALLOW_MARKER = "wall-clock:"

@@ -13,10 +13,12 @@ analyze_chains` runs it:
 ``chain``
     Structural legality of each descriptor chain: writes target
     selected groups, nothing is written after its unit launched,
-    enables hit configured units, and fused flying links are paired —
-    an SDP streaming on-chip must feed a PDP that reads on-chip, and
-    vice versa (replay failures — unknown register, double enable —
-    are reported by the surface builder under the same pass id).
+    enables hit configured units.  The surface builder reports under
+    the same pass id the replay failures (unknown register, double
+    enable) and the cross-unit rules the engine and the fast tier
+    reject on (:func:`repro.nvdla.programming.chain_violations`):
+    paired SDP → PDP flying links, a conv-sourced fused stage, and
+    cubes that agree from CACC to SDP to PDP.
 ``register-field``
     Every written value fits its field's width/enum per the table in
     :mod:`repro.nvdla.registers`.
@@ -42,8 +44,7 @@ analyze_chains` runs it:
     Precision/stride/shape consistency: descriptor strides must equal
     the canonical :func:`repro.nvdla.layout.feature_strides`, shapes
     and precisions must match the loadable's tensor metadata, and the
-    conv pipeline's cube dimensions must agree across CSC/CACC/SDP —
-    and, in a fused conv+SDP+PDP chain, across the SDP→PDP flying link.
+    kernel's K and C must match the SDP output and input channels.
 """
 
 from __future__ import annotations
@@ -747,19 +748,6 @@ def pass_layout(ctx: AnalysisContext) -> list[Diagnostic]:
             )
             if sdp is not None:
                 out = sdp.output
-                if (conv.out_width, conv.out_height) != (out.width, out.height):
-                    diags.append(
-                        _diag(
-                            Severity.ERROR,
-                            "layout",
-                            "pipeline-dims-mismatch",
-                            f"CSC dataout {conv.out_width}x{conv.out_height} != SDP "
-                            f"destination {out.width}x{out.height}",
-                            layer=chain.op_name,
-                            op_index=chain.op_index,
-                            unit="CSC",
-                        )
-                    )
                 if conv.kernel_k != out.channels:
                     diags.append(
                         _diag(
@@ -827,27 +815,10 @@ def pass_layout(ctx: AnalysisContext) -> list[Diagnostic]:
         pdp = layer.descriptors.get("pdp")
         cdp = layer.descriptors.get("cdp")
         if pdp is not None and sdp is not None and sdp.dst_flying:
-            # Fused conv+SDP+PDP epilogue: the SDP flying cube must feed the
-            # PDP source exactly, and only the pooled output is memory-backed.
-            src = pdp.input
-            if (sdp.output.width, sdp.output.height, sdp.output.channels) != (
-                src.width, src.height, src.channels,
-            ):
-                diags.append(
-                    _diag(
-                        Severity.ERROR,
-                        "layout",
-                        "pipeline-dims-mismatch",
-                        f"SDP flying cube {sdp.output.width}x{sdp.output.height}"
-                        f"x{sdp.output.channels} != fused PDP source "
-                        f"{src.width}x{src.height}x{src.channels}",
-                        layer=chain.op_name,
-                        op_index=chain.op_index,
-                        unit="PDP_RDMA",
-                    )
-                )
+            # Fused conv+SDP+PDP epilogue (the cube handed across the link
+            # is a chain rule): only the pooled output is memory-backed.
             _check_tensor_layout(
-                diags, chain, "PDP_RDMA", "fused PDP source", src, None, ctx.config
+                diags, chain, "PDP_RDMA", "fused PDP source", pdp.input, None, ctx.config
             )
             _check_tensor_layout(
                 diags, chain, "PDP", "fused PDP destination", pdp.output, op.output,

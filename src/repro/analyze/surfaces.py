@@ -5,9 +5,12 @@ LayerChain`'s events into a *fresh* set of unit register files (the
 same table the engine builds its units from), then reuse the units'
 own ``parse()`` functions to recover typed descriptors — the shared
 :func:`~repro.nvdla.programming.replay_chain` and
-:func:`~repro.nvdla.programming.parse_descriptors` the fast execution
-tier lowers through — so the analyzer sees exactly what the hardware
-model would see at launch, with zero ISS/bus/engine involvement.
+:func:`~repro.nvdla.programming.parse_descriptors` the engine and the
+fast execution tier launch through — so the analyzer sees exactly what
+the hardware model would see at launch, with zero ISS/bus/engine
+involvement.  The cross-unit rules the engine and the fast tier reject
+on (:func:`~repro.nvdla.programming.chain_violations`) become ``chain``
+findings here.
 
 From the descriptors it extracts :class:`Surface` records: every DMA
 read and write the layer performs, sized in packed bytes, labeled with
@@ -35,7 +38,13 @@ from repro.nvdla.descriptors import (
     TensorDesc,
 )
 from repro.nvdla.layout import weight_size_bytes
-from repro.nvdla.programming import LayerChain, parse_descriptors, replay_chain
+from repro.nvdla.programming import (
+    LayerChain,
+    chain_launch,
+    chain_violations,
+    parse_descriptors,
+    replay_chain,
+)
 from repro.nvdla.units import Unit, fresh_units
 from repro.analyze.diagnostics import Diagnostic, Severity
 
@@ -227,39 +236,20 @@ def parse_chain(chain: LayerChain, op: HwOp, config: HardwareConfig) -> ParsedLa
                 _error(chain, "chain", "unknown-unit", str(exc), unit=event.unit)
             )
     try:
-        descriptors = parse_descriptors(layer.units, op.kind, chain.group, config)
+        descriptors = parse_descriptors(layer.units, chain_launch(chain), chain.group, config)
         layer.descriptors = descriptors
+        for violation in chain_violations(descriptors):
+            layer.diagnostics.append(
+                _error(chain, "chain", violation.code, violation.message, unit=violation.unit)
+            )
         if isinstance(op, ConvOp):
-            pdp = descriptors.get("pdp")
-            if pdp is not None and not pdp.src_flying:
-                layer.diagnostics.append(
-                    _error(
-                        chain,
-                        "chain",
-                        "dangling-flying-producer",
-                        "SDP streams its result on-chip (D_DST_FLYING) but "
-                        "PDP reads from memory — the SDP output has no "
-                        "consumer and the pooled input is unproduced",
-                        unit="SDP",
-                    )
-                )
-            _extract_conv(layer, config, descriptors["conv"], descriptors["sdp"], pdp=pdp)
+            _extract_conv(
+                layer, config, descriptors["conv"], descriptors["sdp"], pdp=descriptors.get("pdp")
+            )
         elif isinstance(op, SdpOp):
             _extract_sdp(layer, config, descriptors["sdp"])
         elif isinstance(op, PoolOp):
-            pdp = descriptors["pdp"]
-            if pdp.src_flying:
-                layer.diagnostics.append(
-                    _error(
-                        chain,
-                        "chain",
-                        "flying-source-without-producer",
-                        "standalone PDP chain claims an on-chip source "
-                        "(D_SRC_FLYING) but no SDP streams into it",
-                        unit="PDP",
-                    )
-                )
-            _extract_simple(layer, config, pdp, "PDP_RDMA", "PDP")
+            _extract_simple(layer, config, descriptors["pdp"], "PDP_RDMA", "PDP")
         else:
             _extract_simple(layer, config, descriptors["cdp"], "CDP_RDMA", "CDP")
     except Exception as exc:  # ConfigurationError etc. → finding

@@ -40,8 +40,9 @@ from repro.errors import BusError, ReproError
 from repro.mem.sparse_memory import SparseMemory
 from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision, get_config
 from repro.nvdla.engine import OpRecord
-from repro.nvdla.fastpath import execute_op, lower_loadable, pack_input
+from repro.nvdla.fastpath import lower_loadable, pack_input
 from repro.nvdla.mcif import Mcif
+from repro.nvdla.programming import execute_descriptors
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,9 @@ class FastPathExecutor:
         output = None
         if bundle.fidelity == "functional":
             for op in state.ops:
-                execute_op(op, self.config, self.mcif, weight_cache=state.weight_cache)
+                execute_descriptors(
+                    op.descriptors, self.config, self.mcif, weight_cache=state.weight_cache
+                )
             output = read_output_tensor(
                 state.storage, bundle, self.config, DEFAULT_MAP.dram_base
             )

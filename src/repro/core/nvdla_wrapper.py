@@ -32,8 +32,11 @@ from repro.core.arbiter import DramArbiter
 from repro.errors import BusError
 from repro.nvdla.config import HardwareConfig
 from repro.nvdla.engine import NvdlaEngine
-from repro.nvdla.timing import TimingParams
 
+
+#: MCIF queueing efficiency on the SoC's DBB path (the VP's engine
+#: keeps its own default).
+DMA_EFFICIENCY = 0.5
 
 CSB_WIDTH_ERROR = "CSB supports single 32-bit accesses only"
 
@@ -123,8 +126,6 @@ class NvdlaWrapper:
         clock: Clock,
         address_map: AddressMap = DEFAULT_MAP,
         fidelity: str = "functional",
-        timing_params: TimingParams | None = None,
-        dma_efficiency: float = 0.5,
         memory_bus_width_bits: int = 32,
     ) -> None:
         self.config = config
@@ -141,8 +142,7 @@ class NvdlaWrapper:
             dbb=self.dbb_port,
             clock=clock,
             fidelity=fidelity,
-            timing_params=timing_params,
-            dma_efficiency=dma_efficiency,
+            dma_efficiency=DMA_EFFICIENCY,
         )
         arbiter.attach_contention_source(self.engine.mcif, clock)
 

@@ -43,7 +43,6 @@ from repro.mem.bram import Bram
 from repro.mem.dram import Dram, DramTiming
 from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision
 from repro.nvdla.layout import unpack_feature
-from repro.nvdla.timing import TimingParams
 from repro.riscv.cpu import Cpu
 from repro.riscv.program import Program
 
@@ -158,10 +157,6 @@ class Soc:
         frequency_hz: float = 100e6,
         fidelity: str = "functional",
         address_map: AddressMap = DEFAULT_MAP,
-        dram_timing: DramTiming | None = None,
-        timing_params: TimingParams | None = None,
-        dma_efficiency: float = 0.5,
-        program_memory_size: int = PROGRAM_MEMORY_SIZE,
         memory_bus_width_bits: int = 32,
     ) -> None:
         self.config = config
@@ -171,9 +166,10 @@ class Soc:
         # the nv_full simulations of Table III assume the widened AXI
         # path the paper's conclusion calls for.
         self.memory_bus_width_bits = memory_bus_width_bits
-        if dram_timing is None:
-            dram_timing = DramTiming(data_width_bits=memory_bus_width_bits)
-        self.dram = Dram(size=address_map.dram_size, timing=dram_timing)
+        self.dram = Dram(
+            size=address_map.dram_size,
+            timing=DramTiming(data_width_bits=memory_bus_width_bits),
+        )
         self.arbiter = DramArbiter(self.dram)
         self.wrapper = NvdlaWrapper(
             config,
@@ -181,11 +177,9 @@ class Soc:
             clock=self.clock,
             address_map=address_map,
             fidelity=fidelity,
-            timing_params=timing_params,
-            dma_efficiency=dma_efficiency,
             memory_bus_width_bits=memory_bus_width_bits,
         )
-        self.program_memory = Bram(size=program_memory_size)
+        self.program_memory = Bram(size=PROGRAM_MEMORY_SIZE)
         self.system_bus = SystemBus(address_map, self.wrapper, self.arbiter)
         self.ibus = AhbLiteBus(self.program_memory)
         self.cpu = Cpu(ibus=self.ibus, dbus=self.system_bus)

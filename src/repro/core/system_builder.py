@@ -25,7 +25,6 @@ from repro.baremetal.pipeline import BaremetalBundle
 from repro.bus.interconnect import AxiInterconnect, AxiSmartConnect
 from repro.bus.types import AccessType, Transfer
 from repro.core.soc import Soc, SocRunResult
-from repro.errors import ReproError
 
 
 @dataclass
@@ -151,9 +150,3 @@ class TestSystem:
             "AXI Interconnect (300/100 MHz CDC) → MIG DDR4; " + preload
         )
 
-
-def build_test_system(soc: Soc | None = None, **soc_kwargs) -> TestSystem:
-    """Convenience constructor used by benchmarks and diagrams."""
-    if soc is not None and soc_kwargs:
-        raise ReproError("pass either a Soc or constructor kwargs, not both")
-    return TestSystem(soc or Soc(**soc_kwargs))

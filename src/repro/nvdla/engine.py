@@ -4,61 +4,37 @@ This is the top of the accelerator model.  Software (the VP runtime,
 or the µRISC-V core through the bus fabric) programs unit registers
 over CSB; writing ``D_OP_ENABLE`` marks a shadow group ready.  The
 engine launches a hardware layer when its *sink* unit and every
-required producer unit have the same group pending:
+producer unit the sink's registers call for
+(:data:`repro.nvdla.programming.LAUNCHES`) have the same group pending.
 
-===========  ========================================================
-sink         producers required
-===========  ========================================================
-SDP flying   CDMA, CSC, CMAC_A, CMAC_B, CACC  (fused convolution)
-SDP memory   SDP_RDMA
-PDP flying   CDMA, CSC, CMAC_A, CMAC_B, CACC, SDP  (fused conv+pool)
-PDP memory   PDP_RDMA
-CDP          CDP_RDMA
-BDMA         —
-RUBIK        —
-===========  ========================================================
-
-On launch the op executes functionally (unless the engine runs in
-timing-only fidelity), its latency comes from
-:mod:`repro.nvdla.timing`, and completion is scheduled on the shared
-:class:`~repro.clock.Clock`; completion flips the shadow group back
-to idle and raises the sink's GLB interrupt bit — which is what the
-generated bare-metal code polls.
+A launch reads the register program exactly as the fast tier and the
+static analyzer do (:mod:`repro.nvdla.programming`): parse the
+descriptors, check the cross-unit rules, price the op
+(:func:`repro.nvdla.timing.op_timing`), execute it functionally
+(unless the engine runs in timing-only fidelity) and schedule its
+completion on the shared :class:`~repro.clock.Clock`; completion flips
+the shadow group back to idle and raises the sink's GLB interrupt
+bit — which is what the generated bare-metal code polls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
 
 from repro.clock import Clock
-from repro.errors import ConfigurationError, RegisterError
+from repro.errors import ConfigurationError
 from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig
 from repro.nvdla.csb import decode_address
-from repro.nvdla.descriptors import OpTiming, SdpSource
+from repro.nvdla.descriptors import OpTiming
 from repro.nvdla.mcif import DbbPort, Mcif, McifStats
+from repro.nvdla.programming import execute_descriptors, lower_group, sink_launch
 from repro.nvdla.registers import D_OP_ENABLE, GroupStatus
-from repro.nvdla.timing import (
-    TimingParams,
-    bdma_op_timing,
-    cdp_op_timing,
-    conv_op_timing,
-    fused_conv_pool_op_timing,
-    pdp_op_timing,
-    rubik_op_timing,
-    sdp_op_timing,
-)
+from repro.nvdla.timing import op_timing
 from repro.nvdla.units import base as unit_base
 from repro.nvdla.units import bdma as bdma_mod
-from repro.nvdla.units import cdp as cdp_mod
-from repro.nvdla.units import conv_pipeline
 from repro.nvdla.units import fresh_units
-from repro.nvdla.units import pdp as pdp_mod
 from repro.nvdla.units import rubik as rubik_mod
-from repro.nvdla.units import sdp as sdp_mod
 from repro.nvdla.units.glb import Glb
 
 _SINKS = ("SDP", "PDP", "CDP", "BDMA", "RUBIK")
@@ -96,8 +72,6 @@ class NvdlaEngine:
         External memory port (see :class:`~repro.nvdla.mcif.DbbPort`).
     clock:
         Shared simulation clock; op completions are scheduled on it.
-    timing_params:
-        Calibration constants; defaults from :class:`TimingParams`.
     fidelity:
         ``"functional"`` moves and computes real tensor data;
         ``"timing"`` only prices the ops (for ResNet-50-class runs).
@@ -110,7 +84,6 @@ class NvdlaEngine:
         config: HardwareConfig,
         dbb: DbbPort,
         clock: Clock,
-        timing_params: TimingParams | None = None,
         fidelity: str = "functional",
         dma_efficiency: float = 0.75,
     ) -> None:
@@ -121,7 +94,6 @@ class NvdlaEngine:
         self.fidelity = fidelity
         self.mcif = Mcif(dbb, dma_efficiency=dma_efficiency)
         self.cbuf = Cbuf(config)
-        self.timing_params = timing_params or TimingParams()
         self.glb = Glb()
         self.units: dict[str, unit_base.Unit] = {
             "MCIF": unit_base.Unit("MCIF", _MCIF_REGISTER_NAMES),
@@ -131,7 +103,6 @@ class NvdlaEngine:
             "RUBIK": rubik_mod.make_unit(),
         }
         self.records: list[OpRecord] = []
-        self.on_op_complete: Callable[[OpRecord], None] | None = None
         self._op_index = 0
 
     # ------------------------------------------------------------------
@@ -193,120 +164,17 @@ class NvdlaEngine:
         group = block.pending_group()
         if group is None:
             return False
-        if sink == "SDP":
-            return self._launch_sdp(group)
-        if sink == "PDP":
-            return self._launch_pdp(group)
-        if sink == "CDP":
-            return self._launch_with_rdma("CDP", "CDP_RDMA", group, cdp_mod, cdp_op_timing)
-        if sink == "BDMA":
-            desc = bdma_mod.parse(self.units, group, self.config)
-            timing = bdma_op_timing(desc, self.config, self.mcif, self.timing_params)
-            if self.fidelity == "functional":
-                bdma_mod.execute(desc, self.config, self.mcif)
-            self._commit("bdma", "BDMA", group, [self.units["BDMA"].block], timing)
-            return True
-        if sink == "RUBIK":
-            desc = rubik_mod.parse(self.units, group, self.config)
-            timing = rubik_op_timing(desc, self.config, self.mcif, self.timing_params)
-            if self.fidelity == "functional":
-                rubik_mod.execute(desc, self.config, self.mcif)
-            self._commit("rubik", "RUBIK", group, [self.units["RUBIK"].block], timing)
-            return True
-        raise RegisterError(f"unknown sink {sink!r}")  # pragma: no cover
-
-    def _launch_sdp(self, group: int) -> bool:
-        sdp_desc = sdp_mod.parse(self.units, group, self.config)
-        if sdp_desc.dst_flying:
-            # The SDP result streams on-chip to PDP: the whole fused
-            # chain launches from the PDP sink once PDP is enabled.
+        launch = sink_launch(self.units, sink, group)
+        if launch is None:
             return False
-        if sdp_desc.source is SdpSource.FLYING:
-            producer_blocks = [self.units[name].block for name in conv_pipeline.CONV_UNIT_NAMES]
-            if not all(
-                b.enabled[group] and b.status[group] is GroupStatus.PENDING
-                for b in producer_blocks
-            ):
-                return False
-            conv_desc = conv_pipeline.parse(self.units, group, self.config)
-            if conv_desc.out_width != sdp_desc.output.width or conv_desc.out_height != sdp_desc.output.height:
-                raise ConfigurationError(
-                    "SDP output cube does not match convolution output dims"
-                )
-            timing = conv_op_timing(
-                conv_desc, sdp_desc, self.config, self.cbuf, self.mcif, self.timing_params
-            )
-            if self.fidelity == "functional":
-                acc = conv_pipeline.execute(conv_desc, self.config, self.mcif)
-                sdp_mod.execute(sdp_desc, self.config, self.mcif, flying_input=acc)
-            blocks = producer_blocks + [self.units["SDP"].block]
-            self._commit("conv", "SDP", group, blocks, timing, detail=timing.detail)
-            return True
-        # Memory-sourced standalone SDP op.
-        rdma_block = self.units["SDP_RDMA"].block
-        if not (rdma_block.enabled[group] and rdma_block.status[group] is GroupStatus.PENDING):
+        blocks = [self.units[name].block for name in launch.producers]
+        if not all(b.enabled[group] and b.status[group] is GroupStatus.PENDING for b in blocks):
             return False
-        timing = sdp_op_timing(sdp_desc, self.config, self.mcif, self.timing_params)
+        descriptors = lower_group(self.units, launch, group, self.config)
+        timing = op_timing(descriptors, self.config, self.cbuf, self.mcif)
         if self.fidelity == "functional":
-            sdp_mod.execute(sdp_desc, self.config, self.mcif)
-        self._commit("sdp", "SDP", group, [rdma_block, self.units["SDP"].block], timing)
-        return True
-
-    def _launch_pdp(self, group: int) -> bool:
-        pdp_desc = pdp_mod.parse(self.units, group, self.config)
-        if not pdp_desc.src_flying:
-            return self._launch_with_rdma("PDP", "PDP_RDMA", group, pdp_mod, pdp_op_timing)
-        # Fused conv → SDP → PDP chain: PDP is the sink and launches
-        # only once SDP and the whole convolution pipeline have the
-        # same group pending (PDP_RDMA and SDP_RDMA stay idle).
-        sdp_block = self.units["SDP"].block
-        if not (sdp_block.enabled[group] and sdp_block.status[group] is GroupStatus.PENDING):
-            return False
-        sdp_desc = sdp_mod.parse(self.units, group, self.config)
-        if not sdp_desc.dst_flying:
-            raise ConfigurationError(
-                "PDP sources on-chip from SDP but the SDP destination is memory"
-            )
-        if sdp_desc.source is not SdpSource.FLYING:
-            raise ConfigurationError(
-                "fused SDP→PDP chains require a convolution-sourced SDP stage"
-            )
-        producer_blocks = [self.units[name].block for name in conv_pipeline.CONV_UNIT_NAMES]
-        if not all(
-            b.enabled[group] and b.status[group] is GroupStatus.PENDING
-            for b in producer_blocks
-        ):
-            return False
-        conv_desc = conv_pipeline.parse(self.units, group, self.config)
-        if conv_desc.out_width != sdp_desc.output.width or conv_desc.out_height != sdp_desc.output.height:
-            raise ConfigurationError(
-                "SDP output cube does not match convolution output dims"
-            )
-        if sdp_desc.output.shape != pdp_desc.input.shape:
-            raise ConfigurationError(
-                "PDP source cube does not match the SDP output cube"
-            )
-        timing = fused_conv_pool_op_timing(
-            conv_desc, sdp_desc, pdp_desc, self.config, self.cbuf, self.mcif,
-            self.timing_params,
-        )
-        if self.fidelity == "functional":
-            acc = conv_pipeline.execute(conv_desc, self.config, self.mcif)
-            result = sdp_mod.execute(sdp_desc, self.config, self.mcif, flying_input=acc)
-            pdp_mod.execute(pdp_desc, self.config, self.mcif, flying_input=result)
-        blocks = producer_blocks + [sdp_block, self.units["PDP"].block]
-        self._commit("conv", "PDP", group, blocks, timing, detail=timing.detail)
-        return True
-
-    def _launch_with_rdma(self, sink: str, rdma: str, group: int, module, timing_fn) -> bool:
-        rdma_block = self.units[rdma].block
-        if not (rdma_block.enabled[group] and rdma_block.status[group] is GroupStatus.PENDING):
-            return False
-        desc = module.parse(self.units, group, self.config)
-        timing = timing_fn(desc, self.config, self.mcif, self.timing_params)
-        if self.fidelity == "functional":
-            module.execute(desc, self.config, self.mcif)
-        self._commit(sink.lower(), sink, group, [rdma_block, self.units[sink].block], timing)
+            execute_descriptors(descriptors, self.config, self.mcif)
+        self._commit(launch.kind, sink, group, [*blocks, block], timing)
         return True
 
     def _commit(
@@ -316,7 +184,6 @@ class NvdlaEngine:
         group: int,
         blocks: list,
         timing: OpTiming,
-        detail: dict | None = None,
     ) -> None:
         for block in blocks:
             block.launch(group)
@@ -330,7 +197,7 @@ class NvdlaEngine:
             start_cycle=start,
             end_cycle=end,
             timing=timing,
-            detail=detail or {},
+            detail=timing.detail,
         )
         self._op_index += 1
         self.records.append(record)
@@ -342,8 +209,6 @@ class NvdlaEngine:
             for block in blocks:
                 block.complete(group)
             self.glb.raise_interrupt(sink, group)
-            if self.on_op_complete is not None:
-                self.on_op_complete(record)
             self._maybe_launch()
 
         self.clock.schedule_at(end, complete)
@@ -368,7 +233,3 @@ class NvdlaEngine:
             "op_cycles": self.total_op_cycles(),
         }
 
-
-def flying_accumulator_dtype(acc: np.ndarray) -> str:
-    """Debug helper: which datapath produced these accumulators."""
-    return "int8-acc" if acc.dtype == np.int64 else "fp16-acc"

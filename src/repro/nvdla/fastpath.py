@@ -1,17 +1,20 @@
-"""Fast-path NVDLA execution: loadable → descriptors → kernels.
+"""Fast-path NVDLA lowering: loadable → checked descriptors.
 
 The cycle-accurate path reaches the functional unit kernels through
 five indirections: generated RISC-V code, the ISS, the bus fabric,
 CSB register decode, and the engine's shadow-group launch logic.  The
-fast path removes all of them while keeping the *leaf* code identical:
-it replays each chain of the shared register program
-(:func:`repro.nvdla.programming.build_chains`, the one the VP runtime
-writes over the CSB) into fresh unit register files, parses the same
-:mod:`repro.nvdla.descriptors` out of them with the units' own parsers,
-and executes those through the same unit kernels
-(:mod:`repro.nvdla.units`).  Nothing here is priced: the fast tier's
-cycles are a recorded SoC run (:class:`repro.core.fastpath.CycleProfile`),
-so the engine is the only pricing source.
+fast path removes all of them while keeping everything that reads the
+register program identical: it replays each chain of the shared
+register program (:func:`repro.nvdla.programming.build_chains`, the one
+the VP runtime writes over the CSB) into fresh unit register files and
+reads it back through the engine's own launch path — the same parse,
+the same cross-unit checks (:func:`repro.nvdla.programming.lower_group`)
+and, at run time, the same kernel dispatch
+(:func:`repro.nvdla.programming.execute_descriptors`).  Both tiers
+therefore reject the same programs.  Nothing here is priced: the fast
+tier's cycles are a recorded SoC run
+(:class:`repro.core.fastpath.CycleProfile`), so the engine is the only
+pricing source.
 
 Because the descriptors are read back from the very register writes a
 cycle-accurate run performs, the tensors a fast-path run writes to
@@ -29,96 +32,51 @@ import numpy as np
 from repro.compiler.loadable import Loadable
 from repro.errors import ConfigurationError, NvdlaError
 from repro.nvdla.config import HardwareConfig, Precision
-from repro.nvdla.descriptors import (
-    CdpDescriptor,
-    ConvDescriptor,
-    PdpDescriptor,
-    SdpDescriptor,
-)
 from repro.nvdla.layout import pack_feature
-from repro.nvdla.mcif import Mcif
 from repro.nvdla.programming import (
+    Descriptors,
     LayerChain,
     build_chains,
-    parse_descriptors,
+    chain_launch,
+    lower_group,
     replay_chain,
 )
-from repro.nvdla.units import cdp as cdp_mod
-from repro.nvdla.units import conv_pipeline, fresh_units
-from repro.nvdla.units import pdp as pdp_mod
-from repro.nvdla.units import sdp as sdp_mod
+from repro.nvdla.units import fresh_units
 
 
 @dataclass(frozen=True)
 class FastPathOp:
-    """One hardware layer, lowered to engine descriptors."""
+    """One hardware layer: the checked descriptors its chain launches."""
 
     name: str
-    kind: str  # 'conv' | 'sdp' | 'pdp' | 'cdp'
-    sink: str  # 'SDP' | 'PDP' | 'CDP'
-    group: int  # ping-pong register group the chain programs
-    descriptor: SdpDescriptor | PdpDescriptor | CdpDescriptor
-    conv: ConvDescriptor | None = None  # the producer half of a fused conv
-    pool: PdpDescriptor | None = None  # fused PDP epilogue (streams from SDP)
+    descriptors: Descriptors
 
 
 def _lower_chain(chain: LayerChain, config: HardwareConfig) -> FastPathOp:
-    """Replay one chain into fresh register files and parse it back."""
+    """Replay one chain into fresh register files and read it back."""
     units = fresh_units()
     failures = replay_chain(chain, units)
     try:
         if failures:
             raise failures[0][1]  # the first write a unit rejected
-        descriptors = parse_descriptors(units, chain.op_kind, chain.group, config)
+        descriptors = lower_group(units, chain_launch(chain), chain.group, config)
     except NvdlaError as exc:
         raise ConfigurationError(f"fast path cannot lower {chain.op_name}: {exc}") from exc
-    if "conv" in descriptors:
-        return FastPathOp(
-            chain.op_name,
-            "conv",
-            chain.sink,
-            chain.group,
-            descriptors["sdp"],
-            conv=descriptors["conv"],
-            pool=descriptors.get("pdp"),
-        )
-    [(kind, descriptor)] = descriptors.items()
-    return FastPathOp(chain.op_name, kind, chain.sink, chain.group, descriptor)
+    return FastPathOp(chain.op_name, descriptors)
 
 
 def lower_loadable(loadable: Loadable, config: HardwareConfig) -> list[FastPathOp]:
-    """Lower every hardware op of a loadable to engine descriptors.
+    """Lower every hardware op of a loadable to checked descriptors.
 
-    Raises :class:`~repro.errors.ConfigurationError` when a unit parser
-    rejects a programmed register value.
+    Raises :class:`~repro.errors.ConfigurationError` naming the layer
+    when a unit parser rejects a programmed register value or the
+    chain breaks a cross-unit rule — the programs the engine rejects.
     """
     if not config.supports(loadable.precision):
         raise ConfigurationError(
             f"{config.name} does not support {loadable.precision.value}"
         )
     return [_lower_chain(chain, config) for chain in build_chains(loadable, config)]
-
-
-def execute_op(
-    op: FastPathOp,
-    config: HardwareConfig,
-    mcif: Mcif,
-    weight_cache: dict | None = None,
-) -> None:
-    """Run one lowered op through the unit kernels (moves real bytes)."""
-    if op.conv is not None:
-        acc = conv_pipeline.execute(op.conv, config, mcif, weight_cache=weight_cache)
-        result = sdp_mod.execute(op.descriptor, config, mcif, flying_input=acc)
-        if op.pool is not None:
-            pdp_mod.execute(op.pool, config, mcif, flying_input=result)
-    elif op.kind == "sdp":
-        sdp_mod.execute(op.descriptor, config, mcif)
-    elif op.kind == "pdp":
-        pdp_mod.execute(op.descriptor, config, mcif)
-    elif op.kind == "cdp":
-        cdp_mod.execute(op.descriptor, config, mcif)
-    else:  # pragma: no cover - lower_loadable only emits the four kinds
-        raise ConfigurationError(f"unknown fast-path op kind {op.kind!r}")
 
 
 def pack_input(

@@ -1,25 +1,29 @@
-"""Pure descriptor-chain construction for NVDLA hardware layers.
+"""NVDLA register programs: the one producer and the one reader.
 
-The user-mode driver (:mod:`repro.vp.runtime`) used to compute its CSB
-register sequence inline while writing it to the bus, which meant the
-only way to know what a compiled op *programs* was to execute it.  This
-module extracts that logic into a pure function: :func:`program_op`
-turns one scheduled :class:`~repro.compiler.ops.HwOp` into a
-:class:`LayerChain` — the exact ordered sequence of shadow-group
-selects, descriptor-register writes, and ``D_OP_ENABLE`` kicks the
-runtime performs.
+The producer: :func:`program_op` turns one scheduled
+:class:`~repro.compiler.ops.HwOp` into a :class:`LayerChain` — the
+exact ordered sequence of shadow-group selects, descriptor-register
+writes, and ``D_OP_ENABLE`` kicks the user-mode driver performs.  The
+VP runtime (:mod:`repro.vp.runtime`) replays the events through the
+CSB, so traces, and the golden bare-metal configs derived from them,
+are byte-for-byte this sequence.
 
-Three consumers share it:
+The reader: everything that turns a programmed register group into
+something runnable goes through the second half of this module —
 
-- the runtime replays the events through the CSB (so traces, and the
-  golden bare-metal configs derived from them, are byte-for-byte what
-  they were when the logic lived inline),
-- the static analyzer (:mod:`repro.analyze`) and
-- the fast execution tier (:mod:`repro.nvdla.fastpath`) both apply the
-  same events to fresh register files (:func:`replay_chain`) and parse
-  typed descriptors out of them with the units' own parsers
-  (:func:`parse_descriptors`), without ever touching an ISS, a bus, or
-  an engine.
+- :data:`LAUNCHES`, the producer table (sink → required producer
+  units), picked from live registers by :func:`sink_launch` (the
+  engine) or from a chain by :func:`chain_launch` (the fast tier and
+  the analyzer, which first :func:`replay_chain` into fresh register
+  files);
+- :func:`parse_descriptors`, the units' own parsers per stage;
+- :func:`chain_violations`, the cross-unit rules (:func:`lower_group`
+  raises on the first, the analyzer reports each);
+- :func:`execute_descriptors`, the one dispatch onto the unit kernels
+  (:func:`repro.nvdla.timing.op_timing` is its pricing twin).
+
+So the cycle-accurate engine, the fast tier and the static analyzer
+accept and reject exactly the same programs.
 
 Event order is load-bearing: the golden-config regression fixtures pin
 the byte-exact CSB sequence, so any reordering here is a deliberate,
@@ -29,31 +33,31 @@ fixture-updating change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError, NvdlaError, RegisterError
-from repro.compiler.loadable import Loadable
-from repro.compiler.ops import (
-    ConvOp,
-    CpuSoftmaxOp,
-    EltwiseOpKind,
-    HwOp,
-    LrnOp,
-    PoolOp,
-    SdpOp,
-    TensorRef,
-)
 from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig, Precision
-from repro.nvdla.descriptors import f32_to_bits
+from repro.nvdla.descriptors import SdpSource, f32_to_bits
 from repro.nvdla.layout import feature_strides
+from repro.nvdla.mcif import Mcif
 from repro.nvdla.registers import D_OP_ENABLE, S_POINTER
 from repro.nvdla.units import Unit, conv_pipeline
+from repro.nvdla.units import bdma as bdma_mod
 from repro.nvdla.units import cdp as cdp_mod
 from repro.nvdla.units import pdp as pdp_mod
+from repro.nvdla.units import rubik as rubik_mod
 from repro.nvdla.units import sdp as sdp_mod
 
-ELTWISE_CODE = {EltwiseOpKind.ADD: 1, EltwiseOpKind.MUL: 2, EltwiseOpKind.MAX: 3}
+if TYPE_CHECKING:  # the compiler imports repro.nvdla, not the reverse
+    from repro.compiler.loadable import Loadable
+    from repro.compiler.ops import ConvOp, HwOp, LrnOp, PoolOp, SdpOp, TensorRef
+
+ELTWISE_CODE = {"add": 1, "mul": 2, "max": 3}  # by EltwiseOpKind value
 POOL_CODE = {"max": 0, "avg": 1}
+
+#: One launch's typed descriptors, keyed by stage (see :data:`LAUNCHES`).
+Descriptors = dict[str, Any]
 
 SELECT = "select"
 WRITE = "write"
@@ -154,8 +158,9 @@ def _sdp_stage(b: _ChainBuilder, op: ConvOp | SdpOp, bias: bool) -> None:
     flag from a previous layer must never leak into this one.
     """
     out = op.output
-    flying = isinstance(op, ConvOp) and op.has_pool_epilogue
-    out_shape = op.sdp_out_shape if isinstance(op, ConvOp) else out.shape
+    is_conv = op.kind == "conv"
+    flying = is_conv and op.has_pool_epilogue
+    out_shape = op.sdp_out_shape if is_conv else out.shape
     b.write("SDP", "D_MISC_CFG", _precision_code(op.precision))
     b.write("SDP", "D_DATA_CUBE_WIDTH", out_shape[2])
     b.write("SDP", "D_DATA_CUBE_HEIGHT", out_shape[1])
@@ -167,7 +172,7 @@ def _sdp_stage(b: _ChainBuilder, op: ConvOp | SdpOp, bias: bool) -> None:
     b.write("SDP", "D_DP_BS_CFG", 1 if bias else 0)
     b.write("SDP", "D_DP_BN_CFG", 0)
     eltwise = getattr(op, "eltwise", None)
-    b.write("SDP", "D_DP_EW_CFG", 0 if eltwise is None else ELTWISE_CODE[eltwise])
+    b.write("SDP", "D_DP_EW_CFG", 0 if eltwise is None else ELTWISE_CODE[eltwise.value])
     b.write("SDP", "D_EW_CVT_MULT", getattr(op, "ew_cvt_mult", 1))
     b.write("SDP", "D_EW_CVT_SHIFT", getattr(op, "ew_cvt_shift", 0))
     b.write("SDP", "D_ACT_CFG", 1 if op.relu else 0)
@@ -336,13 +341,13 @@ def program_op(
     driver cannot program (host-side ops never reach here).
     """
     b = _ChainBuilder(config)
-    if isinstance(op, ConvOp):
+    if op.kind == "conv":
         sink = _program_conv(b, op, group, weight_base)
-    elif isinstance(op, SdpOp):
+    elif op.kind == "sdp":
         sink = _program_sdp(b, op, group)
-    elif isinstance(op, PoolOp):
+    elif op.kind == "pool":
         sink = _program_pool(b, op, group)
-    elif isinstance(op, LrnOp):
+    elif op.kind == "lrn":
         sink = _program_lrn(b, op, group)
     else:
         raise ConfigurationError(f"cannot program op kind {op.kind!r}")
@@ -366,7 +371,7 @@ def build_chains(
     chains: list[LayerChain] = []
     group = first_group
     for index, op in enumerate(loadable.schedule.ops):
-        if isinstance(op, CpuSoftmaxOp):
+        if op.kind == "cpusoftmax":  # runs on the host core
             continue
         chains.append(program_op(op, config, loadable.weight_base, group, op_index=index))
         group ^= 1
@@ -398,26 +403,171 @@ def replay_chain(
     return failures
 
 
-def parse_descriptors(
-    units: dict[str, Unit], op_kind: str, group: int, config: HardwareConfig
-) -> dict[str, object]:
-    """The typed descriptors a replayed chain of ``op_kind`` launches.
+# ----------------------------------------------------------------------
+# The consumer side: one programmed register group → checked
+# descriptors → kernels.  The engine, the fast tier and the analyzer
+# all read register programs through the functions below.
+# ----------------------------------------------------------------------
 
-    Keys name the stages: ``conv`` + ``sdp`` (+ ``pdp`` when the SDP
-    result streams into a pooling epilogue), or one of ``sdp``, ``pdp``
-    and ``cdp``.  A register value a unit parser rejects raises
+
+@dataclass(frozen=True)
+class Launch:
+    """What one sink launches once its group is enabled.
+
+    ``kind`` names the op (and its :class:`~repro.nvdla.engine.OpRecord`),
+    ``stages`` the descriptors :func:`parse_descriptors` reads, and
+    ``producers`` the units beside the sink that must have the same
+    group pending.
+    """
+
+    kind: str
+    stages: tuple[str, ...]
+    producers: tuple[str, ...]
+
+
+#: The producer table, keyed by (sink, whether the sink's input streams
+#: on-chip): an SDP fed by CACC is a fused convolution, a PDP fed by
+#: SDP a fused conv → SDP → PDP chain; every other sink reads memory
+#: through its own read DMA (BDMA and RUBIK need none).
+LAUNCHES: dict[tuple[str, bool], Launch] = {
+    ("SDP", True): Launch("conv", ("conv", "sdp"), conv_pipeline.CONV_UNIT_NAMES),
+    ("SDP", False): Launch("sdp", ("sdp",), ("SDP_RDMA",)),
+    ("PDP", True): Launch(
+        "conv", ("conv", "sdp", "pdp"), (*conv_pipeline.CONV_UNIT_NAMES, "SDP")
+    ),
+    ("PDP", False): Launch("pdp", ("pdp",), ("PDP_RDMA",)),
+    ("CDP", False): Launch("cdp", ("cdp",), ("CDP_RDMA",)),
+    ("BDMA", False): Launch("bdma", ("bdma",), ()),
+    ("RUBIK", False): Launch("rubik", ("rubik",), ()),
+}
+
+_STAGE_MODULES = {
+    "conv": conv_pipeline,
+    "sdp": sdp_mod,
+    "pdp": pdp_mod,
+    "cdp": cdp_mod,
+    "bdma": bdma_mod,
+    "rubik": rubik_mod,
+}
+
+
+def sink_launch(units: dict[str, Unit], sink: str, group: int) -> Launch | None:
+    """The launch ``sink``'s ``group`` registers select.
+
+    ``None`` for an SDP whose result streams on to PDP: that chain
+    launches from the PDP sink.
+    """
+    if sink == "SDP":
+        if units["SDP"].reg("D_DST_FLYING", group) & 1:
+            return None
+        on_chip = not units["SDP_RDMA"].reg("D_FEATURE_MODE_CFG", group) & 1
+    else:
+        on_chip = sink == "PDP" and bool(units["PDP"].reg("D_SRC_FLYING", group) & 1)
+    return LAUNCHES[sink, on_chip]
+
+
+def chain_launch(chain: LayerChain) -> Launch:
+    """The launch a chain programs: only a convolution feeds its sink on-chip."""
+    return LAUNCHES[chain.sink, chain.op_kind == "conv"]
+
+
+def parse_descriptors(
+    units: dict[str, Unit], launch: Launch, group: int, config: HardwareConfig
+) -> Descriptors:
+    """The typed descriptors of ``launch``'s stages in ``group``.
+
+    Keys name the stages (``conv``, ``sdp``, ``pdp``, ``cdp``, ``bdma``,
+    ``rubik``).  A register value a unit parser rejects raises
     :class:`~repro.errors.NvdlaError`.
     """
-    if op_kind == "conv":
-        conv = conv_pipeline.parse(units, group, config)
-        sdp = sdp_mod.parse(units, group, config)
-        if sdp.dst_flying:
-            return {"conv": conv, "sdp": sdp, "pdp": pdp_mod.parse(units, group, config)}
-        return {"conv": conv, "sdp": sdp}
-    if op_kind == "sdp":
-        return {"sdp": sdp_mod.parse(units, group, config)}
-    if op_kind == "pool":
-        return {"pdp": pdp_mod.parse(units, group, config)}
-    if op_kind == "lrn":
-        return {"cdp": cdp_mod.parse(units, group, config)}
-    raise ConfigurationError(f"no descriptors for op kind {op_kind!r}")
+    return {
+        stage: _STAGE_MODULES[stage].parse(units, group, config) for stage in launch.stages
+    }
+
+
+@dataclass(frozen=True)
+class ChainViolation:
+    """A cross-unit rule a set of descriptors breaks."""
+
+    code: str
+    unit: str
+    message: str
+
+
+def chain_violations(descriptors: Descriptors) -> list[ChainViolation]:
+    """The cross-unit rules no unit parser can check on its own.
+
+    The two ends of the SDP → PDP on-chip link must both be programmed,
+    a fused SDP → PDP stage must be fed by the convolution, and the
+    cubes handed along the pipeline must agree: conv output H×W = SDP
+    cube, SDP output cube = PDP source cube.
+    """
+    conv, sdp, pdp = (descriptors.get(stage) for stage in ("conv", "sdp", "pdp"))
+    sdp_streams = sdp is not None and sdp.dst_flying
+    pdp_streams = pdp is not None and pdp.src_flying
+    found: list[ChainViolation] = []
+    if pdp_streams and not sdp_streams:
+        found.append(ChainViolation(
+            "flying-source-without-producer", "PDP",
+            "PDP sources on-chip (D_SRC_FLYING) but no SDP streams its result into it",
+        ))
+    if sdp_streams and not pdp_streams:
+        found.append(ChainViolation(
+            "dangling-flying-producer", "SDP",
+            "SDP streams its result on-chip (D_DST_FLYING) but no PDP reads "
+            "on-chip: the SDP output has no consumer",
+        ))
+    if sdp_streams and sdp.source is not SdpSource.FLYING:
+        found.append(ChainViolation(
+            "fused-source-not-conv", "SDP",
+            "fused SDP→PDP chains require a convolution-sourced SDP stage",
+        ))
+    if conv is not None and (conv.out_width, conv.out_height) != (
+        sdp.output.width, sdp.output.height
+    ):
+        found.append(ChainViolation(
+            "conv-sdp-cube-mismatch", "SDP",
+            f"SDP output cube {sdp.output.width}x{sdp.output.height} does not "
+            f"match convolution output dims {conv.out_width}x{conv.out_height}",
+        ))
+    if sdp_streams and pdp_streams and sdp.output.shape != pdp.input.shape:
+        found.append(ChainViolation(
+            "sdp-pdp-cube-mismatch", "PDP_RDMA",
+            f"PDP source cube {pdp.input.shape} does not match the SDP output "
+            f"cube {sdp.output.shape}",
+        ))
+    return found
+
+
+def lower_group(
+    units: dict[str, Unit], launch: Launch, group: int, config: HardwareConfig
+) -> Descriptors:
+    """Parse ``launch``'s descriptors and check them, or raise.
+
+    Raises :class:`~repro.errors.ConfigurationError` for the first
+    broken cross-unit rule (a unit parser's own rejection propagates).
+    """
+    descriptors = parse_descriptors(units, launch, group, config)
+    violations = chain_violations(descriptors)
+    if violations:
+        raise ConfigurationError(violations[0].message)
+    return descriptors
+
+
+def execute_descriptors(
+    descriptors: Descriptors,
+    config: HardwareConfig,
+    mcif: Mcif,
+    weight_cache: dict | None = None,
+) -> None:
+    """Run one launch's descriptors through the unit kernels (moves real bytes)."""
+    if "conv" in descriptors:
+        acc = conv_pipeline.execute(
+            descriptors["conv"], config, mcif, weight_cache=weight_cache
+        )
+        result = sdp_mod.execute(descriptors["sdp"], config, mcif, flying_input=acc)
+        if "pdp" in descriptors:
+            pdp_mod.execute(descriptors["pdp"], config, mcif, flying_input=result)
+        return
+    [(stage, descriptor)] = descriptors.items()
+    _STAGE_MODULES[stage].execute(descriptor, config, mcif)

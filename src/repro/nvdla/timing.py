@@ -60,6 +60,10 @@ class TimingParams:
     rubik_bytes_per_cycle: float = 4.0
 
 
+#: The constants the engine prices every op with.
+DEFAULT_PARAMS = TimingParams()
+
+
 def conv_op_timing(
     conv: ConvDescriptor,
     sdp: SdpDescriptor,
@@ -312,6 +316,30 @@ def rubik_op_timing(
         compute=compute,
         total=total,
     )
+
+
+_SINGLE_STAGE_TIMING = {
+    "sdp": sdp_op_timing,
+    "pdp": pdp_op_timing,
+    "cdp": cdp_op_timing,
+    "bdma": bdma_op_timing,
+    "rubik": rubik_op_timing,
+}
+
+
+def op_timing(descriptors: dict, config: HardwareConfig, cbuf: Cbuf, mcif: Mcif) -> OpTiming:
+    """Price one launch's descriptors (see
+    :func:`repro.nvdla.programming.parse_descriptors`): a convolution,
+    a fused conv + pool chain, or one SDP, PDP, CDP, BDMA or RUBIK op."""
+    if "conv" in descriptors:
+        conv, sdp = descriptors["conv"], descriptors["sdp"]
+        if "pdp" in descriptors:
+            return fused_conv_pool_op_timing(
+                conv, sdp, descriptors["pdp"], config, cbuf, mcif, DEFAULT_PARAMS
+            )
+        return conv_op_timing(conv, sdp, config, cbuf, mcif, DEFAULT_PARAMS)
+    [(stage, descriptor)] = descriptors.items()
+    return _SINGLE_STAGE_TIMING[stage](descriptor, config, mcif, DEFAULT_PARAMS)
 
 
 def _sdp_operand_dma(sdp: SdpDescriptor, config: HardwareConfig, mcif: Mcif) -> int:

@@ -62,7 +62,6 @@ class ServingPlane:
         cache: BundleCache | None = None,
         store_root: str | Path | None = None,
         admission_window_s: float = 0.0,
-        max_resident_bundles: int | None = None,
         batch_timeout_s: float | None = None,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
@@ -94,7 +93,6 @@ class ServingPlane:
             processes=processes,
             store_root=self.cache.store.root,
             calibration=calibration,
-            max_resident_bundles=max_resident_bundles,
             batch_timeout_s=batch_timeout_s,
             trace_enabled=tracer.enabled,
         )
@@ -268,7 +266,7 @@ class ServingPlane:
                                             batch_size=len(batch.requests))
                 runs = [self._run_request(r) for r in batch.requests]
                 results = await loop.run_in_executor(
-                    executor, self.pool.run_batch, handle, runs
+                    executor, self.pool.run_batch, handle, runs, batch.batch_id
                 )
             except Exception as exc:
                 self.scheduler.seal(batch)

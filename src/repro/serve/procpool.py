@@ -156,7 +156,6 @@ def _worker_main(
     worker_id: int,
     store_root: str | None,
     profiles: ProfileTable | None,
-    max_resident_bundles: int | None,
     inbox,
     outbox,
     trace_enabled: bool = False,
@@ -168,23 +167,21 @@ def _worker_main(
 
     store = BundleStore(store_root) if store_root is not None else None
     cache = BundleCache(store=store)
-    pool = WorkerPool(
-        calibration=profiles, max_resident_bundles=max_resident_bundles
-    )
+    pool = WorkerPool(calibration=profiles)
     tracer = Tracer(enabled=trace_enabled, process=worker_id)
     outbox.put(("ready", worker_id, None))
     while True:
         message = inbox.get()
         if message is None:
             return
-        batch_id, requests = message
+        dispatch, batch_id, requests = message
         try:
             results = _execute_shipped(cache, pool, batch_id, requests, tracer)
         except Exception as exc:  # ship the failure, keep serving
             tracer.drain()  # half-built spans of a failed batch
-            outbox.put(("error", batch_id, f"{type(exc).__name__}: {exc}"))
+            outbox.put(("error", dispatch, f"{type(exc).__name__}: {exc}"))
         else:
-            outbox.put(("done", batch_id, results))
+            outbox.put(("done", dispatch, results))
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +231,6 @@ class _WorkerHandle:
                 self.slot,
                 self.pool.store_root,
                 self.pool.profiles,
-                self.pool.max_resident_bundles,
                 self.inbox,
                 self.outbox,
                 self.pool.trace_enabled,
@@ -303,7 +299,6 @@ class ProcessWorkerPool:
         processes: int = 2,
         store_root: str | Path | None = None,
         calibration: ProfileTable | None = None,
-        max_resident_bundles: int | None = None,
         start_timeout_s: float = 120.0,
         batch_timeout_s: float | None = None,
         trace_enabled: bool = False,
@@ -315,13 +310,14 @@ class ProcessWorkerPool:
         # Pickled into each worker at spawn, so a respawned worker
         # starts from every profile the parent has recorded since.
         self.profiles = calibration
-        self.max_resident_bundles = max_resident_bundles
         self.start_timeout_s = start_timeout_s
         self.batch_timeout_s = batch_timeout_s
         self.trace_enabled = trace_enabled
         self.handles: list[_WorkerHandle] = []
         self.restarts = 0
-        self._next_batch_id = 0
+        # Numbers every dispatch (a re-dispatch too) so a reply can be
+        # matched to it; spans carry the caller's batch id instead.
+        self._next_dispatch = 0
         self._started = False
 
     # -- lifecycle -----------------------------------------------------
@@ -363,13 +359,15 @@ class ProcessWorkerPool:
         self,
         handle: _WorkerHandle,
         requests: list[FastPathRunRequest],
+        batch_id: int = 0,
         timeout_s: float | None = None,
     ) -> list[FastPathRunResult]:
         """Execute one batch on one worker process (blocking).
 
-        A dead worker is respawned and the batch re-dispatched once;
-        thread-safe per handle (the plane dedicates one dispatch slot
-        per handle).
+        ``batch_id`` is the caller's (the scheduler's) batch number;
+        the worker labels the batch's spans with it.  A dead worker is
+        respawned and the batch re-dispatched once; thread-safe per
+        handle (the plane dedicates one dispatch slot per handle).
         """
         self.start()
         if timeout_s is None:
@@ -378,14 +376,14 @@ class ProcessWorkerPool:
         for _attempt in range(2):
             if not handle.alive():
                 self._restart(handle)
-            batch_id = self._next_batch_id
-            self._next_batch_id += 1
+            dispatch = self._next_dispatch
+            self._next_dispatch += 1
             try:
-                handle.inbox.put((batch_id, list(requests)))
+                handle.inbox.put((dispatch, batch_id, list(requests)))
                 while True:
                     reply = handle._next_reply(timeout_s)
-                    kind, got_id, payload = reply
-                    if kind == "ready" or got_id != batch_id:
+                    kind, got_dispatch, payload = reply
+                    if kind == "ready" or got_dispatch != dispatch:
                         continue  # stale chatter from a pre-crash life
                     if kind == "error":
                         raise ReproError(

@@ -19,10 +19,10 @@ from repro.errors import TraceError
 from repro.mem.sparse_memory import SparseMemory
 from repro.nvdla.config import HardwareConfig
 from repro.nvdla.engine import NvdlaEngine
-from repro.nvdla.timing import TimingParams
 from repro.vp.trace_log import TraceLog
 
-_DEFAULT_MEMORY_TOP = 0x2100_0000  # covers the 512 MB DRAM window + headroom
+_MEMORY_TOP = 0x2100_0000  # covers the 512 MB DRAM window + headroom
+_FREQUENCY_HZ = 100e6
 
 
 class _LoggingDbbPort:
@@ -68,24 +68,15 @@ class VirtualPlatform:
         config: HardwareConfig,
         fidelity: str = "functional",
         trace: bool = True,
-        memory_top: int = _DEFAULT_MEMORY_TOP,
-        frequency_hz: float = 100e6,
-        timing_params: TimingParams | None = None,
     ) -> None:
         self.config = config
-        self.memory = SparseMemory(memory_top)
-        self.clock = Clock(frequency_hz)
+        self.memory = SparseMemory(_MEMORY_TOP)
+        self.clock = Clock(_FREQUENCY_HZ)
         self.trace: TraceLog | None = TraceLog() if trace else None
         self._dbb = _LoggingDbbPort(
             self.memory, self.clock, self.trace, config.dbb_width_bytes
         )
-        self.engine = NvdlaEngine(
-            config,
-            dbb=self._dbb,
-            clock=self.clock,
-            fidelity=fidelity,
-            timing_params=timing_params,
-        )
+        self.engine = NvdlaEngine(config, dbb=self._dbb, clock=self.clock, fidelity=fidelity)
 
     # ------------------------------------------------------------------
     # The CSB adaptor (every access logged).

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import TraceError
+from repro.errors import ConfigurationError, TraceError
 from repro.compiler.loadable import Loadable
 from repro.compiler.ops import CpuSoftmaxOp
 from repro.nvdla.csb import UNIT_BASES, register_address
@@ -142,13 +142,19 @@ class NvdlaRuntime:
 
         The chain comes from :func:`repro.nvdla.programming.program_op`
         — the same pure builder the static analyzer consumes — so the
-        CSB trace is exactly the sequence that module constructs.
+        CSB trace is exactly the sequence that module constructs.  A
+        launch the engine rejects is re-raised naming the layer.
         """
         for event in chain.events:
             if event.kind == SELECT:
                 self._select_group(event.unit, event.value)
             elif event.kind == ENABLE:
-                self._enable(event.unit)
+                try:
+                    self._enable(event.unit)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(
+                        f"engine rejects {chain.op_name}: {exc}"
+                    ) from exc
             else:
                 self._write(event.unit, event.register, event.value)
 

@@ -4,8 +4,9 @@
 NVDLA register writes: the VP runtime replays it over the CSB (so it
 ends up in the bare-metal bundle), and the fast tier lowers by replaying
 it into fresh register files.  Patching one programmed register must
-therefore move both tiers together — and a register a unit parser
-rejects must stop fast-tier lowering with a typed error.
+therefore move both tiers together — and a register program the
+engine rejects (a unit parser's veto or a broken cross-unit rule) must
+stop fast-tier lowering with the same typed error.
 """
 
 from __future__ import annotations
@@ -72,3 +73,17 @@ def test_rejected_register_fails_fast_lowering_with_typed_error(monkeypatch):
     _patch_register(monkeypatch, "conv1", "D_WEIGHT_BYTES", lambda v: v + 1)
     with pytest.raises(ConfigurationError, match="conv1"):
         lower_loadable(loadable, NV_SMALL)
+
+
+def test_cross_unit_rejection_is_shared_by_every_tier(monkeypatch):
+    """A register program whose units agree with each other but not
+    across the pipeline is rejected by the fast tier exactly as by the
+    engine: conv1's SDP cube is one column narrower than the
+    convolution output (the 12-wide pooled output stays as it is)."""
+    loadable = compile_network(lenet5(), NV_SMALL)
+    for register in ("D_DATA_CUBE_WIDTH", "D_DST_WIDTH"):
+        _patch_register(monkeypatch, "conv1", register, lambda v: 23 if v == 24 else v)
+    with pytest.raises(ConfigurationError, match="conv1.*SDP output cube"):
+        lower_loadable(loadable, NV_SMALL)
+    with pytest.raises(ConfigurationError, match="conv1.*SDP output cube"):
+        generate_baremetal(lenet5(), NV_SMALL)  # the VP engine runs the program

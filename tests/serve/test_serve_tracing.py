@@ -18,6 +18,7 @@ from repro.serve import (
     InferenceService,
     ServingPlane,
 )
+from repro.serve.procpool import FastPathRunRequest
 from repro.store import BundleStore
 
 LENET = DeploymentSpec("lenet5")
@@ -156,6 +157,29 @@ def test_two_process_plane_stitches_across_the_boundary(cache):
     assert worker_pids <= {0, 1} and worker_pids
     chrome = to_chrome_trace(spans)
     assert len([e for e in chrome["traceEvents"] if e["ph"] == "X"]) == len(spans)
+
+
+def test_worker_batch_spans_carry_the_scheduler_batch_id(cache):
+    """A worker's ``batch`` trace is labelled with the scheduler batch
+    its requests' roots carry, not with the pool's dispatch count: a
+    warm-up dispatched straight to the pool puts the two apart."""
+    tracer = Tracer(enabled=True, process=-1)
+    with ServingPlane(processes=1, max_batch_size=2, cache=cache, tracer=tracer) as plane:
+        warmup = FastPathRunRequest(request_id=99, deployment=LENET, input_seed=7)
+        plane.pool.run_batch(plane.pool.handles[0], [warmup])
+        responses = plane.serve([plane.request(LENET) for _ in range(4)])
+    assert all(r.ok for r in responses)
+
+    served: dict[int, int] = {}
+    for tree in _request_trees(tracer.finished):
+        batch_id = tree.roots[0].span["attrs"]["batch_id"]
+        served[batch_id] = served.get(batch_id, 0) + 1
+    worker_batches = {
+        s["attrs"]["batch_id"]: s["attrs"]["size"]
+        for s in tracer.finished
+        if s["name"] == "batch" and s["process"] == 0
+    }
+    assert served and worker_batches == served
 
 
 def test_plane_spans_all_closed_across_fidelities(cache):
