@@ -5,10 +5,11 @@ Runs all six models through the flow on nv_full with the widened
 324,387; ResNet-50 26,565,315; MobileNet 22,525,704; GoogLeNet
 40,889,646; AlexNet 35,535,582.
 
-Known divergences (documented in EXPERIMENTS.md): our compiler's
-zero-copy concat and block-diagonal depthwise lowering make GoogLeNet
-and MobileNet *faster* than the authors' toolchain; our FC-layer
-weight padding makes LeNet slower.  The small-vs-large model split and
+Known divergences (visible in the ratio column this benchmark prints;
+ROADMAP item 3 tracks them): our compiler's zero-copy concat and
+block-diagonal depthwise lowering make GoogLeNet and MobileNet
+*faster* than the authors' toolchain; our FC-layer weight padding
+makes LeNet slower.  The small-vs-large model split and
 the MobileNet ≈ ResNet-50 anomaly (tiny model, comparable cycles)
 reproduce.
 """

@@ -37,6 +37,7 @@ from repro.nvdla.layout import (
     weight_size_bytes,
 )
 from repro.nvdla.registers import D_OP_ENABLE, S_POINTER
+from repro.nvdla.units import bdma, fresh_units
 from repro.nvdla.units.glb import HW_VERSION, HW_VERSION_VALUE, INTR_STATUS, interrupt_bit
 from repro.riscv.assembler import assemble
 from repro.riscv.program import Program
@@ -68,25 +69,11 @@ class _TraceBuilder:
     def __init__(self, config: HardwareConfig) -> None:
         self.config = config
         self.commands: list[ConfigCommand] = []
-        # Mirror of the engine's register offsets (names -> offsets).
-        from repro.nvdla.engine import NvdlaEngine
-        from repro.clock import Clock
-        from repro.mem.sparse_memory import SparseMemory
-
-        class _NullPort:
-            def read(self, address, nbytes):
-                return b"\x00" * nbytes
-
-            def write(self, address, data):
-                pass
-
-            def stream_cycles(self, address, nbytes):
-                return 1
-
-        self._shadow = NvdlaEngine(config, _NullPort(), Clock())
+        # Register offsets come from the units' own register files.
+        self._units = {**fresh_units(), "BDMA": bdma.make_unit()}
 
     def write(self, unit: str, register: str, value: int) -> None:
-        offset = self._shadow.units[unit].offset_of(register)
+        offset = self._units[unit].offset_of(register)
         self.commands.append(
             ConfigCommand("write_reg", UNIT_BASES[unit] + offset, value & 0xFFFFFFFF)
         )
@@ -98,7 +85,7 @@ class _TraceBuilder:
         self.commands.append(ConfigCommand("read_reg", address, expected, mask))
 
     def read_reg(self, unit: str, register: str, expected: int) -> None:
-        offset = self._shadow.units[unit].offset_of(register)
+        offset = self._units[unit].offset_of(register)
         self.read(UNIT_BASES[unit] + offset, expected)
 
     def tensor(self, unit: str, prefix: str, address: int, shape, precision) -> None:

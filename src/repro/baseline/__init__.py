@@ -16,8 +16,8 @@ software overheads a kernel-mediated flow pays:
 - output copy back to user space.
 
 Constants are calibrated against the two published ESP data points
-(LeNet-5 263 ms, ResNet-50 2.5 s at 50 MHz) and documented in
-EXPERIMENTS.md.
+(LeNet-5 263 ms, ResNet-50 2.5 s at 50 MHz) and documented beside
+their values in :class:`~repro.baseline.linux_driver.LinuxOverheadParams`.
 """
 
 from repro.baseline.linux_driver import LinuxDriverModel, LinuxOverheadParams, LinuxRunResult

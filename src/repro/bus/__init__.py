@@ -10,17 +10,21 @@ The paper's SoC (Fig. 2) mixes three on-chip protocols:
   data-width converter, and the AHB→AXI bridge in front of the shared
   data memory.
 
-Each protocol model charges a per-transfer cycle cost that reflects its
-handshake (AHB pipelining, APB setup+access phases, AXI burst beats) so
-that end-to-end latencies — register programming over CSB, weight
-streaming over DBB — reproduce the first-order timing behaviour of the
-RTL system.
+AHB, APB and the bridges charge a per-transfer cycle cost that
+reflects their handshake (AHB pipelining, APB setup+access phases, one
+crossing cycle per bridge), which prices register programming over
+CSB.  On the AXI side only the width converter and the interconnects
+are modelled: NVDLA's bulk DMA streams are priced, not simulated beat
+by beat, by the wrapper's DBB port
+(:class:`repro.core.nvdla_wrapper.WrapperDbbPort`) as the slower of
+the DRAM's stream formula
+(:meth:`repro.mem.dram.DramTiming.stream_cycles`) and the converter's
+narrow-side pacing (:meth:`AxiWidthConverter.stream_cycles`).
 """
 
 from repro.bus.types import AccessType, BusPort, Reply, Transfer
 from repro.bus.ahb import AhbLiteBus
 from repro.bus.apb import ApbBus
-from repro.bus.axi import AxiBus, AxiBurst
 from repro.bus.bridges import AhbToApbBridge, AhbToAxiBridge, ApbToCsbAdapter
 from repro.bus.width_converter import AxiWidthConverter
 from repro.bus.interconnect import AddressDecoder, AxiInterconnect, AxiSmartConnect, Region
@@ -33,8 +37,6 @@ __all__ = [
     "AhbToAxiBridge",
     "ApbBus",
     "ApbToCsbAdapter",
-    "AxiBurst",
-    "AxiBus",
     "AxiInterconnect",
     "AxiSmartConnect",
     "AxiWidthConverter",

@@ -75,14 +75,3 @@ class DramArbiter(BusPort):
     def stream_write(self, address: int, data: bytes) -> int:
         self.stats.nvdla_streams += 1
         return self.dram.stream_write(address, data)
-
-    def stream_cycles(self, address: int, nbytes: int, burst_bytes: int = 256) -> int:
-        """Timing-only pricing of an NVDLA stream (no data movement)."""
-        bursts = max(1, -(-nbytes // burst_bytes))
-        beats = max(1, -(-nbytes // self.dram.timing.width_bytes))
-        rows = max(1, -(-nbytes // self.dram.timing.row_bytes))
-        return (
-            bursts * self.dram.timing.controller_latency
-            + rows * self.dram.timing.row_miss_extra
-            + beats * self.dram.timing.beat_cycles
-        )

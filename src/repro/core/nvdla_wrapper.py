@@ -83,8 +83,6 @@ class WrapperDbbPort:
         self._converter = converter
         self._dram_base = dram_base
         self._burst_bytes = burst_bytes
-        self.bytes_read = 0
-        self.bytes_written = 0
 
     def _rebase(self, address: int) -> int:
         if address < self._dram_base:
@@ -95,21 +93,19 @@ class WrapperDbbPort:
 
     def read(self, address: int, nbytes: int) -> bytes:
         data, _ = self._arbiter.stream_read(self._rebase(address), nbytes)
-        self.bytes_read += nbytes
         return data
 
     def write(self, address: int, data: bytes) -> None:
         self._arbiter.stream_write(self._rebase(address), data)
-        self.bytes_written += len(data)
 
     def stream_cycles(self, address: int, nbytes: int) -> int:
-        """DMA pacing: the slower of the 32-bit DRAM path and the
-        width-converter's narrow side."""
-        dram_cycles = self._arbiter.stream_cycles(
-            self._rebase(address), nbytes, self._burst_bytes
-        )
-        converter_cycles = self._converter.stream_cycles(nbytes)
-        return max(dram_cycles, converter_cycles)
+        """DMA pacing: the slower of the DRAM's stream price and the
+        width-converter's narrow side.  The address is only checked
+        (below the DRAM window is a bus error): the price does not
+        depend on it."""
+        self._rebase(address)
+        dram_cycles = self._arbiter.dram.timing.stream_cycles(nbytes, self._burst_bytes)
+        return max(dram_cycles, self._converter.stream_cycles(nbytes))
 
 
 class NvdlaWrapper:

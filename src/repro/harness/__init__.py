@@ -2,7 +2,8 @@
 
 Every table and figure of the paper has a runner here that regenerates
 it from the library; ``benchmarks/`` are thin wrappers around these,
-and EXPERIMENTS.md records the paper-vs-measured outcomes.
+and ``python -m repro report`` (:mod:`repro.harness.report_md`) writes
+the paper-vs-measured outcomes as one markdown document.
 """
 
 from repro.harness.experiments import (

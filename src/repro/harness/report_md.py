@@ -2,7 +2,7 @@
 
 ``python -m repro report`` writes a self-contained markdown document
 with the regenerated Tables I-III, the figure diagrams and the
-ablations — the machine-generated companion to EXPERIMENTS.md.
+ablations: the paper-vs-measured record of the reproduction.
 """
 
 from __future__ import annotations

@@ -40,6 +40,24 @@ class DramTiming:
     def width_bytes(self) -> int:
         return self.data_width_bits // 8
 
+    def beats(self, nbytes: int) -> int:
+        """Data-bus beats of an ``nbytes`` transfer (at least one)."""
+        return max(1, -(-nbytes // self.width_bytes))
+
+    def stream_cycles(self, nbytes: int, burst_bytes: int = 256) -> int:
+        """Cycles to stream ``nbytes`` in ``burst_bytes`` bursts: the
+        controller latency per burst, a row activation per row the
+        block spans, and one beat per data-bus word.  The one DDR
+        stream formula: DMA pricing and the DRAM's own stream
+        accounting both use it."""
+        bursts = max(1, -(-nbytes // burst_bytes))
+        rows = max(1, -(-nbytes // self.row_bytes))
+        return (
+            bursts * self.controller_latency
+            + rows * self.row_miss_extra
+            + self.beats(nbytes) * self.beat_cycles
+        )
+
 
 @dataclass
 class DramStats:
@@ -82,11 +100,8 @@ class Dram(BusPort):
         self.stats.row_misses += 1
         return self.timing.row_miss_extra
 
-    def _beats(self, nbytes: int) -> int:
-        return max(1, -(-nbytes // self.timing.width_bytes))
-
     def transfer(self, xfer: Transfer) -> Reply:
-        beats = self._beats(xfer.total_bytes)
+        beats = self.timing.beats(xfer.total_bytes)
         cycles = self.timing.controller_latency + self._row_cycles(xfer.address)
         cycles += beats * self.timing.beat_cycles
         self.stats.transactions += 1
@@ -101,27 +116,22 @@ class Dram(BusPort):
         self.stats.bytes_read += xfer.total_bytes
         return Reply(data=data, cycles=cycles)
 
-    def _stream_cycles(self, address: int, nbytes: int, burst_bytes: int) -> int:
-        bursts = max(1, -(-nbytes // burst_bytes))
-        beats = self._beats(nbytes)
-        row_crossings = max(1, -(-nbytes // self.timing.row_bytes))
-        cycles = bursts * self.timing.controller_latency
-        cycles += row_crossings * self.timing.row_miss_extra
-        cycles += beats * self.timing.beat_cycles
-        self.stats.transactions += bursts
-        self.stats.beats += beats
+    def _stream_cycles(self, nbytes: int, burst_bytes: int) -> int:
+        cycles = self.timing.stream_cycles(nbytes, burst_bytes)
+        self.stats.transactions += max(1, -(-nbytes // burst_bytes))
+        self.stats.beats += self.timing.beats(nbytes)
         self.stats.busy_cycles += cycles
         return cycles
 
     def stream_read(self, address: int, nbytes: int, burst_bytes: int = 256) -> tuple[bytes, int]:
         """Read a block, returning ``(data, cycles)`` with burst timing."""
-        cycles = self._stream_cycles(address, nbytes, burst_bytes)
+        cycles = self._stream_cycles(nbytes, burst_bytes)
         self.stats.bytes_read += nbytes
         return self.storage.read(address, nbytes), cycles
 
     def stream_write(self, address: int, data: bytes, burst_bytes: int = 256) -> int:
         """Write a block, returning its cycle cost with burst timing."""
-        cycles = self._stream_cycles(address, len(data), burst_bytes)
+        cycles = self._stream_cycles(len(data), burst_bytes)
         self.stats.bytes_written += len(data)
         self.storage.write(address, data)
         return cycles
@@ -132,12 +142,4 @@ class Dram(BusPort):
 
     def effective_stream_bandwidth(self, nbytes: int = 1 << 20, burst_bytes: int = 256) -> float:
         """Sustained streaming bytes/cycle for a ``nbytes`` block."""
-        bursts = max(1, -(-nbytes // burst_bytes))
-        beats = self._beats(nbytes)
-        rows = max(1, -(-nbytes // self.timing.row_bytes))
-        cycles = (
-            bursts * self.timing.controller_latency
-            + rows * self.timing.row_miss_extra
-            + beats * self.timing.beat_cycles
-        )
-        return nbytes / cycles
+        return nbytes / self.timing.stream_cycles(nbytes, burst_bytes)

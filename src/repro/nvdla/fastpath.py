@@ -8,7 +8,7 @@ register program identical: it replays each chain of the shared
 register program (:func:`repro.nvdla.programming.build_chains`, the one
 the VP runtime writes over the CSB) into fresh unit register files and
 reads it back through the engine's own launch path — the same parse,
-the same cross-unit checks (:func:`repro.nvdla.programming.lower_group`)
+the same cross-unit checks (:func:`repro.nvdla.programming.lower_chain`)
 and, at run time, the same kernel dispatch
 (:func:`repro.nvdla.programming.execute_descriptors`).  Both tiers
 therefore reject the same programs.  Nothing here is priced: the fast
@@ -33,15 +33,7 @@ from repro.compiler.loadable import Loadable
 from repro.errors import ConfigurationError, NvdlaError
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.layout import pack_feature
-from repro.nvdla.programming import (
-    Descriptors,
-    LayerChain,
-    build_chains,
-    chain_launch,
-    lower_group,
-    replay_chain,
-)
-from repro.nvdla.units import fresh_units
+from repro.nvdla.programming import Descriptors, LayerChain, build_chains, lower_chain
 
 
 @dataclass(frozen=True)
@@ -53,16 +45,10 @@ class FastPathOp:
 
 
 def _lower_chain(chain: LayerChain, config: HardwareConfig) -> FastPathOp:
-    """Replay one chain into fresh register files and read it back."""
-    units = fresh_units()
-    failures = replay_chain(chain, units)
     try:
-        if failures:
-            raise failures[0][1]  # the first write a unit rejected
-        descriptors = lower_group(units, chain_launch(chain), chain.group, config)
+        return FastPathOp(chain.op_name, lower_chain(chain, config))
     except NvdlaError as exc:
         raise ConfigurationError(f"fast path cannot lower {chain.op_name}: {exc}") from exc
-    return FastPathOp(chain.op_name, descriptors)
 
 
 def lower_loadable(loadable: Loadable, config: HardwareConfig) -> list[FastPathOp]:

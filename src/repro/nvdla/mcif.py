@@ -7,10 +7,19 @@ concerns:
 - **functional** — :meth:`Mcif.read`/:meth:`Mcif.write` move real
   bytes through the attached :class:`DbbPort` (the SoC wrapper's
   64→32-bit converter path, or the VP's direct memory),
-- **timing** — :meth:`Mcif.stream_cycles` prices bulk traffic using
-  the port's burst model, derated by a queueing-efficiency factor,
-  and records busy windows that the SoC arbiter uses to model
-  contention with the µRISC-V core.
+- **timing** — :meth:`Mcif.stream_cycles` prices bulk traffic with
+  the port's own price, derated by a queueing-efficiency factor.  On
+  the SoC the port is the wrapper's DBB port, whose price is the
+  slower of the DRAM stream formula
+  (:meth:`repro.mem.dram.DramTiming.stream_cycles`) and the width
+  converter's pacing; the VP's port has a simple ideal-memory price
+  that only orders its trace.  The engine logs each op's DMA busy
+  window here (:meth:`Mcif.record_window`), which the SoC arbiter
+  reads to charge the µRISC-V core for contention.
+
+The byte counters in :class:`McifStats` count functional traffic
+(:meth:`Mcif.read`/:meth:`Mcif.write`) only: a timing-fidelity run
+prices its streams but moves no bytes, so they stay at zero there.
 """
 
 from __future__ import annotations

@@ -15,10 +15,10 @@ something runnable goes through the second half of this module —
   units), picked from live registers by :func:`sink_launch` (the
   engine) or from a chain by :func:`chain_launch` (the fast tier and
   the analyzer, which first :func:`replay_chain` into fresh register
-  files);
+  files; :func:`lower_chain` does both and checks the result);
 - :func:`parse_descriptors`, the units' own parsers per stage;
 - :func:`chain_violations`, the cross-unit rules (:func:`lower_group`
-  raises on the first, the analyzer reports each);
+  raises on the first, naming its code; the analyzer reports each);
 - :func:`execute_descriptors`, the one dispatch onto the unit kernels
   (:func:`repro.nvdla.timing.op_timing` is its pricing twin).
 
@@ -42,7 +42,7 @@ from repro.nvdla.descriptors import SdpSource, f32_to_bits
 from repro.nvdla.layout import feature_strides
 from repro.nvdla.mcif import Mcif
 from repro.nvdla.registers import D_OP_ENABLE, S_POINTER
-from repro.nvdla.units import Unit, conv_pipeline
+from repro.nvdla.units import Unit, conv_pipeline, fresh_units
 from repro.nvdla.units import bdma as bdma_mod
 from repro.nvdla.units import cdp as cdp_mod
 from repro.nvdla.units import pdp as pdp_mod
@@ -550,8 +550,22 @@ def lower_group(
     descriptors = parse_descriptors(units, launch, group, config)
     violations = chain_violations(descriptors)
     if violations:
-        raise ConfigurationError(violations[0].message)
+        raise ConfigurationError(f"{violations[0].code}: {violations[0].message}")
     return descriptors
+
+
+def lower_chain(chain: LayerChain, config: HardwareConfig) -> Descriptors:
+    """Replay one chain into fresh register files and read it back
+    through :func:`lower_group`.
+
+    Raises :class:`~repro.errors.NvdlaError`: the first write a unit
+    rejected, a unit parser's veto, or the first broken cross-unit rule.
+    """
+    units = fresh_units()
+    failures = replay_chain(chain, units)
+    if failures:
+        raise failures[0][1]
+    return lower_group(units, chain_launch(chain), chain.group, config)
 
 
 def execute_descriptors(

@@ -6,13 +6,17 @@ against each other by CDMA prefetch and the double-buffered CBUF):
 
 - **DBB traffic** — weights (once), input feature map (once per
   kernel split, see :class:`~repro.nvdla.cbuf.Cbuf`), SDP operand
-  blobs, and the output write-back; priced by the memory port's burst
-  model via :meth:`~repro.nvdla.mcif.Mcif.stream_cycles`,
+  blobs, and the output write-back; every stream is priced by
+  :meth:`~repro.nvdla.mcif.Mcif.stream_cycles`, which derates the
+  memory port's price (on the SoC the wrapper's DBB port, whose DRAM
+  term is :meth:`~repro.mem.dram.DramTiming.stream_cycles`),
 - **MAC compute** — padded MACs over the array's per-cycle capacity,
   derated by a stripe-sequencing efficiency,
 - **post-processor throughput** — SDP/PDP/CDP elements per cycle.
 
 A fixed per-op cost covers descriptor launch and pipeline fill/drain.
+Every op's :class:`~repro.nvdla.descriptors.OpTiming` is built by one
+rule (:func:`_priced`): fixed + max(DMA sum, compute).
 
 Regimes this reproduces (paper Tables II/III): LeNet-5-class models
 are weight-DMA bound on nv_small (≈1.7 MB of weights through a 32-bit
@@ -37,7 +41,7 @@ from repro.nvdla.descriptors import (
     PdpDescriptor,
     RubikDescriptor,
     SdpDescriptor,
-    SdpSource,
+    TensorDesc,
 )
 from repro.nvdla.layout import weight_size_bytes
 from repro.nvdla.mcif import Mcif
@@ -48,8 +52,9 @@ class TimingParams:
     """Calibration constants of the analytic model.
 
     Values are physically motivated and were fitted once against the
-    regimes of the paper's Tables II/III (see EXPERIMENTS.md for the
-    paper-vs-measured deltas).
+    regimes of the paper's Tables II/III (the paper-vs-measured ratios
+    are what ``benchmarks/bench_table2_nv_small.py`` and
+    ``benchmarks/bench_table3_nv_full.py`` print and gate).
     """
 
     op_fixed_cycles: int = 400  # descriptor launch + pipeline fill
@@ -67,254 +72,107 @@ DEFAULT_PARAMS = TimingParams()
 def conv_op_timing(
     conv: ConvDescriptor,
     sdp: SdpDescriptor,
+    pdp: PdpDescriptor | None,
     config: HardwareConfig,
     cbuf: Cbuf,
     mcif: Mcif,
-    params: TimingParams,
 ) -> OpTiming:
-    """Fused convolution + SDP hardware layer."""
-    atomic_c, atomic_k = config.atoms(conv.precision)
-    atom = config.atom_channels(conv.precision)
+    """A convolution + SDP hardware layer, or with ``pdp`` the fully
+    fused conv → SDP → PDP pipelined chain.
 
-    w_bytes = weight_size_bytes(conv.weight_shape, atomic_c, atomic_k, conv.precision)
-    alloc = cbuf.default_split(w_bytes)
-    splits = cbuf.kernel_splits(w_bytes, alloc.weight_banks)
-
-    in_bytes = conv.input.packed_bytes(atom)
-    weight_dma = mcif.stream_cycles(conv.weight_address, w_bytes)
-    input_dma = mcif.stream_cycles(conv.input.address, in_bytes) * splits
-
-    operand_dma = _sdp_operand_dma(sdp, config, mcif)
-    out_atom = config.atom_channels(sdp.out_precision)
-    out_bytes = sdp.output.packed_bytes(out_atom)
-    output_dma = mcif.stream_cycles(sdp.output.address, out_bytes)
-
-    mac_cycles = int(
-        round(
-            conv.padded_macs(atomic_c, atomic_k)
-            / config.macs_per_cycle(conv.precision)
-            / params.conv_stripe_efficiency
-        )
-    )
-    sdp_cycles = int(
-        round(
-            sdp.output.elements / (config.sdp_throughput * params.post_throughput_derate)
-        )
-    )
-
-    dma_total = weight_dma + input_dma + operand_dma + output_dma
-    busy = max(dma_total, mac_cycles, sdp_cycles)
-    total = params.op_fixed_cycles + busy + params.op_drain_cycles
-    return OpTiming(
-        kind="conv",
-        fixed=params.op_fixed_cycles + params.op_drain_cycles,
-        weight_dma=weight_dma,
-        input_dma=input_dma + operand_dma,
-        output_dma=output_dma,
-        compute=max(mac_cycles, sdp_cycles),
-        total=total,
-        detail={
-            "kernel_splits": splits,
-            "weight_bytes": w_bytes,
-            "macs": conv.macs,
-            "padded_macs": conv.padded_macs(atomic_c, atomic_k),
-            "mac_cycles": mac_cycles,
-            "sdp_cycles": sdp_cycles,
-        },
-    )
-
-
-def fused_conv_pool_op_timing(
-    conv: ConvDescriptor,
-    sdp: SdpDescriptor,
-    pdp: PdpDescriptor,
-    config: HardwareConfig,
-    cbuf: Cbuf,
-    mcif: Mcif,
-    params: TimingParams,
-) -> OpTiming:
-    """Fully fused conv → SDP → PDP pipelined chain.
-
-    Versus the unfused pair, the intermediate surface never crosses the
-    DBB (no SDP write-back, no PDP_RDMA read) and the chain pays one
-    fixed launch + drain instead of two; the three compute stages are
-    pipelined, so the compute term is the max of the stage rates.
+    Fused, the intermediate surface never crosses the DBB (no SDP
+    write-back, no PDP_RDMA read) and the chain pays one fixed launch
+    + drain instead of two; the stages are pipelined, so the compute
+    term is the max of the stage rates.
     """
     atomic_c, atomic_k = config.atoms(conv.precision)
-    atom = config.atom_channels(conv.precision)
-
     w_bytes = weight_size_bytes(conv.weight_shape, atomic_c, atomic_k, conv.precision)
-    alloc = cbuf.default_split(w_bytes)
-    splits = cbuf.kernel_splits(w_bytes, alloc.weight_banks)
-
-    in_bytes = conv.input.packed_bytes(atom)
+    splits = cbuf.kernel_splits(w_bytes, cbuf.default_split(w_bytes).weight_banks)
     weight_dma = mcif.stream_cycles(conv.weight_address, w_bytes)
-    input_dma = mcif.stream_cycles(conv.input.address, in_bytes) * splits
-    operand_dma = _sdp_operand_dma(sdp, config, mcif)
+    input_dma = _tensor_dma(conv.input, config, mcif) * splits
+    output_dma = _tensor_dma(sdp.output if pdp is None else pdp.output, config, mcif)
 
-    out_atom = config.atom_channels(pdp.output.precision)
-    output_dma = mcif.stream_cycles(pdp.output.address, pdp.output.packed_bytes(out_atom))
-
+    padded_macs = conv.padded_macs(atomic_c, atomic_k)
     mac_cycles = int(
         round(
-            conv.padded_macs(atomic_c, atomic_k)
+            padded_macs
             / config.macs_per_cycle(conv.precision)
-            / params.conv_stripe_efficiency
+            / DEFAULT_PARAMS.conv_stripe_efficiency
         )
     )
-    sdp_cycles = int(
-        round(
-            sdp.output.elements / (config.sdp_throughput * params.post_throughput_derate)
-        )
-    )
-    pdp_cycles = int(
-        round(pdp.input.elements / (config.pdp_throughput * params.post_throughput_derate))
-    )
-
-    dma_total = weight_dma + input_dma + operand_dma + output_dma
-    compute = max(mac_cycles, sdp_cycles, pdp_cycles)
-    busy = max(dma_total, compute)
-    total = params.op_fixed_cycles + busy + params.op_drain_cycles
-    return OpTiming(
-        kind="conv",
-        fixed=params.op_fixed_cycles + params.op_drain_cycles,
+    sdp_cycles = _post_cycles(sdp.output.elements, config.sdp_throughput)
+    detail = {
+        "kernel_splits": splits,
+        "weight_bytes": w_bytes,
+        "macs": conv.macs,
+        "padded_macs": padded_macs,
+        "mac_cycles": mac_cycles,
+        "sdp_cycles": sdp_cycles,
+    }
+    stage_cycles = [mac_cycles, sdp_cycles]
+    if pdp is not None:
+        pdp_cycles = _post_cycles(pdp.input.elements, config.pdp_throughput)
+        detail.update(pdp_cycles=pdp_cycles, fused="conv+sdp+pdp")
+        stage_cycles.append(pdp_cycles)
+    return _priced(
+        "conv",
         weight_dma=weight_dma,
-        input_dma=input_dma + operand_dma,
+        input_dma=input_dma + _sdp_operand_dma(sdp, config, mcif),
         output_dma=output_dma,
-        compute=compute,
-        total=total,
-        detail={
-            "kernel_splits": splits,
-            "weight_bytes": w_bytes,
-            "macs": conv.macs,
-            "padded_macs": conv.padded_macs(atomic_c, atomic_k),
-            "mac_cycles": mac_cycles,
-            "sdp_cycles": sdp_cycles,
-            "pdp_cycles": pdp_cycles,
-            "fused": "conv+sdp+pdp",
-        },
+        compute=max(stage_cycles),
+        detail=detail,
     )
 
 
-def sdp_op_timing(
-    sdp: SdpDescriptor,
-    config: HardwareConfig,
-    mcif: Mcif,
-    params: TimingParams,
-) -> OpTiming:
+def sdp_op_timing(sdp: SdpDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
     """Standalone (memory-sourced) SDP layer."""
     assert sdp.input is not None
-    atom_in = config.atom_channels(sdp.input.precision)
-    input_dma = mcif.stream_cycles(sdp.input.address, sdp.input.packed_bytes(atom_in))
-    operand_dma = _sdp_operand_dma(sdp, config, mcif)
-    atom_out = config.atom_channels(sdp.out_precision)
-    output_dma = mcif.stream_cycles(sdp.output.address, sdp.output.packed_bytes(atom_out))
-    compute = int(
-        round(sdp.output.elements / (config.sdp_throughput * params.post_throughput_derate))
-    )
-    busy = max(input_dma + operand_dma + output_dma, compute)
-    total = params.op_fixed_cycles + busy + params.op_drain_cycles
-    return OpTiming(
-        kind="sdp",
-        fixed=params.op_fixed_cycles + params.op_drain_cycles,
-        input_dma=input_dma + operand_dma,
-        output_dma=output_dma,
-        compute=compute,
-        total=total,
+    return _priced(
+        "sdp",
+        input_dma=_tensor_dma(sdp.input, config, mcif) + _sdp_operand_dma(sdp, config, mcif),
+        output_dma=_tensor_dma(sdp.output, config, mcif),
+        compute=_post_cycles(sdp.output.elements, config.sdp_throughput),
     )
 
 
-def pdp_op_timing(
-    pdp: PdpDescriptor,
-    config: HardwareConfig,
-    mcif: Mcif,
-    params: TimingParams,
-) -> OpTiming:
-    atom = config.atom_channels(pdp.input.precision)
-    input_dma = mcif.stream_cycles(pdp.input.address, pdp.input.packed_bytes(atom))
-    output_dma = mcif.stream_cycles(pdp.output.address, pdp.output.packed_bytes(atom))
+def pdp_op_timing(pdp: PdpDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
     # PDP reads every input element through its line buffers.
-    compute = int(
-        round(pdp.input.elements / (config.pdp_throughput * params.post_throughput_derate))
-    )
-    busy = max(input_dma + output_dma, compute)
-    total = params.op_fixed_cycles + busy + params.op_drain_cycles
-    return OpTiming(
-        kind="pdp",
-        fixed=params.op_fixed_cycles + params.op_drain_cycles,
-        input_dma=input_dma,
-        output_dma=output_dma,
-        compute=compute,
-        total=total,
+    return _priced(
+        "pdp",
+        input_dma=_tensor_dma(pdp.input, config, mcif),
+        output_dma=_tensor_dma(pdp.output, config, mcif),
+        compute=_post_cycles(pdp.input.elements, config.pdp_throughput),
     )
 
 
-def cdp_op_timing(
-    cdp: CdpDescriptor,
-    config: HardwareConfig,
-    mcif: Mcif,
-    params: TimingParams,
-) -> OpTiming:
-    atom = config.atom_channels(cdp.input.precision)
-    input_dma = mcif.stream_cycles(cdp.input.address, cdp.input.packed_bytes(atom))
-    output_dma = mcif.stream_cycles(cdp.output.address, cdp.output.packed_bytes(atom))
-    compute = int(
-        round(
-            cdp.input.elements
-            * params.lrn_work_factor
-            / (config.cdp_throughput * params.post_throughput_derate)
-        )
-    )
-    busy = max(input_dma + output_dma, compute)
-    total = params.op_fixed_cycles + busy + params.op_drain_cycles
-    return OpTiming(
-        kind="cdp",
-        fixed=params.op_fixed_cycles + params.op_drain_cycles,
-        input_dma=input_dma,
-        output_dma=output_dma,
-        compute=compute,
-        total=total,
+def cdp_op_timing(cdp: CdpDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
+    return _priced(
+        "cdp",
+        input_dma=_tensor_dma(cdp.input, config, mcif),
+        output_dma=_tensor_dma(cdp.output, config, mcif),
+        compute=_post_cycles(
+            cdp.input.elements * DEFAULT_PARAMS.lrn_work_factor, config.cdp_throughput
+        ),
     )
 
 
-def bdma_op_timing(
-    bdma: BdmaDescriptor,
-    config: HardwareConfig,
-    mcif: Mcif,
-    params: TimingParams,
-) -> OpTiming:
-    read_dma = mcif.stream_cycles(bdma.src_address, bdma.total_bytes)
-    write_dma = mcif.stream_cycles(bdma.dst_address, bdma.total_bytes)
-    total = params.op_fixed_cycles + read_dma + write_dma
-    return OpTiming(
-        kind="bdma",
-        fixed=params.op_fixed_cycles,
-        input_dma=read_dma,
-        output_dma=write_dma,
-        total=total,
+def bdma_op_timing(bdma: BdmaDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
+    return _priced(
+        "bdma",
+        input_dma=mcif.stream_cycles(bdma.src_address, bdma.total_bytes),
+        output_dma=mcif.stream_cycles(bdma.dst_address, bdma.total_bytes),
+        drain=False,
     )
 
 
-def rubik_op_timing(
-    rubik: RubikDescriptor,
-    config: HardwareConfig,
-    mcif: Mcif,
-    params: TimingParams,
-) -> OpTiming:
-    atom = config.atom_channels(rubik.input.precision)
-    nbytes = rubik.input.packed_bytes(atom)
-    input_dma = mcif.stream_cycles(rubik.input.address, nbytes)
-    output_dma = mcif.stream_cycles(rubik.output.address, nbytes)
-    compute = int(round(nbytes / params.rubik_bytes_per_cycle))
-    busy = max(input_dma + output_dma, compute)
-    total = params.op_fixed_cycles + busy
-    return OpTiming(
-        kind="rubik",
-        fixed=params.op_fixed_cycles,
-        input_dma=input_dma,
-        output_dma=output_dma,
-        compute=compute,
-        total=total,
+def rubik_op_timing(rubik: RubikDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
+    nbytes = rubik.input.packed_bytes(config.atom_channels(rubik.input.precision))
+    return _priced(
+        "rubik",
+        input_dma=mcif.stream_cycles(rubik.input.address, nbytes),
+        output_dma=mcif.stream_cycles(rubik.output.address, nbytes),
+        compute=int(round(nbytes / DEFAULT_PARAMS.rubik_bytes_per_cycle)),
+        drain=False,
     )
 
 
@@ -332,14 +190,48 @@ def op_timing(descriptors: dict, config: HardwareConfig, cbuf: Cbuf, mcif: Mcif)
     :func:`repro.nvdla.programming.parse_descriptors`): a convolution,
     a fused conv + pool chain, or one SDP, PDP, CDP, BDMA or RUBIK op."""
     if "conv" in descriptors:
-        conv, sdp = descriptors["conv"], descriptors["sdp"]
-        if "pdp" in descriptors:
-            return fused_conv_pool_op_timing(
-                conv, sdp, descriptors["pdp"], config, cbuf, mcif, DEFAULT_PARAMS
-            )
-        return conv_op_timing(conv, sdp, config, cbuf, mcif, DEFAULT_PARAMS)
+        return conv_op_timing(
+            descriptors["conv"], descriptors["sdp"], descriptors.get("pdp"), config, cbuf, mcif
+        )
     [(stage, descriptor)] = descriptors.items()
-    return _SINGLE_STAGE_TIMING[stage](descriptor, config, mcif, DEFAULT_PARAMS)
+    return _SINGLE_STAGE_TIMING[stage](descriptor, config, mcif)
+
+
+def _priced(
+    kind: str,
+    *,
+    input_dma: int,
+    output_dma: int,
+    weight_dma: int = 0,
+    compute: int = 0,
+    drain: bool = True,
+    detail: dict | None = None,
+) -> OpTiming:
+    """Fixed launch (+ drain) plus the slower of the DMA sum and compute."""
+    fixed = DEFAULT_PARAMS.op_fixed_cycles + (DEFAULT_PARAMS.op_drain_cycles if drain else 0)
+    busy = max(weight_dma + input_dma + output_dma, compute)
+    return OpTiming(
+        kind=kind,
+        fixed=fixed,
+        weight_dma=weight_dma,
+        input_dma=input_dma,
+        output_dma=output_dma,
+        compute=compute,
+        total=fixed + busy,
+        detail=detail or {},
+    )
+
+
+def _post_cycles(elements: float, throughput: int) -> int:
+    """Cycles of a post-processor streaming ``elements`` at its derated rate."""
+    return int(round(elements / (throughput * DEFAULT_PARAMS.post_throughput_derate)))
+
+
+def _tensor_dma(tensor: TensorDesc, config: HardwareConfig, mcif: Mcif) -> int:
+    """DBB cycles to stream one packed feature surface."""
+    return mcif.stream_cycles(
+        tensor.address, tensor.packed_bytes(config.atom_channels(tensor.precision))
+    )
 
 
 def _sdp_operand_dma(sdp: SdpDescriptor, config: HardwareConfig, mcif: Mcif) -> int:
@@ -352,16 +244,5 @@ def _sdp_operand_dma(sdp: SdpDescriptor, config: HardwareConfig, mcif: Mcif) -> 
     if sdp.bn_mult_address is not None:
         cycles += mcif.stream_cycles(sdp.bn_mult_address, channels * operand_item)
     if sdp.eltwise is not EltwiseOp.NONE and sdp.eltwise_input is not None:
-        atom = config.atom_channels(sdp.eltwise_input.precision)
-        cycles += mcif.stream_cycles(
-            sdp.eltwise_input.address, sdp.eltwise_input.packed_bytes(atom)
-        )
+        cycles += _tensor_dma(sdp.eltwise_input, config, mcif)
     return cycles
-
-
-def estimate_csb_config_writes(kind: str) -> int:
-    """Approximate register writes needed to program one op.
-
-    Used by planning reports only; real counts come from traces.
-    """
-    return {"conv": 80, "sdp": 45, "pdp": 30, "cdp": 25, "bdma": 12, "rubik": 17}.get(kind, 30)

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ConfigurationError, TraceError
+from repro.errors import ConfigurationError, NvdlaError, TraceError
 from repro.compiler.loadable import Loadable
 from repro.compiler.ops import CpuSoftmaxOp
 from repro.nvdla.csb import UNIT_BASES, register_address
 from repro.nvdla.config import Precision
-from repro.nvdla.layout import pack_feature, unpack_feature
-from repro.nvdla.programming import ENABLE, SELECT, LayerChain, program_op
+from repro.nvdla.fastpath import pack_input
+from repro.nvdla.layout import unpack_feature
+from repro.nvdla.programming import ENABLE, SELECT, LayerChain, lower_chain, program_op
 from repro.nvdla.registers import D_OP_ENABLE, S_POINTER
 from repro.nvdla.units.glb import INTR_STATUS, interrupt_bit
 from repro.vp.platform import VirtualPlatform
@@ -70,12 +71,7 @@ class NvdlaRuntime:
         ref = loadable.input_tensor
         if image.shape != ref.shape:
             raise TraceError(f"input shape {image.shape} != network input {ref.shape}")
-        if ref.precision is Precision.INT8:
-            q = np.clip(np.rint(image / ref.scale), -128, 127).astype(np.int8)
-        else:
-            q = image.astype(np.float16)
-        atom = self.platform.config.atom_channels(ref.precision)
-        self.platform.load_blob(ref.require_address(), pack_feature(q, atom, ref.precision))
+        self.platform.load_blob(*pack_input(loadable, self.platform.config, image))
 
     # ------------------------------------------------------------------
     # Execution.
@@ -97,7 +93,7 @@ class NvdlaRuntime:
                 op, self.platform.config, loadable.weight_base, group, op_index=index
             )
             self._replay(chain)
-            self._await_completion(chain.sink, group)
+            self._await_completion(chain)
             op_cycles[op.name] = self.platform.clock.now - began
             hw_ops += 1
 
@@ -162,19 +158,31 @@ class NvdlaRuntime:
     # Completion.
     # ------------------------------------------------------------------
 
-    def _await_completion(self, sink: str, group: int) -> None:
-        """Wait for the sink's interrupt; read and acknowledge it.
+    def _await_completion(self, chain: LayerChain) -> None:
+        """Wait for the chain sink's interrupt; read and acknowledge it.
 
         The read and the write-1-to-clear land in the CSB trace —
         exactly the entries the bare-metal converter turns into the
-        poll loop and the acknowledge store.
+        poll loop and the acknowledge store.  A chain the engine never
+        launches (its sink waits for a producer the chain does not
+        enable) is checked the way the fast tier checks it, so the
+        error names the layer and the broken cross-unit rule.
         """
-        self.platform.wait_for_interrupt()
-        bit = 1 << interrupt_bit(sink, group)
+        try:
+            self.platform.wait_for_interrupt()
+        except TraceError as exc:
+            try:
+                lower_chain(chain, self.platform.config)
+            except NvdlaError as rejected:
+                raise ConfigurationError(
+                    f"{chain.op_name} never completes: {rejected}"
+                ) from exc
+            raise TraceError(f"{chain.op_name} never completes: {exc}") from exc
+        bit = 1 << interrupt_bit(chain.sink, chain.group)
         status = self.platform.csb_read(register_address("GLB", INTR_STATUS))
         if not status & bit:
             raise TraceError(
-                f"expected interrupt bit 0x{bit:x} for {sink}, status=0x{status:08x}"
+                f"expected interrupt bit 0x{bit:x} for {chain.sink}, status=0x{status:08x}"
             )
         self.platform.csb_write(register_address("GLB", INTR_STATUS), bit)
 

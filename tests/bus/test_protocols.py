@@ -1,4 +1,4 @@
-"""AHB-Lite, APB, AXI timing models and the bridges."""
+"""AHB-Lite, APB and AXI width-converter timing models and the bridges."""
 
 from __future__ import annotations
 
@@ -10,10 +10,8 @@ from repro.bus import (
     AhbToAxiBridge,
     ApbBus,
     ApbToCsbAdapter,
-    AxiBus,
     AxiWidthConverter,
 )
-from repro.bus.axi import AXI_BOUNDARY, AXI_MAX_BURST_BEATS, split_into_bursts
 from repro.bus.interconnect import LoopbackPort
 from repro.bus.types import AccessType, Transfer
 
@@ -58,37 +56,6 @@ def test_apb_wait_states_from_slow_completer():
 
     bus = ApbBus(Slow())
     assert bus.read(0).cycles == 2 + 2
-
-
-def test_axi_issue_plus_beats():
-    bus = AxiBus(LoopbackPort(1 << 13), data_width_bits=64, issue_latency=2)
-    xfer = Transfer(address=0, size=4, burst_len=16, access=AccessType.READ)
-    reply = bus.transfer(xfer)
-    # 64 bytes / 8-byte beats = 8 beats + 2 issue
-    assert reply.cycles >= 10
-
-
-def test_axi_stream_cycles_monotone_in_size():
-    bus = AxiBus(LoopbackPort(1 << 16), data_width_bits=64)
-    assert bus.stream_cycles(0, 4096) > bus.stream_cycles(0, 256)
-
-
-def test_burst_splitter_respects_4k_boundary():
-    bursts = split_into_bursts(AXI_BOUNDARY - 64, 128, 8)
-    assert all(
-        (b.address % AXI_BOUNDARY) + b.nbytes <= AXI_BOUNDARY for b in bursts
-    )
-    assert sum(b.nbytes for b in bursts) == 128
-
-
-def test_burst_splitter_respects_max_beats():
-    bursts = split_into_bursts(0, AXI_MAX_BURST_BEATS * 8 * 3, 8)
-    assert all(b.beats <= AXI_MAX_BURST_BEATS for b in bursts)
-
-
-def test_burst_splitter_handles_unaligned_head():
-    bursts = split_into_bursts(3, 16, 8)
-    assert sum(b.nbytes for b in bursts) == 16
 
 
 @pytest.mark.parametrize("bridge_cls", [AhbToApbBridge, AhbToAxiBridge, ApbToCsbAdapter])

@@ -51,8 +51,7 @@ def test_streams_counted_separately():
 
 def test_stream_cycles_timing_only_moves_no_data():
     dram = Dram(size=1 << 20)
-    arbiter = DramArbiter(dram)
-    cycles = arbiter.stream_cycles(0x0, 4096)
+    cycles = dram.timing.stream_cycles(4096)
     assert cycles > 0
     assert dram.stats.bytes_read == 0  # pure pricing
 
@@ -60,5 +59,4 @@ def test_stream_cycles_timing_only_moves_no_data():
 def test_functional_and_pricing_agree_on_order():
     """Bigger transfers must price higher through either path."""
     dram = Dram(size=1 << 20)
-    arbiter = DramArbiter(dram)
-    assert arbiter.stream_cycles(0, 64 * 1024) > arbiter.stream_cycles(0, 1024)
+    assert dram.timing.stream_cycles(64 * 1024) > dram.timing.stream_cycles(1024)

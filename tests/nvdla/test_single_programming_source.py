@@ -87,3 +87,17 @@ def test_cross_unit_rejection_is_shared_by_every_tier(monkeypatch):
         lower_loadable(loadable, NV_SMALL)
     with pytest.raises(ConfigurationError, match="conv1.*SDP output cube"):
         generate_baremetal(lenet5(), NV_SMALL)  # the VP engine runs the program
+
+
+def test_unlaunchable_chain_names_layer_and_rule_in_every_tier(monkeypatch):
+    """conv1's SDP still streams its result on-chip, but its PDP now
+    reads memory: the engine waits for a PDP_RDMA the chain never
+    enables, so the VP run stalls.  It must fail naming the layer and
+    the cross-unit rule the fast tier rejects the chain with, not as a
+    bare deadlock."""
+    loadable = compile_network(lenet5(), NV_SMALL)
+    _patch_register(monkeypatch, "conv1", "D_SRC_FLYING", lambda v: 0)
+    with pytest.raises(ConfigurationError, match="conv1.*dangling-flying-producer"):
+        lower_loadable(loadable, NV_SMALL)
+    with pytest.raises(ConfigurationError, match="conv1.*dangling-flying-producer"):
+        generate_baremetal(lenet5(), NV_SMALL)  # the VP engine runs the program
