@@ -19,8 +19,8 @@ The fusion ladder (``off`` → ``graph`` → ``descriptor``, see
 
 Bundles are generated at ``fidelity="timing"`` (the harness's sweep
 idiom — skips the generation-time VP's tensor compute and DBB trace
-for AlexNet-class models) and re-tagged functional; both executors
-compute real tensors themselves, and
+for AlexNet-class models); both executors compute real tensors
+themselves from the packed input, and
 ``tests/compiler/test_fusion_differential.py::test_timing_shortcut_is_sound``
 proves the shortcut is exact.
 """
@@ -91,7 +91,6 @@ def _bundle(model: str, config_name: str, mode: str):
             fidelity="timing",
             compile_options=options,
         )
-        bundle.fidelity = "functional"
         _bundles[key] = bundle
     return _bundles[key]
 

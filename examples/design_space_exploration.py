@@ -15,7 +15,7 @@ Usage::
 from __future__ import annotations
 
 from repro.baremetal import generate_baremetal
-from repro.core import Soc
+from repro.core.fastpath import record_profile
 from repro.fpga import ZCU102, synthesize
 from repro.fpga.resources import estimate_system
 from repro.nn.zoo import resnet18_cifar
@@ -58,15 +58,13 @@ def main() -> None:
     for atomic_c, atomic_k, cbuf_kib in points:
         config = make_config(atomic_c, atomic_k, cbuf_kib)
         bundle = generate_baremetal(net, config, fidelity="timing")
-        soc = Soc(config, frequency_hz=100e6, fidelity="timing")
-        soc.load_bundle(bundle)
-        run = soc.run_inference(bundle)
+        ms = record_profile(bundle, config).stats.seconds * 1e3
         synth = synthesize(config, ZCU102)
         luts = estimate_system(config).luts
-        results.append((config, run.milliseconds, synth.fits))
+        results.append((config, ms, synth.fits))
         print(
             f"{config.name:<16} {config.mac_cells:>5} {cbuf_kib:>5}K "
-            f"{run.milliseconds:>8.2f} {luts:>9.0f} {'yes' if synth.fits else 'NO':>12}"
+            f"{ms:>8.2f} {luts:>9.0f} {'yes' if synth.fits else 'NO':>12}"
         )
 
     fitting = [r for r in results if r[2]]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import sys
 
 from repro.baremetal import generate_baremetal
-from repro.core import Soc
+from repro.core.fastpath import record_profile
 from repro.fpga import ZCU102, synthesize
 from repro.harness.reporting import PAPER_TABLE3_CYCLES
 from repro.nn.zoo import ZOO
@@ -38,13 +38,12 @@ def main(models: list[str]) -> None:
         bundle = generate_baremetal(
             ZOO[name](), NV_FULL, precision=Precision.FP16, fidelity="timing"
         )
-        soc = Soc(NV_FULL, frequency_hz=100e6, fidelity="timing", memory_bus_width_bits=64)
-        soc.load_bundle(bundle)
-        result = soc.run_inference(bundle)
+        profile = record_profile(bundle, NV_FULL, memory_bus_width_bits=64)
+        cycles = profile.total_cycles
         paper = PAPER_TABLE3_CYCLES[name]
         print(
-            f"{name:<10} {len(result.op_records):>6} {result.cycles:>13,} "
-            f"{paper:>12,} {result.cycles / paper:>6.2f} {result.milliseconds:>10.1f}"
+            f"{name:<10} {len(profile.op_records):>6} {cycles:>13,} "
+            f"{paper:>12,} {cycles / paper:>6.2f} {profile.stats.seconds * 1e3:>10.1f}"
         )
     print("\nnote: FP16 rides the paired-MAC path (1024 FP16 MACs); depthwise and")
     print("low-channel layers waste the 64-wide channel atoms, which is why")

@@ -221,7 +221,6 @@ def _build_workload(args: argparse.Namespace):
             model,
             config=args.config,
             precision=Precision(args.precision),
-            fidelity=args.fidelity,
             execution_mode=getattr(args, "mode", "cycle_accurate"),
         )
         for model in models
@@ -506,10 +505,9 @@ def _cmd_bench_serve(args: argparse.Namespace) -> int:
             ZOO[deployment.model](),
             config,
             precision=deployment.precision,
-            fidelity=deployment.fidelity,
             input_image=image,
         )
-        soc = Soc(config, fidelity=deployment.fidelity)
+        soc = Soc(config)
         soc.load_bundle(bundle)
         if not soc.run_inference(bundle).ok:
             print("cold-path run failed")
@@ -735,13 +733,10 @@ def _cmd_warmup(args: argparse.Namespace) -> int:
     for model in models:
         compiles_before = cache.stats.compiles
         began = time.perf_counter()
-        bundle = cache.bundle_for(
-            model, args.config, precision=precision, fidelity=args.fidelity,
-            seed=args.seed,
-        )
+        bundle = cache.bundle_for(model, args.config, precision=precision, seed=args.seed)
         verb = "compiled" if cache.stats.compiles > compiles_before else "fetched"
         print(
-            f"  {model:<10} {args.config}/{precision.value}/{args.fidelity}: "
+            f"  {model:<10} {args.config}/{precision.value}: "
             f"{verb} in {time.perf_counter() - began:.2f} s"
         )
         if args.verify:
@@ -830,7 +825,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model", default="lenet5")
     run.add_argument("--config", default="nv_small", choices=sorted(CONFIGS))
     run.add_argument("--precision", default="int8", choices=[p.value for p in Precision])
-    run.add_argument("--fidelity", default="functional", choices=["functional", "timing"])
+    run.add_argument("--fidelity", default="functional", choices=["functional", "timing"],
+                     help="build cost: timing skips the VP's tensor math "
+                          "(same program and cycles, no output tensor)")
     run.add_argument("--frequency-mhz", type=float, default=100.0)
     run.add_argument("--memory-width", type=int, default=32)
     run.add_argument("--mode", default="cycle_accurate", choices=["cycle_accurate", "fast"],
@@ -884,7 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated zoo models")
         serve.add_argument("--config", default="nv_small", choices=sorted(CONFIGS))
         serve.add_argument("--precision", default="int8", choices=[p.value for p in Precision])
-        serve.add_argument("--fidelity", default="functional", choices=["functional", "timing"])
         serve.add_argument("--requests", type=int, default=16)
         serve.add_argument("--batch-size", type=int, default=8)
         serve.add_argument("--workers", type=int, default=1)
@@ -966,7 +962,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated zoo models to warm")
     warm.add_argument("--config", default="nv_small", choices=sorted(CONFIGS))
     warm.add_argument("--precision", default="int8", choices=[p.value for p in Precision])
-    warm.add_argument("--fidelity", default="functional", choices=["functional", "timing"])
     warm.add_argument("--seed", type=int, default=2024,
                       help="flow seed (part of the deployment key)")
     warm.add_argument("--store", default=None,

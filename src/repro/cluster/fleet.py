@@ -81,7 +81,7 @@ class RequestCost:
 
 def residency_key(spec: DeploymentSpec) -> tuple:
     """The bundle identity a replica's warm-state LRU is keyed on."""
-    return (spec.model, spec.config, spec.precision.value, spec.fidelity)
+    return (spec.model, spec.config, spec.precision.value)
 
 
 class ServiceTimeModel:
@@ -377,9 +377,7 @@ class ClusterSimulation:
         if self.store is None:
             return
         for spec in {request.deployment for request in workload}:
-            key = bundle_cache_key(
-                spec.model, spec.config, spec.precision, spec.fidelity
-            )
+            key = bundle_cache_key(spec.model, spec.config, spec.precision)
             if self.store.contains(key):
                 self._published.add(residency_key(spec))
 

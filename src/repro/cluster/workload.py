@@ -228,7 +228,6 @@ def save_trace(workload: Iterable[TimedRequest], path: str | Path) -> Path:
                     "model": spec.model,
                     "config": spec.config,
                     "precision": spec.precision.value,
-                    "fidelity": spec.fidelity,
                     "mode": spec.execution_mode,
                 },
                 sort_keys=True,
@@ -269,7 +268,6 @@ def load_trace(
             record["model"],
             config=record.get("config", "nv_small"),
             precision=Precision(record.get("precision", "int8")),
-            fidelity=record.get("fidelity", "functional"),
             execution_mode=record.get("mode", "cycle_accurate"),
         )
         image = None

@@ -11,10 +11,11 @@ bundle without the ISS or any bus transaction —
   DRAM image, producing output tensors bit-identical to a
   cycle-accurate SoC run of the same bundle;
 - **timing** — reported cycles are a :class:`CycleProfile`: one
-  timing-fidelity SoC run of the bundle, recorded on first use and
-  returned verbatim ever after.  The bare-metal program never reads
-  tensor data and softmax runs on the host, so a bundle has exactly
-  one cycle profile per memory-bus width; the fast tier's cycles,
+  timing-fidelity SoC run of the bundle's program, recorded on first
+  use and returned verbatim ever after.  The bare-metal program never
+  reads tensor data and softmax runs on the host, so a program has
+  exactly one cycle profile per config and memory-bus width (see
+  :func:`profile_key`); the fast tier's cycles,
   instruction counts and per-op schedule *equal* the cycle-accurate
   tier's by construction (``tests/core/test_cycle_profile.py`` holds
   the premise, ``tests/nvdla/test_fastpath_differential.py`` the
@@ -26,6 +27,7 @@ serving layer treats both tiers uniformly.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
@@ -74,10 +76,25 @@ class CycleProfile:
         )
 
 
-#: Recorded profiles keyed by (artifact digest, memory-bus width).  The
-#: clock is not part of the key: DRAM timing is in controller cycles,
-#: so frequency only scales seconds.
-ProfileTable = dict[tuple[str, int], CycleProfile]
+#: Recorded profiles keyed by :func:`profile_key`.
+ProfileTable = dict[tuple[str, str, int], CycleProfile]
+
+
+def profile_key(bundle: BaremetalBundle, memory_bus_width_bits: int) -> tuple[str, str, int]:
+    """What a :func:`record_profile` run loads: (SHA-256 of the program
+    image, config name, memory-bus width).
+
+    Weights, the input and the VP fidelity the bundle was built at are
+    not part of it, because the program never reads tensor data: a
+    functional and a timing build of one deployment share one profile.
+    The clock is not part of it either: DRAM timing is in controller
+    cycles, so frequency only scales seconds.
+    """
+    program = bundle.program
+    h = hashlib.sha256(program.to_bytes())
+    h.update(program.base.to_bytes(8, "little"))
+    h.update(program.entry.to_bytes(8, "little"))
+    return h.hexdigest(), bundle.config, memory_bus_width_bits
 
 
 def record_profile(
@@ -223,7 +240,7 @@ class FastPathExecutor:
     def estimate(self, bundle: BaremetalBundle) -> CycleProfile:
         """The bundle's cycle profile, recorded now if it is missing."""
         self._check_config(bundle)
-        return self._profile(bundle, bundle.artifact_digest())
+        return self._profile(bundle)
 
     def _check_config(self, bundle: BaremetalBundle) -> None:
         if bundle.config != self.config.name:
@@ -231,8 +248,8 @@ class FastPathExecutor:
                 f"bundle built for {bundle.config}, executor is {self.config.name}"
             )
 
-    def _profile(self, bundle: BaremetalBundle, digest: str) -> CycleProfile:
-        key = (digest, self.memory_bus_width_bits)
+    def _profile(self, bundle: BaremetalBundle) -> CycleProfile:
+        key = profile_key(bundle, self.memory_bus_width_bits)
         profile = self.profiles.get(key)
         if profile is None:
             profile = self.profiles[key] = record_profile(
@@ -243,7 +260,12 @@ class FastPathExecutor:
     def run(
         self, bundle: BaremetalBundle, input_image: np.ndarray | None = None
     ) -> SocRunResult:
-        """Replay one bundle functionally; cycles from its profile."""
+        """Replay one bundle functionally; cycles from its profile.
+
+        The kernels run when the run has an input — ``input_image`` or
+        the bundle's baked ``input.bin`` — and the output is ``None``
+        otherwise.
+        """
         self._check_config(bundle)
         state = self._states.get(id(bundle))
         if state is None:
@@ -252,7 +274,7 @@ class FastPathExecutor:
                 bundle=bundle,
                 storage=SparseMemory(DEFAULT_MAP.dram_size),
                 ops=lower_loadable(bundle.loadable, self.config),
-                profile=self._profile(bundle, bundle.artifact_digest()),
+                profile=self._profile(bundle),
             )
             self.port.storage = state.storage
             for image in bundle.images.preload:
@@ -276,7 +298,9 @@ class FastPathExecutor:
             self._preload(address, packed)
 
         output = None
-        if bundle.fidelity == "functional":
+        if input_image is not None or any(
+            image.name == "input.bin" for image in bundle.images.preload
+        ):
             for op in state.ops:
                 execute_descriptors(
                     op.descriptors, self.config, self.mcif, weight_cache=state.weight_cache
@@ -309,7 +333,6 @@ def calibrate(
     models: tuple[str, ...] = ("lenet5", "resnet18"),
     config: HardwareConfig | str = NV_SMALL,
     precision: Precision = Precision.INT8,
-    fidelity: str = "functional",
     cache=None,
     memory_bus_width_bits: int = 32,
 ) -> ProfileTable:
@@ -327,7 +350,5 @@ def calibrate(
         cache = shared_cache()
     executor = FastPathExecutor(hw, memory_bus_width_bits=memory_bus_width_bits)
     for model in models:
-        executor.estimate(
-            cache.bundle_for(model, hw, precision=precision, fidelity=fidelity)
-        )
+        executor.estimate(cache.bundle_for(model, hw, precision=precision))
     return executor.profiles

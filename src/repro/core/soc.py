@@ -249,7 +249,11 @@ class Soc:
         bundle: BaremetalBundle | None = None,
         max_instructions: int = 200_000_000,
     ) -> SocRunResult:
-        """Run the loaded program to completion and decode the status."""
+        """Run the loaded program to completion and decode the status.
+
+        The output tensor is read back when ``bundle`` is given and this
+        SoC's engine computed the data plane (functional fidelity).
+        """
         stats = self.executor.run(max_instructions=max_instructions)
         status_base = self.address_map.dram_base
         status = self._read_status_u32(status_base + STATUS_RESULT)
@@ -259,7 +263,7 @@ class Soc:
             fail_index = self._read_status_u32(status_base + STATUS_FAIL_INDEX)
             fail_address = self._read_status_u32(status_base + STATUS_FAIL_ADDR)
         output = None
-        if ok and bundle is not None and bundle.fidelity == "functional":
+        if ok and bundle is not None and self.wrapper.engine.fidelity == "functional":
             output = self.read_output(bundle)
         return SocRunResult(
             ok=ok,

@@ -4,6 +4,11 @@ These functions do the full flows (compile → VP trace → bare-metal
 codegen → SoC execution) with the same configurations the paper used,
 and return structured rows so the benchmarks can both print the
 paper's tables and assert shape properties.
+
+Every cycle count is a bundle's recorded cycle profile
+(:func:`repro.core.fastpath.record_profile`): the bare-metal program
+never reads tensor data, so the tables build their bundles at timing
+fidelity, the cheaper VP run.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from dataclasses import dataclass, field
 from repro.baremetal.pipeline import BaremetalBundle
 from repro.baseline.esp_platform import ESP_PUBLISHED_MS, EspPlatform
 from repro.core import Soc, TestSystem
+from repro.core.fastpath import record_profile
 from repro.diagrams import (
     render_fig1_software_flow,
     render_fig2_soc,
@@ -55,17 +61,6 @@ def _bundle_for(
         model, config, precision=precision, fidelity=fidelity
     )
     return net, bundle
-
-
-def _run_on_soc(bundle: BaremetalBundle, soc: Soc) -> tuple[int, float]:
-    soc.load_bundle(bundle)
-    result = soc.run_inference(bundle)
-    if not result.ok:
-        raise RuntimeError(
-            f"bare-metal program failed: status 0x{result.status_word:08x} "
-            f"at command {result.fail_index}"
-        )
-    return result.cycles, result.seconds
 
 
 # ----------------------------------------------------------------------
@@ -114,15 +109,14 @@ class Table2Row:
 
 def run_table2(
     models: tuple[str, ...] = TABLE2_MODELS,
-    fidelity: str = "timing",
     with_baseline: bool = True,
 ) -> list[Table2Row]:
     """nv_small FPGA inference latencies at 100 MHz, plus the ESP
     Linux-driver baseline at 50 MHz."""
     rows: list[Table2Row] = []
     for model in models:
-        net, bundle = _bundle_for(model, NV_SMALL, Precision.INT8, fidelity)
-        cycles, seconds = _run_on_soc(bundle, Soc(NV_SMALL, fidelity=fidelity))
+        net, bundle = _bundle_for(model, NV_SMALL, Precision.INT8, "timing")
+        stats = record_profile(bundle, NV_SMALL).stats
         baseline_ms = None
         if with_baseline:
             baseline_ms = EspPlatform().run(bundle.loadable).milliseconds
@@ -132,8 +126,8 @@ def run_table2(
                 layers=net.layer_count() + 1,  # the paper counts the data layer
                 input_shape=net.input_shape,
                 model_size_mb=net.model_size_bytes() / 1e6,
-                cycles=cycles,
-                ms_at_100mhz=seconds * 1e3,
+                cycles=stats.cycles,
+                ms_at_100mhz=stats.seconds * 1e3,
                 paper_ms=PAPER_TABLE2_MS[model],
                 baseline_ms=baseline_ms,
                 paper_baseline_ms=PAPER_TABLE2_BASELINE_MS[model],
@@ -163,10 +157,7 @@ class Table3Row:
         return self.cycles / self.paper_cycles
 
 
-def run_table3(
-    models: tuple[str, ...] = TABLE3_MODELS,
-    fidelity: str = "timing",
-) -> list[Table3Row]:
+def run_table3(models: tuple[str, ...] = TABLE3_MODELS) -> list[Table3Row]:
     """nv_full simulation cycle counts (FP16) at 100 MHz.
 
     Simulated with the widened 64-bit memory path the paper's
@@ -175,17 +166,15 @@ def run_table3(
     """
     rows: list[Table3Row] = []
     for model in models:
-        net, bundle = _bundle_for(model, NV_FULL, Precision.FP16, fidelity)
-        cycles, seconds = _run_on_soc(
-            bundle, Soc(NV_FULL, fidelity=fidelity, memory_bus_width_bits=64)
-        )
+        net, bundle = _bundle_for(model, NV_FULL, Precision.FP16, "timing")
+        stats = record_profile(bundle, NV_FULL, memory_bus_width_bits=64).stats
         rows.append(
             Table3Row(
                 model=model,
                 input_shape=net.input_shape,
                 model_size_mb=net.model_size_bytes() / 1e6,
-                cycles=cycles,
-                ms_at_100mhz=seconds * 1e3,
+                cycles=stats.cycles,
+                ms_at_100mhz=stats.seconds * 1e3,
                 paper_cycles=PAPER_TABLE3_CYCLES[model],
                 hw_ops=bundle.loadable.hw_op_count(),
             )
@@ -253,11 +242,10 @@ def run_ablation_baremetal(model: str = "lenet5") -> list[AblationPoint]:
     """
     from repro.baseline.linux_driver import LinuxDriverModel, LinuxOverheadParams
 
-    net, bundle = _bundle_for(model, NV_SMALL, Precision.INT8, "timing")
-    soc = Soc(NV_SMALL, frequency_hz=100e6, fidelity="timing")
-    cycles, seconds = _run_on_soc(bundle, soc)
+    _, bundle = _bundle_for(model, NV_SMALL, Precision.INT8, "timing")
+    stats = record_profile(bundle, NV_SMALL).stats
     points = [
-        AblationPoint("bare-metal @100MHz", 0.0, cycles, seconds * 1e3)
+        AblationPoint("bare-metal @100MHz", 0.0, stats.cycles, stats.seconds * 1e3)
     ]
     for scale in (0.0, 0.25, 0.5, 1.0):
         params = LinuxOverheadParams(
@@ -283,11 +271,10 @@ def run_ablation_width(model: str = "resnet50") -> list[AblationPoint]:
     _, bundle = _bundle_for(model, NV_FULL, Precision.FP16, "timing")
     points: list[AblationPoint] = []
     for width in (32, 64, 128, 256, 512):
-        soc = Soc(
-            NV_FULL, frequency_hz=100e6, fidelity="timing", memory_bus_width_bits=width
+        stats = record_profile(bundle, NV_FULL, memory_bus_width_bits=width).stats
+        points.append(
+            AblationPoint(f"{width}-bit memory path", width, stats.cycles, stats.seconds * 1e3)
         )
-        cycles, seconds = _run_on_soc(bundle, soc)
-        points.append(AblationPoint(f"{width}-bit memory path", width, cycles, seconds * 1e3))
     return points
 
 
@@ -298,9 +285,8 @@ def run_ablation_frequency(model: str = "lenet5") -> list[AblationPoint]:
     _, bundle = _bundle_for(model, NV_SMALL, Precision.INT8, "timing")
     points: list[AblationPoint] = []
     for mhz in (50, 100, 150, 200, 300):
-        soc = Soc(NV_SMALL, frequency_hz=mhz * 1e6, fidelity="timing")
-        cycles, seconds = _run_on_soc(bundle, soc)
-        points.append(AblationPoint(f"{mhz} MHz", float(mhz), cycles, seconds * 1e3))
+        stats = record_profile(bundle, NV_SMALL, frequency_hz=mhz * 1e6).stats
+        points.append(AblationPoint(f"{mhz} MHz", float(mhz), stats.cycles, stats.seconds * 1e3))
     return points
 
 

@@ -27,9 +27,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.baremetal.codegen import CodegenOptions
 from repro.baremetal.pipeline import BaremetalBundle, bundle_cache_key, generate_baremetal
-from repro.compiler import CompileOptions
 from repro.errors import ReproError, StoreError
 from repro.nn.zoo import ZOO
 from repro.nvdla.config import HardwareConfig, Precision, get_config
@@ -140,38 +138,27 @@ class BundleCache:
         model: str,
         config: HardwareConfig | str,
         precision: Precision = Precision.INT8,
-        fidelity: str = "functional",
-        compile_options: CompileOptions | None = None,
-        codegen_options: CodegenOptions | None = None,
-        seed: int = 2024,
+        **build,
     ) -> BaremetalBundle:
-        """Zoo-model convenience front end over :meth:`get_or_build`."""
+        """Zoo-model convenience front end over :meth:`get_or_build`.
+
+        ``build`` holds the flow options that
+        :func:`~repro.baremetal.pipeline.bundle_cache_key` takes after
+        ``precision``.  The key and the build take the same options, so
+        a bundle is never built with an option its key does not cover.
+        """
         if model not in ZOO:
             raise ReproError(f"unknown zoo model {model!r} (known: {sorted(ZOO)})")
         hw = get_config(config) if isinstance(config, str) else config
-        key = bundle_cache_key(
-            model, hw, precision, fidelity, compile_options, codegen_options, seed
-        )
+        key = bundle_cache_key(model, hw, precision, **build)
         return self.get_or_build(
-            key,
-            lambda: generate_baremetal(
-                ZOO[model](),
-                hw,
-                precision=precision,
-                fidelity=fidelity,
-                compile_options=compile_options,
-                codegen_options=codegen_options,
-                seed=seed,
-            ),
+            key, lambda: generate_baremetal(ZOO[model](), hw, precision=precision, **build)
         )
 
     def resolve(self, deployment: "DeploymentSpec") -> tuple[BaremetalBundle, str]:
         """A serving deployment's bundle and its source (:attr:`last_source`)."""
         bundle = self.bundle_for(
-            deployment.model,
-            deployment.config,
-            precision=deployment.precision,
-            fidelity=deployment.fidelity,
+            deployment.model, deployment.config, precision=deployment.precision
         )
         return bundle, self.last_source
 

@@ -65,7 +65,7 @@ def execute_batch(
     for request in requests:
         span = serve_span(request)
         image = request.input_image
-        if image is None and deployment.fidelity == "functional":
+        if image is None:
             if input_seed is None:
                 raise ReproError(
                     f"request {request.request_id} has neither an input image "

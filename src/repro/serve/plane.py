@@ -167,9 +167,7 @@ class ServingPlane:
         return FastPathRunRequest(
             request_id=request.request_id,
             deployment=spec,
-            bundle_key=bundle_cache_key(
-                spec.model, spec.config, spec.precision, spec.fidelity
-            ),
+            bundle_key=bundle_cache_key(spec.model, spec.config, spec.precision),
             input_image=request.input_image,
             input_seed=self.input_seed,
             trace_ctx=trace_ctx,

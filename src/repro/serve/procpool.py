@@ -116,9 +116,7 @@ def _execute_shipped(
     if not requests:
         return []
     deployment, input_seed = requests[0].deployment, requests[0].input_seed
-    expected = bundle_cache_key(
-        deployment.model, deployment.config, deployment.precision, deployment.fidelity
-    )
+    expected = bundle_cache_key(deployment.model, deployment.config, deployment.precision)
     for request in requests:
         if (request.deployment, request.input_seed) != (deployment, input_seed):
             raise ReproError(

@@ -1,11 +1,14 @@
 """Request/response types of the inference service.
 
-A request names a *deployment* — the (model, config, precision,
-fidelity) point whose bare-metal artefacts the service memoises — plus
-the per-request input image.  The response carries both wall-clock and
-simulated-cycle latency, so the service metrics can report the two
-timescales the paper distinguishes (host simulation speed vs SoC
-latency).
+A request names a *deployment* — the (model, config, precision) point
+whose bare-metal artefacts the service memoises, plus the hardware
+clock, memory width and execution tier it runs on — and the
+per-request input image.  A served request always returns an output,
+so serving always builds the functional bundle (the VP computed the
+tensors and ``input.bin`` is baked in).  The response carries both
+wall-clock and simulated-cycle latency, so the service metrics can
+report the two timescales the paper distinguishes (host simulation
+speed vs SoC latency).
 """
 
 from __future__ import annotations
@@ -61,14 +64,11 @@ class DeploymentSpec:
     model: str
     config: str = "nv_small"
     precision: Precision = Precision.INT8
-    fidelity: str = "functional"
     frequency_hz: float = 100e6
     memory_bus_width_bits: int = 32
     execution_mode: str = "cycle_accurate"
 
     def __post_init__(self) -> None:
-        if self.fidelity not in ("functional", "timing"):
-            raise ReproError(f"unknown fidelity {self.fidelity!r}")
         if self.execution_mode not in ("cycle_accurate", "fast"):
             raise ReproError(f"unknown execution mode {self.execution_mode!r}")
 

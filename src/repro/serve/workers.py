@@ -4,16 +4,18 @@ Two worker tiers share one interface (``run(bundle, input_image)`` →
 :class:`~repro.core.soc.SocRunResult`):
 
 - :class:`SocWorker` owns one cycle-accurate
-  :class:`~repro.core.soc.Soc` and replays bundles on it;
+  :class:`~repro.core.soc.Soc`, whose engine computes the data plane,
+  and replays bundles on it;
 - :class:`FastPathWorker` owns one
   :class:`~repro.core.fastpath.FastPathExecutor` — no ISS, no bus
   transactions, outputs bit-identical to the SoC tier and cycles
   equal to it (the bundle's recorded cycle profile).
 
-Workers are keyed by the *hardware* point plus execution mode (config,
-frequency, fidelity, memory width, mode) — never the model, since
-every run reloads program memory and preload images — so one worker
-serves interleaved models on the same hardware.
+Both tiers return an output for every run.  Workers are keyed by the
+*hardware* point plus execution mode (config, frequency, memory width,
+mode) — never the model, since every run reloads program memory and
+preload images — so one worker serves interleaved models on the same
+hardware.
 
 Per-request inputs are packed exactly the way the VP runtime packs
 them (quantise with the input tensor's scale, pack to memory atoms)
@@ -44,7 +46,6 @@ def hardware_key(spec: DeploymentSpec) -> tuple:
     return (
         spec.config,
         spec.frequency_hz,
-        spec.fidelity,
         spec.memory_bus_width_bits,
         spec.execution_mode,
     )
@@ -71,7 +72,6 @@ class SocWorker:
         self.soc = Soc(
             get_config(spec.config),
             frequency_hz=spec.frequency_hz,
-            fidelity=spec.fidelity,
             memory_bus_width_bits=spec.memory_bus_width_bits,
         )
         self.stats = WorkerStats()

@@ -28,7 +28,6 @@ from repro.serve import BundleCache, DeploymentSpec, shared_cache
 from repro.store import BundleStore
 
 SEED = 11
-LENET_TIMING = DeploymentSpec("lenet5", fidelity="timing")
 LENET = DeploymentSpec("lenet5")
 
 
@@ -58,7 +57,7 @@ def _autoscaled(store, workload):
 
 def test_costs_carry_no_store_terms_without_a_store():
     pricing = ServiceTimeModel(cache=shared_cache())
-    cost = pricing.costs(LENET_TIMING)
+    cost = pricing.costs(LENET)
     assert cost.build_seconds == 0.0
     assert cost.fetch_seconds == 0.0
 
@@ -66,7 +65,7 @@ def test_costs_carry_no_store_terms_without_a_store():
 def test_fetch_is_much_cheaper_than_build(tmp_path):
     store = BundleStore(tmp_path / "store")
     pricing = ServiceTimeModel(cache=BundleCache(store=store), store=store)
-    cost = pricing.costs(LENET_TIMING)
+    cost = pricing.costs(LENET)
     assert cost.build_seconds > 0.0
     assert cost.fetch_seconds > 0.0
     # ~MB artifact: 250 ms + bytes/4 MiB/s vs 2 ms + bytes/128 MiB/s.

@@ -105,7 +105,7 @@ def test_make_arrivals_registry():
 def test_trace_round_trip(tmp_path):
     workload = generate_workload(
         PoissonArrivals(80.0),
-        [LENET, DeploymentSpec("resnet18", fidelity="timing")],
+        [LENET, DeploymentSpec("resnet18", execution_mode="fast")],
         12,
         seed=4,
     )
@@ -118,6 +118,18 @@ def test_trace_round_trip(tmp_path):
     again = load_trace(path, seed=7, with_inputs=True)
     for a, b in zip(with_inputs, again):
         assert np.array_equal(a.input_image, b.input_image)
+
+
+def test_trace_ignores_the_legacy_fidelity_key(tmp_path):
+    """Traces written while deployments still had a fidelity replay:
+    the reader ignores the key."""
+    path = tmp_path / "old.jsonl"
+    path.write_text(
+        '{"fidelity": "timing", "mode": "fast", "model": "lenet5", '
+        '"precision": "int8", "t": 0.0}\n'
+    )
+    [request] = load_trace(path)
+    assert request.deployment == DeploymentSpec("lenet5", execution_mode="fast")
 
 
 def test_trace_rejects_garbage(tmp_path):

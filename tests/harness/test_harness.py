@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.harness import (
@@ -14,9 +17,13 @@ from repro.harness import (
     run_fig4,
     run_table1,
     run_table2,
+    run_table3,
 )
 from repro.harness.reporting import Comparison
 from repro.nvdla import NV_SMALL
+
+#: The ISS golden file: one timing-fidelity SoC run per zoo program.
+ISS_GOLDEN = Path(__file__).parents[1] / "nvdla" / "golden" / "iss_golden.json"
 
 
 def test_table1_report_runner():
@@ -26,12 +33,25 @@ def test_table1_report_runner():
 
 
 def test_table2_lenet_row_shape():
-    rows = run_table2(models=("lenet5",), fidelity="timing")
+    rows = run_table2(models=("lenet5",))
     row = rows[0]
     assert row.layers == 9
     assert abs(row.model_size_mb - 1.7) < 0.1
     assert 0.3 <= row.ratio <= 3.0  # within band of the paper's 4.8 ms
     assert row.speedup_vs_baseline and row.speedup_vs_baseline > 10
+
+
+def test_table_cycles_equal_the_golden_iss_runs():
+    """Table II (nv_small INT8 @32 bit) and Table III (nv_full FP16
+    @64 bit) report each bundle's recorded cycle profile, so their
+    cycles are exactly the golden SoC runs of the same programs."""
+    golden = json.loads(ISS_GOLDEN.read_text())
+    [small] = run_table2(("lenet5",), with_baseline=False)
+    [full] = run_table3(("lenet5",))
+    assert small.cycles == golden["lenet5/nv_small"]["cycles"]
+    assert full.cycles == golden["lenet5/nv_full"]["cycles"]
+    assert small.ms_at_100mhz == pytest.approx(small.cycles / 1e5)
+    assert full.ms_at_100mhz == pytest.approx(full.cycles / 1e5)
 
 
 def test_fig1_diagram_mentions_artefacts():

@@ -20,6 +20,7 @@ import pytest
 
 from repro.baremetal import generate_baremetal
 from repro.core import FastPathExecutor, Soc, calibrate
+from repro.core.fastpath import profile_key
 from repro.nn.zoo import ZOO
 from repro.nvdla import NV_FULL, NV_SMALL
 from repro.nvdla.config import Precision
@@ -149,7 +150,7 @@ def test_calibration_entries_within_band(cache, table):
     cycle-accurate run of that bundle (the band is zero)."""
     for model in SHARED_MODELS:
         bundle = cache.bundle_for(model, "nv_small")
-        profile = table[(bundle.artifact_digest(), 32)]
+        profile = table[profile_key(bundle, 32)]
         soc = Soc(NV_SMALL)
         soc.load_bundle(bundle)
         reference = soc.run_inference(bundle)

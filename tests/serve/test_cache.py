@@ -165,7 +165,7 @@ def test_resolve_names_the_bundle_source(tmp_path):
     from repro.store import BundleStore
 
     store = BundleStore(tmp_path / "store")
-    spec = DeploymentSpec("lenet5", fidelity="timing")
+    spec = DeploymentSpec("lenet5")
     cache = BundleCache(store=store)
     built, source = cache.resolve(spec)
     assert source == "compile"

@@ -155,7 +155,7 @@ def test_service_classifies_store_hits_vs_compiles(tmp_path):
     from repro.store import BundleStore
 
     store = BundleStore(tmp_path / "store")
-    spec = DeploymentSpec("lenet5", fidelity="timing")
+    spec = DeploymentSpec("lenet5")
 
     compiler = InferenceService(cache=BundleCache(store=store))
     compiler.request(spec)
@@ -179,8 +179,8 @@ def test_service_classifies_store_hits_vs_compiles(tmp_path):
 def test_service_outstanding_and_snapshot():
     service = InferenceService()
     assert service.outstanding == 0
-    service.request(DeploymentSpec("lenet5", fidelity="timing"))
-    service.request(DeploymentSpec("lenet5", fidelity="timing"))
+    service.request(DeploymentSpec("lenet5"))
+    service.request(DeploymentSpec("lenet5"))
     assert service.outstanding == 2
     snapshot = service.snapshot()
     assert snapshot["outstanding"] == 2

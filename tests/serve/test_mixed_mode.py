@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import calibrate
+from repro.core.fastpath import profile_key
 from repro.errors import ReproError
 from repro.serve import (
     BundleCache,
@@ -115,7 +116,7 @@ def test_fast_deployment_without_table_records_its_profile(cache):
     assert len(service.pool.profiles) == 1
     bundle = cache.bundle_for("lenet5", "nv_small")
     assert responses[0].cycles == service.pool.profiles[
-        (bundle.artifact_digest(), 32)
+        profile_key(bundle, 32)
     ].total_cycles
 
 

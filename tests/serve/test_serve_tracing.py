@@ -182,12 +182,12 @@ def test_worker_batch_spans_carry_the_scheduler_batch_id(cache):
     assert served and worker_batches == served
 
 
-def test_plane_spans_all_closed_across_fidelities(cache):
-    """No half-open spans survive a mixed-fidelity plane run."""
+def test_plane_spans_all_closed_across_deployments(cache):
+    """No half-open spans survive a plane run over two deployments."""
     tracer = Tracer(enabled=True, process=-1)
-    timing = DeploymentSpec("lenet5", fidelity="timing")
+    other = DeploymentSpec("lenet5", execution_mode="fast")
     with ServingPlane(processes=1, cache=cache, tracer=tracer) as plane:
-        responses = plane.serve([plane.request(timing), plane.request(LENET)])
+        responses = plane.serve([plane.request(other), plane.request(LENET)])
     assert all(r.ok for r in responses)
     # Every recorded span is finished (end_s set) — nothing half-open.
     assert all(s["end_s"] is not None for s in tracer.finished)

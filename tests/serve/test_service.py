@@ -19,31 +19,29 @@ LENET = DeploymentSpec("lenet5")
 
 def test_mixed_queue_serves_every_request_once():
     service = InferenceService(max_batch_size=2)
-    timing = DeploymentSpec("lenet5", fidelity="timing")
+    fast = DeploymentSpec("lenet5", execution_mode="fast")
     submitted = [service.request(LENET) for _ in range(3)]
-    submitted += [service.request(timing) for _ in range(2)]
+    submitted += [service.request(fast) for _ in range(2)]
     responses = service.run_pending()
     assert sorted(r.request_id for r in responses) == sorted(
         r.request_id for r in submitted
     )
     assert all(r.ok for r in responses)
-    # Two deployments → two flow builds; 3 more served requests.
-    assert service.metrics.bundle_misses == 2
+    # Both tiers serve one bundle → one flow build; 4 more served requests.
+    assert service.metrics.bundle_misses == 1
     assert service.metrics.requests == 5
     assert service.metrics.failures == 0
-    # Functional runs carry outputs; timing runs don't.
-    by_id = {r.request_id: r for r in responses}
-    for request in submitted[:3]:
-        assert by_id[request.request_id].output is not None
-    for request in submitted[3:]:
-        assert by_id[request.request_id].output is None
+    # Every served run carries an output, and both tiers report the
+    # bundle's one cycle count.
+    assert all(r.output is not None for r in responses)
+    assert len({r.cycles for r in responses}) == 1
 
 
 def test_shared_cache_prewarms_service():
     cache = BundleCache()
-    cache.bundle_for("lenet5", "nv_small", fidelity="timing")
+    cache.bundle_for("lenet5", "nv_small")
     service = InferenceService(cache=cache)
-    service.request(DeploymentSpec("lenet5", fidelity="timing"))
+    service.request(LENET)
     responses = service.run_pending()
     assert responses[0].cache_hit  # built elsewhere, hit here
     assert service.metrics.bundle_hits == 1
@@ -93,7 +91,7 @@ def test_metrics_percentiles_and_render():
     assert empty.count == 0 and empty.p99 == 0.0
 
     service = InferenceService()
-    service.request(DeploymentSpec("lenet5", fidelity="timing"))
+    service.request(LENET)
     service.run_pending()
     text = service.metrics.render()
     assert "throughput" in text and "hit rate" in text and "p99" in text

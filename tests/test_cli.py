@@ -56,7 +56,7 @@ def test_sanity_single_trace(capsys):
 
 def test_serve_mixed_models(capsys):
     code = main(
-        ["serve", "--models", "lenet5", "--requests", "3", "--fidelity", "timing"]
+        ["serve", "--models", "lenet5", "--requests", "3"]
     )
     out = capsys.readouterr().out
     assert code == 0
@@ -66,7 +66,7 @@ def test_serve_mixed_models(capsys):
 
 def test_bench_serve_reports_speedup(capsys):
     code = main(
-        ["bench-serve", "--models", "lenet5", "--requests", "2", "--fidelity", "timing"]
+        ["bench-serve", "--models", "lenet5", "--requests", "2"]
     )
     out = capsys.readouterr().out
     assert code == 0
@@ -76,8 +76,7 @@ def test_bench_serve_reports_speedup(capsys):
 def test_serve_fast_mode_records_its_profile(capsys):
     code = main(
         [
-            "serve", "--models", "lenet5", "--requests", "3",
-            "--fidelity", "timing", "--mode", "fast",
+            "serve", "--models", "lenet5", "--requests", "3", "--mode", "fast",
         ]
     )
     out = capsys.readouterr().out
@@ -106,7 +105,7 @@ def test_run_fast_mode_autocalibrates(capsys):
 def test_warmup_then_store_hits(tmp_path, capsys):
     root = str(tmp_path / "store")
     code = main(
-        ["warmup", "--models", "lenet5", "--fidelity", "timing", "--store", root]
+        ["warmup", "--models", "lenet5", "--store", root]
     )
     out = capsys.readouterr().out
     assert code == 0
@@ -114,7 +113,7 @@ def test_warmup_then_store_hits(tmp_path, capsys):
     assert "1 artifact(s)" in out
     # Re-warming the same deployment fetches instead of recompiling.
     assert main(
-        ["warmup", "--models", "lenet5", "--fidelity", "timing", "--store", root]
+        ["warmup", "--models", "lenet5", "--store", root]
     ) == 0
     assert "fetched in" in capsys.readouterr().out
 
@@ -126,7 +125,7 @@ def test_warmup_writes_stats_json(tmp_path, capsys):
     out_path = tmp_path / "warmup.json"
     code = main(
         [
-            "warmup", "--models", "lenet5", "--fidelity", "timing",
+            "warmup", "--models", "lenet5",
             "--store", root, "--out", str(out_path),
         ]
     )
@@ -141,7 +140,7 @@ def test_warmup_writes_stats_json(tmp_path, capsys):
 def test_store_ls_verify_gc(tmp_path, capsys):
     root = str(tmp_path / "store")
     assert main(
-        ["warmup", "--models", "lenet5", "--fidelity", "timing", "--store", root]
+        ["warmup", "--models", "lenet5", "--store", root]
     ) == 0
     capsys.readouterr()
 
@@ -163,7 +162,7 @@ def test_store_ls_verify_gc(tmp_path, capsys):
 def test_store_verify_fails_on_corruption(tmp_path, capsys):
     root = tmp_path / "store"
     assert main(
-        ["warmup", "--models", "lenet5", "--fidelity", "timing", "--store", str(root)]
+        ["warmup", "--models", "lenet5", "--store", str(root)]
     ) == 0
     capsys.readouterr()
     victim = next((root / "objects").glob("*/*"))
@@ -177,13 +176,12 @@ def test_store_verify_fails_on_corruption(tmp_path, capsys):
 def test_serve_with_store_prewarms_from_disk(tmp_path, capsys):
     root = str(tmp_path / "store")
     assert main(
-        ["warmup", "--models", "lenet5", "--fidelity", "timing", "--store", root]
+        ["warmup", "--models", "lenet5", "--store", root]
     ) == 0
     capsys.readouterr()
     code = main(
         [
-            "serve", "--models", "lenet5", "--requests", "3",
-            "--fidelity", "timing", "--store", root,
+            "serve", "--models", "lenet5", "--requests", "3", "--store", root,
         ]
     )
     out = capsys.readouterr().out
@@ -212,7 +210,6 @@ def test_serve_writes_trace_and_metrics(tmp_path, capsys):
     code = main(
         [
             "serve", "--models", "lenet5", "--requests", "3",
-            "--fidelity", "timing",
             "--trace-out", str(trace_path),
             "--metrics-out", str(metrics_path),
         ]
@@ -327,8 +324,7 @@ def test_run_verify_flags_clean_bundle(capsys):
 def test_warmup_verify_and_store_verify_static(tmp_path, capsys):
     root = str(tmp_path / "store")
     code = main(
-        ["warmup", "--models", "lenet5", "--fidelity", "timing",
-         "--store", root, "--verify"]
+        ["warmup", "--models", "lenet5", "--store", root, "--verify"]
     )
     out = capsys.readouterr().out
     assert code == 0
