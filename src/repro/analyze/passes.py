@@ -23,12 +23,16 @@ analyze_chains` runs it:
     Every written value fits its field's width/enum per the table in
     :mod:`repro.nvdla.registers`.
 ``dma-bounds``
-    Every read/write surface against the SoC address map and its
-    allocated region: weights/bias inside the weights region, feature
-    traffic inside input+activations, nothing touching the status
-    page, writes never landing on the input region.
+    Every read/write surface — the streams the engine prices
+    (:func:`repro.nvdla.timing.dma_streams`) — against the SoC address
+    map and its allocated region: weights, bias and BN-multiplier blobs
+    inside the weights region, feature traffic inside
+    input+activations, nothing touching the status page, writes never
+    landing on the input region.
 ``hazard``
-    Byte-granular RAW/WAW timeline across the schedule: reads must be
+    Byte-granular RAW/WAW timeline across the schedule, over the same
+    priced streams' feature surfaces (input, eltwise operand and
+    output; parameter blobs are preloaded): reads must be
     fully produced (by earlier writes, the preloaded weights, or the
     input image) and the *latest* writer of every byte read must be
     the tensor the compiler intended — catches clobbers both within a
@@ -62,8 +66,9 @@ from repro.nvdla.descriptors import TensorDesc
 from repro.nvdla.layout import feature_strides
 from repro.nvdla.programming import ENABLE, SELECT, WRITE as EV_WRITE, LayerChain
 from repro.nvdla.registers import check_field
+from repro.nvdla.timing import READ, WRITE
 from repro.analyze.diagnostics import Diagnostic, Severity
-from repro.analyze.surfaces import ParsedLayer, READ, WRITE, Surface
+from repro.analyze.surfaces import ParsedLayer, Surface
 
 Interval = tuple[int, int]  # [start, end)
 

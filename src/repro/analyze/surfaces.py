@@ -12,11 +12,13 @@ involvement.  The cross-unit rules the engine and the fast tier reject
 on (:func:`~repro.nvdla.programming.chain_violations`) become ``chain``
 findings here.
 
-From the descriptors it extracts :class:`Surface` records: every DMA
-read and write the layer performs, sized in packed bytes, labeled with
-the compiler's blob name so dataflow passes can reason about intent
-(which tensor *should* live there) versus mechanics (which addresses
-the registers *actually* touch).
+The descriptors' DRAM streams come from
+:func:`repro.nvdla.timing.dma_streams` — the list the engine prices —
+and become :class:`Surface` records: every DMA read and write the
+layer performs, sized in packed bytes, labeled with the compiler's
+blob name so dataflow passes can reason about intent (which tensor
+*should* live there) versus mechanics (which addresses the registers
+*actually* touch).
 
 Anything that goes wrong while replaying or parsing — unknown
 register, double enable, inconsistent descriptor, nonsense field
@@ -28,16 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.compiler.ops import ConvOp, HwOp, PoolOp, SdpOp
-from repro.nvdla.config import HardwareConfig, Precision
-from repro.nvdla.descriptors import (
-    CdpDescriptor,
-    ConvDescriptor,
-    PdpDescriptor,
-    SdpDescriptor,
-    TensorDesc,
-)
-from repro.nvdla.layout import weight_size_bytes
+from repro.compiler.ops import HwOp
+from repro.nvdla.config import HardwareConfig
 from repro.nvdla.programming import (
     LayerChain,
     chain_launch,
@@ -45,11 +39,9 @@ from repro.nvdla.programming import (
     parse_descriptors,
     replay_chain,
 )
+from repro.nvdla.timing import dma_streams
 from repro.nvdla.units import Unit, fresh_units
 from repro.analyze.diagnostics import Diagnostic, Severity
-
-READ = "read"
-WRITE = "write"
 
 
 @dataclass(frozen=True)
@@ -59,9 +51,9 @@ class Surface:
     op_index: int
     op_name: str
     unit: str  # unit whose DMA touches it
-    direction: str  # READ or WRITE
-    kind: str  # "feature" | "weight" | "bias"
-    label: str  # compiler blob name (or weights:/bias: tag)
+    direction: str  # timing.READ or timing.WRITE
+    kind: str  # "feature" | "weight" | "bias" (bias and BN blobs)
+    label: str  # compiler blob name (or weights:/bias:/bn_mult: tag)
     address: int
     size: int
 
@@ -109,117 +101,21 @@ def _error(chain: LayerChain, pass_id: str, code: str, message: str, **kw) -> Di
     )
 
 
-def _tensor_surface(
-    chain: LayerChain,
-    unit: str,
-    direction: str,
-    label: str,
-    desc: TensorDesc,
-    config: HardwareConfig,
-) -> Surface:
-    atom = config.atom_channels(desc.precision)
-    return Surface(
-        op_index=chain.op_index,
-        op_name=chain.op_name,
-        unit=unit,
-        direction=direction,
-        kind="feature",
-        label=label,
-        address=desc.address,
-        size=desc.packed_bytes(atom),
-    )
+#: Surface kind per stream role: parameter blobs live in the weights
+#: region, every other stream is feature traffic.
+_SURFACE_KIND = {"weight": "weight", "bias": "bias", "bn_mult": "bias"}
 
 
-def _extract_conv(
-    layer: ParsedLayer,
-    config: HardwareConfig,
-    conv: ConvDescriptor,
-    sdp: SdpDescriptor,
-    pdp: PdpDescriptor | None = None,
-) -> None:
-    chain, op = layer.chain, layer.op
-    assert isinstance(op, ConvOp)
-    surfaces = layer.surfaces
-    surfaces.append(
-        _tensor_surface(chain, "CDMA", READ, op.input.blob, conv.input, config)
-    )
-    atomic_c, atomic_k = config.atoms(conv.precision)
-    surfaces.append(
-        Surface(
-            op_index=chain.op_index,
-            op_name=chain.op_name,
-            unit="CDMA",
-            direction=READ,
-            kind="weight",
-            label=f"weights:{op.name}",
-            address=conv.weight_address,
-            size=weight_size_bytes(conv.weight_shape, atomic_c, atomic_k, conv.precision),
-        )
-    )
-    if sdp.bias_address is not None:
-        per_channel = 4 if conv.precision is Precision.INT8 else 2
-        surfaces.append(
-            Surface(
-                op_index=chain.op_index,
-                op_name=chain.op_name,
-                unit="SDP_RDMA",
-                direction=READ,
-                kind="bias",
-                label=f"bias:{op.name}",
-                address=sdp.bias_address,
-                size=sdp.output.channels * per_channel,
-            )
-        )
-    if sdp.eltwise_input is not None and op.eltwise_input is not None:
-        surfaces.append(
-            _tensor_surface(
-                chain, "SDP_RDMA", READ, op.eltwise_input.blob, sdp.eltwise_input, config
-            )
-        )
-    if pdp is not None:
-        # Fused epilogue: the SDP result streams on-chip (no DMA write,
-        # no PDP_RDMA read) and only the pooled output touches memory.
-        surfaces.append(
-            _tensor_surface(chain, "PDP", WRITE, op.output.blob, pdp.output, config)
-        )
-    else:
-        surfaces.append(
-            _tensor_surface(chain, "SDP", WRITE, op.output.blob, sdp.output, config)
-        )
-
-
-def _extract_sdp(layer: ParsedLayer, config: HardwareConfig, sdp: SdpDescriptor) -> None:
-    chain, op = layer.chain, layer.op
-    assert isinstance(op, SdpOp)
-    if sdp.input is not None:
-        layer.surfaces.append(
-            _tensor_surface(chain, "SDP_RDMA", READ, op.input.blob, sdp.input, config)
-        )
-    if sdp.eltwise_input is not None and op.eltwise_input is not None:
-        layer.surfaces.append(
-            _tensor_surface(
-                chain, "SDP_RDMA", READ, op.eltwise_input.blob, sdp.eltwise_input, config
-            )
-        )
-    layer.surfaces.append(
-        _tensor_surface(chain, "SDP", WRITE, op.output.blob, sdp.output, config)
-    )
-
-
-def _extract_simple(
-    layer: ParsedLayer,
-    config: HardwareConfig,
-    desc: PdpDescriptor | CdpDescriptor,
-    rdma: str,
-    sink: str,
-) -> None:
-    chain, op = layer.chain, layer.op
-    layer.surfaces.append(
-        _tensor_surface(chain, rdma, READ, op.input.blob, desc.input, config)
-    )
-    layer.surfaces.append(
-        _tensor_surface(chain, sink, WRITE, op.output.blob, desc.output, config)
-    )
+def _label(op: HwOp, role: str) -> str:
+    """The compiler's name for what a stream of ``role`` carries in ``op``:
+    the blob of its input, output or eltwise operand tensor, or a
+    ``role:op`` tag for parameter blobs and operands the op never named."""
+    if role == "weight":
+        return f"weights:{op.name}"
+    if role in ("bias", "bn_mult"):
+        return f"{role}:{op.name}"
+    ref = getattr(op, "eltwise_input" if role == "eltwise" else role, None)
+    return ref.blob if ref is not None else f"{role}:{op.name}"
 
 
 def parse_chain(chain: LayerChain, op: HwOp, config: HardwareConfig) -> ParsedLayer:
@@ -242,16 +138,19 @@ def parse_chain(chain: LayerChain, op: HwOp, config: HardwareConfig) -> ParsedLa
             layer.diagnostics.append(
                 _error(chain, "chain", violation.code, violation.message, unit=violation.unit)
             )
-        if isinstance(op, ConvOp):
-            _extract_conv(
-                layer, config, descriptors["conv"], descriptors["sdp"], pdp=descriptors.get("pdp")
+        layer.surfaces = [
+            Surface(
+                op_index=chain.op_index,
+                op_name=chain.op_name,
+                unit=stream.unit,
+                direction=stream.direction,
+                kind=_SURFACE_KIND.get(stream.role, "feature"),
+                label=_label(op, stream.role),
+                address=stream.address,
+                size=stream.nbytes,
             )
-        elif isinstance(op, SdpOp):
-            _extract_sdp(layer, config, descriptors["sdp"])
-        elif isinstance(op, PoolOp):
-            _extract_simple(layer, config, descriptors["pdp"], "PDP_RDMA", "PDP")
-        else:
-            _extract_simple(layer, config, descriptors["cdp"], "CDP_RDMA", "CDP")
+            for stream in dma_streams(descriptors, config)
+        ]
     except Exception as exc:  # ConfigurationError etc. → finding
         layer.diagnostics.append(
             _error(chain, "descriptor", "parse-failed", f"{type(exc).__name__}: {exc}")

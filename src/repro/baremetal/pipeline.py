@@ -61,6 +61,15 @@ class BaremetalBundle:
             ),
         )
 
+    def has_input(self, input_image: np.ndarray | None = None) -> bool:
+        """Whether a run of this bundle computes on a real input: the
+        run's own ``input_image`` or the baked ``input.bin`` (a timing
+        build ships none).  Every execution tier returns ``output=None``
+        for a run without one, whatever DRAM happens to hold."""
+        return input_image is not None or any(
+            image.name == "input.bin" for image in self.images.preload
+        )
+
     def artifact_digest(self) -> str:
         """SHA-256 over every deployable artefact of the bundle.
 
@@ -181,8 +190,11 @@ def execute_bundle(
     The one-stop dispatch the harness and CLI use: builds a throwaway
     cycle-accurate :class:`~repro.core.soc.Soc` or a
     :class:`~repro.core.fastpath.FastPathExecutor` for the bundle's
-    hardware point and executes one inference.  Long-running callers
-    (the serving layer) keep their own reusable workers instead.
+    hardware point and executes one inference.  The SoC computes the
+    data plane exactly when the run has an input
+    (:meth:`BaremetalBundle.has_input`), so both tiers return an output
+    for the same runs.  Long-running callers (the serving layer) keep
+    their own reusable workers instead.
     """
     # Local imports: repro.core.soc imports this module for the bundle
     # type, so the dispatch must not import repro.core at module level.
@@ -192,7 +204,7 @@ def execute_bundle(
         soc = Soc(
             get_config(bundle.config),
             frequency_hz=frequency_hz,
-            fidelity=bundle.fidelity,
+            fidelity="functional" if bundle.has_input(input_image) else "timing",
             memory_bus_width_bits=memory_bus_width_bits,
         )
         soc.load_bundle(bundle)

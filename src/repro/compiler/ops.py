@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import CompilerError
 from repro.nvdla.config import Precision
-from repro.nvdla.layout import ceil_div
+from repro.nvdla.layout import feature_size_bytes
 
 
 class EltwiseOpKind(Enum):
@@ -53,14 +53,13 @@ class TensorRef:
         return c * h * w
 
     def packed_bytes(self, atom_channels: int) -> int:
-        c, h, w = self.shape
-        return ceil_div(c, atom_channels) * h * w * atom_channels * self.precision.itemsize
+        return feature_size_bytes(self.shape, atom_channels, self.precision)
 
     def blob_packed_bytes(self, atom_channels: int) -> int:
         """Bytes of the *parent* allocation blob."""
         c = self.parent_channels if self.parent_channels is not None else self.shape[0]
         _, h, w = self.shape
-        return ceil_div(c, atom_channels) * h * w * atom_channels * self.precision.itemsize
+        return feature_size_bytes((c, h, w), atom_channels, self.precision)
 
     def view_offset_bytes(self, atom_channels: int) -> int:
         """Byte offset of this view inside the parent blob."""
@@ -70,8 +69,7 @@ class TensorRef:
                 f"to {atom_channels}-channel atoms"
             )
         _, h, w = self.shape
-        surfaces = self.channel_offset // atom_channels
-        return surfaces * h * w * atom_channels * self.precision.itemsize
+        return feature_size_bytes((self.channel_offset, h, w), atom_channels, self.precision)
 
     def require_address(self) -> int:
         if self.address is None:

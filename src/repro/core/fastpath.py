@@ -262,9 +262,9 @@ class FastPathExecutor:
     ) -> SocRunResult:
         """Replay one bundle functionally; cycles from its profile.
 
-        The kernels run when the run has an input — ``input_image`` or
-        the bundle's baked ``input.bin`` — and the output is ``None``
-        otherwise.
+        The kernels run when the run has an input
+        (:meth:`~repro.baremetal.pipeline.BaremetalBundle.has_input`);
+        the output is ``None`` otherwise.
         """
         self._check_config(bundle)
         state = self._states.get(id(bundle))
@@ -298,9 +298,7 @@ class FastPathExecutor:
             self._preload(address, packed)
 
         output = None
-        if input_image is not None or any(
-            image.name == "input.bin" for image in bundle.images.preload
-        ):
+        if bundle.has_input(input_image):
             for op in state.ops:
                 execute_descriptors(
                     op.descriptors, self.config, self.mcif, weight_cache=state.weight_cache

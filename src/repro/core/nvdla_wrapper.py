@@ -33,11 +33,6 @@ from repro.errors import BusError
 from repro.nvdla.config import HardwareConfig
 from repro.nvdla.engine import NvdlaEngine
 
-
-#: MCIF queueing efficiency on the SoC's DBB path (the VP's engine
-#: keeps its own default).
-DMA_EFFICIENCY = 0.5
-
 CSB_WIDTH_ERROR = "CSB supports single 32-bit accesses only"
 
 
@@ -138,7 +133,6 @@ class NvdlaWrapper:
             dbb=self.dbb_port,
             clock=clock,
             fidelity=fidelity,
-            dma_efficiency=DMA_EFFICIENCY,
         )
         arbiter.attach_contention_source(self.engine.mcif, clock)
 

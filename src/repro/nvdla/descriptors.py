@@ -19,7 +19,7 @@ from enum import Enum
 
 from repro.errors import ConfigurationError
 from repro.nvdla.config import Precision
-from repro.nvdla.layout import ceil_div
+from repro.nvdla.layout import ceil_div, feature_size_bytes
 
 
 def f32_to_bits(value: float) -> int:
@@ -79,8 +79,7 @@ class TensorDesc:
         return self.channels * self.height * self.width
 
     def packed_bytes(self, atom_channels: int) -> int:
-        surfaces = ceil_div(self.channels, atom_channels)
-        return surfaces * self.height * self.width * atom_channels * self.precision.itemsize
+        return feature_size_bytes(self.shape, atom_channels, self.precision)
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,6 @@ class NvdlaEngine:
     fidelity:
         ``"functional"`` moves and computes real tensor data;
         ``"timing"`` only prices the ops (for ResNet-50-class runs).
-    dma_efficiency:
-        MCIF queueing efficiency (see :class:`~repro.nvdla.mcif.Mcif`).
     """
 
     def __init__(
@@ -85,14 +83,13 @@ class NvdlaEngine:
         dbb: DbbPort,
         clock: Clock,
         fidelity: str = "functional",
-        dma_efficiency: float = 0.75,
     ) -> None:
         if fidelity not in ("functional", "timing"):
             raise ConfigurationError(f"unknown fidelity {fidelity!r}")
         self.config = config
         self.clock = clock
         self.fidelity = fidelity
-        self.mcif = Mcif(dbb, dma_efficiency=dma_efficiency)
+        self.mcif = Mcif(dbb)
         self.cbuf = Cbuf(config)
         self.glb = Glb()
         self.units: dict[str, unit_base.Unit] = {
@@ -203,7 +200,7 @@ class NvdlaEngine:
         self.records.append(record)
         dma_cycles = timing.weight_dma + timing.input_dma + timing.output_dma
         if dma_cycles:
-            self.mcif.record_window(start, dma_cycles, 0, "mixed")
+            self.mcif.record_window(start, dma_cycles)
 
         def complete() -> None:
             for block in blocks:

@@ -47,6 +47,18 @@ def feature_size_bytes(shape: tuple[int, int, int], atom_channels: int, precisio
     return surfaces * h * w * atom_channels * precision.itemsize
 
 
+def sdp_operand_bytes(channels: int, precision: Precision) -> int:
+    """Bytes of one SDP per-channel operand blob (bias or BN multiplier).
+
+    SDP reads its operands in its datapath precision: int32 per channel
+    for INT8 (the accumulator domain), fp16 for FP16.  ``precision`` is
+    the precision SDP reads its input in — the convolution's when the
+    input streams on the fly, the input surface's when it comes from
+    memory — not the output converter's.
+    """
+    return channels * (4 if precision is Precision.INT8 else 2)
+
+
 def pack_feature(tensor: np.ndarray, atom_channels: int, precision: Precision) -> bytes:
     """Pack a CHW tensor into NVDLA feature format bytes."""
     if tensor.ndim != 3:
@@ -72,7 +84,7 @@ def unpack_feature(
     c, h, w = shape
     dtype = dtype_for(precision)
     surfaces = ceil_div(c, atom_channels)
-    expected = surfaces * h * w * atom_channels * dtype.itemsize
+    expected = feature_size_bytes(shape, atom_channels, precision)
     if len(blob) < expected:
         raise ConfigurationError(
             f"feature blob too small: {len(blob)} bytes < expected {expected}"

@@ -8,7 +8,7 @@ concerns:
   bytes through the attached :class:`DbbPort` (the SoC wrapper's
   64→32-bit converter path, or the VP's direct memory),
 - **timing** — :meth:`Mcif.stream_cycles` prices bulk traffic with
-  the port's own price, derated by a queueing-efficiency factor.  On
+  the port's own price, derated by :data:`DMA_EFFICIENCY`.  On
   the SoC the port is the wrapper's DBB port, whose price is the
   slower of the DRAM stream formula
   (:meth:`repro.mem.dram.DramTiming.stream_cycles`) and the width
@@ -59,12 +59,21 @@ class DmaWindow:
 
     start: int
     cycles: int
-    nbytes: int
-    direction: str  # 'read' | 'write'
 
     @property
     def end(self) -> int:
         return self.start + self.cycles
+
+
+#: Fraction of the memory port's burst throughput MCIF sustains.  Two
+#: mechanisms cost the rest: request-queue bubbles (MCIF arbitrates
+#: every unit's DMA client onto the one DBB port and issues a bounded
+#: number of outstanding requests, ``CFG_RD_OUTSTANDING``, so the
+#: queue drains between bursts) and read/write turnarounds (a layer
+#: interleaves its read streams with its write-back on the same port,
+#: and each direction change idles the bus).  One value serves the SoC
+#: and the VP engine.
+DMA_EFFICIENCY = 0.5
 
 
 class Mcif:
@@ -75,11 +84,11 @@ class Mcif:
     port:
         The external memory port (SoC wrapper or VP memory).
     dma_efficiency:
-        Fraction of theoretical burst throughput MCIF sustains; covers
-        request-queue bubbles and read/write turnarounds.
+        Fraction of theoretical burst throughput MCIF sustains (see
+        :data:`DMA_EFFICIENCY`, the value every engine uses).
     """
 
-    def __init__(self, port: DbbPort, dma_efficiency: float = 0.75) -> None:
+    def __init__(self, port: DbbPort, dma_efficiency: float = DMA_EFFICIENCY) -> None:
         if not 0.0 < dma_efficiency <= 1.0:
             raise ValueError("dma_efficiency must be in (0, 1]")
         self.port = port
@@ -110,9 +119,9 @@ class Mcif:
         self.stats.dma_cycles += cycles
         return cycles
 
-    def record_window(self, start: int, cycles: int, nbytes: int, direction: str) -> None:
+    def record_window(self, start: int, cycles: int) -> None:
         """Log a busy interval on the DBB for arbiter contention."""
-        self.windows.append(DmaWindow(start=start, cycles=cycles, nbytes=nbytes, direction=direction))
+        self.windows.append(DmaWindow(start=start, cycles=cycles))
 
     def busy_during(self, cycle: int) -> bool:
         """Whether a DMA window covers ``cycle`` (linear scan of the

@@ -1,12 +1,20 @@
-"""Analytic per-op cycle model.
+"""Analytic per-op cycle model, and the one list of DRAM streams a
+launch moves.
+
+:func:`dma_streams` decides which bytes a launch reads and writes:
+one :class:`DmaStream` per DMA client stream, sized exactly as the
+unit kernels move them.  The engine prices that list
+(:func:`op_timing`) and the static analyzer checks it
+(:func:`repro.analyze.surfaces.parse_chain`), so the bytes priced and
+the bytes checked cannot drift apart.
 
 Latency of one hardware layer is dominated by three overlapping
 activities, and the model takes the slowest (they are pipelined
 against each other by CDMA prefetch and the double-buffered CBUF):
 
-- **DBB traffic** — weights (once), input feature map (once per
-  kernel split, see :class:`~repro.nvdla.cbuf.Cbuf`), SDP operand
-  blobs, and the output write-back; every stream is priced by
+- **DBB traffic** — the streams of :func:`dma_streams`, the conv
+  input once per kernel split (see :class:`~repro.nvdla.cbuf.Cbuf`);
+  every stream is priced by
   :meth:`~repro.nvdla.mcif.Mcif.stream_cycles`, which derates the
   memory port's price (on the SoC the wrapper's DBB port, whose DRAM
   term is :meth:`~repro.mem.dram.DramTiming.stream_cycles`),
@@ -29,22 +37,16 @@ GoogleNet is the slowest Table III entry despite mid-pack model size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig, Precision
-from repro.nvdla.descriptors import (
-    BdmaDescriptor,
-    CdpDescriptor,
-    ConvDescriptor,
-    EltwiseOp,
-    OpTiming,
-    PdpDescriptor,
-    RubikDescriptor,
-    SdpDescriptor,
-    TensorDesc,
-)
-from repro.nvdla.layout import weight_size_bytes
+from repro.nvdla.descriptors import EltwiseOp, OpTiming, SdpDescriptor, TensorDesc
+from repro.nvdla.layout import sdp_operand_bytes, weight_size_bytes
 from repro.nvdla.mcif import Mcif
+
+READ = "read"
+WRITE = "write"
 
 
 @dataclass(frozen=True)
@@ -69,132 +71,145 @@ class TimingParams:
 DEFAULT_PARAMS = TimingParams()
 
 
-def conv_op_timing(
-    conv: ConvDescriptor,
-    sdp: SdpDescriptor,
-    pdp: PdpDescriptor | None,
-    config: HardwareConfig,
-    cbuf: Cbuf,
-    mcif: Mcif,
-) -> OpTiming:
-    """A convolution + SDP hardware layer, or with ``pdp`` the fully
-    fused conv → SDP → PDP pipelined chain.
+class DmaStream(NamedTuple):
+    """One DRAM stream a launch moves: the DMA client that issues it,
+    its direction, what it carries, and the byte range."""
 
-    Fused, the intermediate surface never crosses the DBB (no SDP
-    write-back, no PDP_RDMA read) and the chain pays one fixed launch
-    + drain instead of two; the stages are pipelined, so the compute
-    term is the max of the stage rates.
+    unit: str  # CDMA, SDP_RDMA, SDP, PDP_RDMA, PDP, CDP_RDMA, CDP, BDMA or RUBIK
+    direction: str  # READ or WRITE
+    role: str  # input, weight, bias, bn_mult, eltwise or output
+    address: int
+    nbytes: int
+
+
+def dma_streams(descriptors: dict, config: HardwareConfig) -> list[DmaStream]:
+    """Every DRAM stream one launch's descriptors move (see
+    :func:`repro.nvdla.programming.parse_descriptors`), sized exactly
+    as the unit kernels read and write them.
+
+    A fused chain's intermediate surfaces stream on-chip and are not
+    listed: conv → SDP never touches memory, and with a PDP epilogue
+    only the pooled output does.
     """
-    atomic_c, atomic_k = config.atoms(conv.precision)
-    w_bytes = weight_size_bytes(conv.weight_shape, atomic_c, atomic_k, conv.precision)
-    splits = cbuf.kernel_splits(w_bytes, cbuf.default_split(w_bytes).weight_banks)
-    weight_dma = mcif.stream_cycles(conv.weight_address, w_bytes)
-    input_dma = _tensor_dma(conv.input, config, mcif) * splits
-    output_dma = _tensor_dma(sdp.output if pdp is None else pdp.output, config, mcif)
-
-    padded_macs = conv.padded_macs(atomic_c, atomic_k)
-    mac_cycles = int(
-        round(
-            padded_macs
-            / config.macs_per_cycle(conv.precision)
-            / DEFAULT_PARAMS.conv_stripe_efficiency
+    conv = descriptors.get("conv")
+    if conv is not None:
+        sdp, pdp = descriptors["sdp"], descriptors.get("pdp")
+        atomic_c, atomic_k = config.atoms(conv.precision)
+        weight_bytes = weight_size_bytes(conv.weight_shape, atomic_c, atomic_k, conv.precision)
+        return [
+            _feature("CDMA", READ, "input", conv.input, config),
+            DmaStream("CDMA", READ, "weight", conv.weight_address, weight_bytes),
+            *_sdp_operands(sdp, conv.precision, config),
+            _feature("SDP", WRITE, "output", sdp.output, config)
+            if pdp is None
+            else _feature("PDP", WRITE, "output", pdp.output, config),
+        ]
+    [(stage, desc)] = descriptors.items()
+    if stage == "sdp":
+        # Memory-sourced: operands in the input's precision.  No input is
+        # a malformed program (a flying SDP outside a conv chain), which
+        # the analyzer still reports.
+        streams = _sdp_operands(
+            desc, desc.out_precision if desc.input is None else desc.input.precision, config
         )
-    )
-    sdp_cycles = _post_cycles(sdp.output.elements, config.sdp_throughput)
-    detail = {
-        "kernel_splits": splits,
-        "weight_bytes": w_bytes,
-        "macs": conv.macs,
-        "padded_macs": padded_macs,
-        "mac_cycles": mac_cycles,
-        "sdp_cycles": sdp_cycles,
-    }
-    stage_cycles = [mac_cycles, sdp_cycles]
-    if pdp is not None:
-        pdp_cycles = _post_cycles(pdp.input.elements, config.pdp_throughput)
-        detail.update(pdp_cycles=pdp_cycles, fused="conv+sdp+pdp")
-        stage_cycles.append(pdp_cycles)
-    return _priced(
-        "conv",
-        weight_dma=weight_dma,
-        input_dma=input_dma + _sdp_operand_dma(sdp, config, mcif),
-        output_dma=output_dma,
-        compute=max(stage_cycles),
-        detail=detail,
-    )
-
-
-def sdp_op_timing(sdp: SdpDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
-    """Standalone (memory-sourced) SDP layer."""
-    assert sdp.input is not None
-    return _priced(
-        "sdp",
-        input_dma=_tensor_dma(sdp.input, config, mcif) + _sdp_operand_dma(sdp, config, mcif),
-        output_dma=_tensor_dma(sdp.output, config, mcif),
-        compute=_post_cycles(sdp.output.elements, config.sdp_throughput),
-    )
-
-
-def pdp_op_timing(pdp: PdpDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
-    # PDP reads every input element through its line buffers.
-    return _priced(
-        "pdp",
-        input_dma=_tensor_dma(pdp.input, config, mcif),
-        output_dma=_tensor_dma(pdp.output, config, mcif),
-        compute=_post_cycles(pdp.input.elements, config.pdp_throughput),
-    )
-
-
-def cdp_op_timing(cdp: CdpDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
-    return _priced(
-        "cdp",
-        input_dma=_tensor_dma(cdp.input, config, mcif),
-        output_dma=_tensor_dma(cdp.output, config, mcif),
-        compute=_post_cycles(
-            cdp.input.elements * DEFAULT_PARAMS.lrn_work_factor, config.cdp_throughput
-        ),
-    )
-
-
-def bdma_op_timing(bdma: BdmaDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
-    return _priced(
-        "bdma",
-        input_dma=mcif.stream_cycles(bdma.src_address, bdma.total_bytes),
-        output_dma=mcif.stream_cycles(bdma.dst_address, bdma.total_bytes),
-        drain=False,
-    )
-
-
-def rubik_op_timing(rubik: RubikDescriptor, config: HardwareConfig, mcif: Mcif) -> OpTiming:
-    nbytes = rubik.input.packed_bytes(config.atom_channels(rubik.input.precision))
-    return _priced(
-        "rubik",
-        input_dma=mcif.stream_cycles(rubik.input.address, nbytes),
-        output_dma=mcif.stream_cycles(rubik.output.address, nbytes),
-        compute=int(round(nbytes / DEFAULT_PARAMS.rubik_bytes_per_cycle)),
-        drain=False,
-    )
-
-
-_SINGLE_STAGE_TIMING = {
-    "sdp": sdp_op_timing,
-    "pdp": pdp_op_timing,
-    "cdp": cdp_op_timing,
-    "bdma": bdma_op_timing,
-    "rubik": rubik_op_timing,
-}
+        if desc.input is not None:
+            streams.insert(0, _feature("SDP_RDMA", READ, "input", desc.input, config))
+        streams.append(_feature("SDP", WRITE, "output", desc.output, config))
+        return streams
+    if stage == "bdma":
+        return [
+            DmaStream("BDMA", READ, "input", desc.src_address, desc.total_bytes),
+            DmaStream("BDMA", WRITE, "output", desc.dst_address, desc.total_bytes),
+        ]
+    sink = stage.upper()
+    rdma = sink if stage == "rubik" else f"{sink}_RDMA"
+    return [
+        _feature(rdma, READ, "input", desc.input, config),
+        _feature(sink, WRITE, "output", desc.output, config),
+    ]
 
 
 def op_timing(descriptors: dict, config: HardwareConfig, cbuf: Cbuf, mcif: Mcif) -> OpTiming:
-    """Price one launch's descriptors (see
-    :func:`repro.nvdla.programming.parse_descriptors`): a convolution,
-    a fused conv + pool chain, or one SDP, PDP, CDP, BDMA or RUBIK op."""
-    if "conv" in descriptors:
-        return conv_op_timing(
-            descriptors["conv"], descriptors["sdp"], descriptors.get("pdp"), config, cbuf, mcif
+    """Price one launch's descriptors: a convolution, a fused conv +
+    pool chain, or one SDP, PDP, CDP, BDMA or RUBIK op.
+
+    Every stream of :func:`dma_streams` is priced once by
+    :meth:`Mcif.stream_cycles`: weights are the weight DMA, writes the
+    output DMA, every other read the input DMA.  A convolution re-reads
+    its input once per kernel split (see :class:`~repro.nvdla.cbuf.Cbuf`),
+    so that stream's price is multiplied by the split count.
+
+    Fused, the intermediate surface never crosses the DBB and the chain
+    pays one fixed launch + drain instead of two; the stages are
+    pipelined, so the compute term is the max of the stage rates.
+    """
+    weight_dma = input_dma = output_dma = conv_input_dma = weight_bytes = 0
+    for stream in dma_streams(descriptors, config):
+        cycles = mcif.stream_cycles(stream.address, stream.nbytes)
+        if stream.role == "weight":
+            weight_dma, weight_bytes = cycles, stream.nbytes
+        elif stream.direction == WRITE:
+            output_dma += cycles
+        elif stream.unit == "CDMA":
+            conv_input_dma = cycles
+        else:
+            input_dma += cycles
+    conv = descriptors.get("conv")
+    if conv is not None:
+        sdp, pdp = descriptors["sdp"], descriptors.get("pdp")
+        splits = cbuf.kernel_splits(weight_bytes, cbuf.default_split(weight_bytes).weight_banks)
+        atomic_c, atomic_k = config.atoms(conv.precision)
+        padded_macs = conv.padded_macs(atomic_c, atomic_k)
+        mac_cycles = int(
+            round(
+                padded_macs
+                / config.macs_per_cycle(conv.precision)
+                / DEFAULT_PARAMS.conv_stripe_efficiency
+            )
         )
-    [(stage, descriptor)] = descriptors.items()
-    return _SINGLE_STAGE_TIMING[stage](descriptor, config, mcif)
+        sdp_cycles = _post_cycles(sdp.output.elements, config.sdp_throughput)
+        detail = {
+            "kernel_splits": splits,
+            "weight_bytes": weight_bytes,
+            "macs": conv.macs,
+            "padded_macs": padded_macs,
+            "mac_cycles": mac_cycles,
+            "sdp_cycles": sdp_cycles,
+        }
+        stage_cycles = [mac_cycles, sdp_cycles]
+        if pdp is not None:
+            pdp_cycles = _post_cycles(pdp.input.elements, config.pdp_throughput)
+            detail.update(pdp_cycles=pdp_cycles, fused="conv+sdp+pdp")
+            stage_cycles.append(pdp_cycles)
+        return _priced(
+            "conv",
+            weight_dma=weight_dma,
+            input_dma=conv_input_dma * splits + input_dma,
+            output_dma=output_dma,
+            compute=max(stage_cycles),
+            detail=detail,
+        )
+    [(stage, desc)] = descriptors.items()
+    if stage == "sdp":
+        compute = _post_cycles(desc.output.elements, config.sdp_throughput)
+    elif stage == "pdp":  # PDP reads every input element through its line buffers.
+        compute = _post_cycles(desc.input.elements, config.pdp_throughput)
+    elif stage == "cdp":
+        compute = _post_cycles(
+            desc.input.elements * DEFAULT_PARAMS.lrn_work_factor, config.cdp_throughput
+        )
+    elif stage == "rubik":
+        nbytes = desc.input.packed_bytes(config.atom_channels(desc.input.precision))
+        compute = int(round(nbytes / DEFAULT_PARAMS.rubik_bytes_per_cycle))
+    else:  # bdma
+        compute = 0
+    return _priced(
+        stage,
+        input_dma=input_dma,
+        output_dma=output_dma,
+        compute=compute,
+        drain=stage not in ("bdma", "rubik"),
+    )
 
 
 def _priced(
@@ -227,22 +242,32 @@ def _post_cycles(elements: float, throughput: int) -> int:
     return int(round(elements / (throughput * DEFAULT_PARAMS.post_throughput_derate)))
 
 
-def _tensor_dma(tensor: TensorDesc, config: HardwareConfig, mcif: Mcif) -> int:
-    """DBB cycles to stream one packed feature surface."""
-    return mcif.stream_cycles(
-        tensor.address, tensor.packed_bytes(config.atom_channels(tensor.precision))
+def _feature(
+    unit: str, direction: str, role: str, tensor: TensorDesc, config: HardwareConfig
+) -> DmaStream:
+    """A stream of one packed feature surface."""
+    return DmaStream(
+        unit,
+        direction,
+        role,
+        tensor.address,
+        tensor.packed_bytes(config.atom_channels(tensor.precision)),
     )
 
 
-def _sdp_operand_dma(sdp: SdpDescriptor, config: HardwareConfig, mcif: Mcif) -> int:
-    """DBB cycles for bias/BN blobs and the eltwise operand tensor."""
-    cycles = 0
-    channels = sdp.output.channels
-    operand_item = 4 if sdp.out_precision is Precision.INT8 else 2
+def _sdp_operands(
+    sdp: SdpDescriptor, precision: Precision, config: HardwareConfig
+) -> list[DmaStream]:
+    """SDP_RDMA's operand reads: the bias and BN blobs (sized in the
+    datapath ``precision``) and the eltwise operand surface."""
+    streams = []
+    operand_bytes = sdp_operand_bytes(sdp.output.channels, precision)
     if sdp.bias_address is not None:
-        cycles += mcif.stream_cycles(sdp.bias_address, channels * operand_item)
+        streams.append(DmaStream("SDP_RDMA", READ, "bias", sdp.bias_address, operand_bytes))
     if sdp.bn_mult_address is not None:
-        cycles += mcif.stream_cycles(sdp.bn_mult_address, channels * operand_item)
+        streams.append(
+            DmaStream("SDP_RDMA", READ, "bn_mult", sdp.bn_mult_address, operand_bytes)
+        )
     if sdp.eltwise is not EltwiseOp.NONE and sdp.eltwise_input is not None:
-        cycles += _tensor_dma(sdp.eltwise_input, config, mcif)
-    return cycles
+        streams.append(_feature("SDP_RDMA", READ, "eltwise", sdp.eltwise_input, config))
+    return streams

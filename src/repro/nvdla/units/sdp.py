@@ -22,7 +22,7 @@ from repro.nvdla.compute import (
 )
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import EltwiseOp, SdpDescriptor, SdpSource, TensorDesc
-from repro.nvdla.layout import pack_feature, unpack_feature
+from repro.nvdla.layout import pack_feature, sdp_operand_bytes, unpack_feature
 from repro.nvdla.mcif import Mcif
 from repro.nvdla.units.base import Unit, parse_precision, parse_tensor, tensor_register_names
 
@@ -149,14 +149,13 @@ def execute(
         )
 
     integer = acc.dtype == np.int64
+    operand_bytes = sdp_operand_bytes(channels, in_precision)
     if desc.bias_address is not None:
-        count = channels * (4 if integer else 2)
-        raw = mcif.read(desc.bias_address, count)
+        raw = mcif.read(desc.bias_address, operand_bytes)
         bias = np.frombuffer(raw, dtype=np.int32 if integer else np.float16)[:channels]
         acc = apply_bias(acc, bias.astype(acc.dtype))
     if desc.bn_mult_address is not None:
-        count = channels * (4 if integer else 2)
-        raw = mcif.read(desc.bn_mult_address, count)
+        raw = mcif.read(desc.bn_mult_address, operand_bytes)
         mult = np.frombuffer(raw, dtype=np.int32 if integer else np.float16)[:channels]
         acc = apply_batchnorm(acc, mult.astype(np.float64 if integer else np.float32))
         if integer:

@@ -11,7 +11,9 @@ Two worker tiers share one interface (``run(bundle, input_image)`` →
   transactions, outputs bit-identical to the SoC tier and cycles
   equal to it (the bundle's recorded cycle profile).
 
-Both tiers return an output for every run.  Workers are keyed by the
+Both tiers return an output for every run that has an input
+(:meth:`~repro.baremetal.pipeline.BaremetalBundle.has_input`) and
+``None`` for one that has none.  Workers are keyed by the
 *hardware* point plus execution mode (config, frequency, memory width,
 mode) — never the model, since every run reloads program memory and
 preload images — so one worker serves interleaved models on the same
@@ -124,7 +126,9 @@ class SocWorker:
         if input_image is not None:
             image = pack_input_image(bundle, input_image)
             self.soc.preload_dram(image.load_address, image.data)
-        result = self.soc.run_inference(bundle)
+        # Without an input the engine computes on whatever DRAM holds:
+        # no output, as on the fast tier.
+        result = self.soc.run_inference(bundle if bundle.has_input(input_image) else None)
         self.stats.runs += 1
         return result
 

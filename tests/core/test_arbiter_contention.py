@@ -15,7 +15,7 @@ def _arbiter_with_contention(busy_from: int, busy_cycles: int):
     arbiter = DramArbiter(dram, grant_penalty=4)
     clock = Clock()
     mcif = Mcif(DirectDbbPort(SparseMemory(1 << 16)))
-    mcif.record_window(busy_from, busy_cycles, 4096, "read")
+    mcif.record_window(busy_from, busy_cycles)
     arbiter.attach_contention_source(mcif, clock)
     return arbiter, clock
 

@@ -121,7 +121,7 @@ def test_routes_match_layer_walk(contended):
     resolved, layered = _twins()
     if contended:  # an NVDLA DMA window over "now": CPU grants pay the penalty
         for soc in (resolved, layered):
-            soc.wrapper.engine.mcif.record_window(0, 1000, 256, "read")
+            soc.wrapper.engine.mcif.record_window(0, 1000)
     registers = [a for a in NVDLA_ADDRESSES if a % 4 == 0]
     addresses = NVDLA_ADDRESSES + DRAM_ADDRESSES + UNMAPPED_ADDRESSES
     checked = _check_grid(resolved, layered, addresses, registers, DRAM_ADDRESSES)

@@ -10,7 +10,7 @@ from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig, Precision, get_config
 from repro.nvdla.descriptors import ConvDescriptor, SdpDescriptor, SdpSource, TensorDesc
 from repro.nvdla.mcif import Mcif
-from repro.nvdla.timing import conv_op_timing, pdp_op_timing, sdp_op_timing
+from repro.nvdla.timing import op_timing
 from repro.nvdla.descriptors import PdpDescriptor, PoolMode
 
 from repro.mem import SparseMemory
@@ -141,7 +141,9 @@ def _mcif():
 
 
 def test_conv_timing_has_all_components():
-    timing = conv_op_timing(_conv_desc(), _sdp_desc(), None, NV_SMALL, Cbuf(NV_SMALL), _mcif())
+    timing = op_timing(
+        {"conv": _conv_desc(), "sdp": _sdp_desc()}, NV_SMALL, Cbuf(NV_SMALL), _mcif()
+    )
     assert timing.total > timing.fixed
     assert timing.weight_dma > 0
     assert timing.compute > 0
@@ -149,8 +151,12 @@ def test_conv_timing_has_all_components():
 
 
 def test_conv_timing_scales_with_kernel_count():
-    small = conv_op_timing(_conv_desc(k=8), _sdp_desc(k=8), None, NV_SMALL, Cbuf(NV_SMALL), _mcif())
-    large = conv_op_timing(_conv_desc(k=64), _sdp_desc(k=64), None, NV_SMALL, Cbuf(NV_SMALL), _mcif())
+    small = op_timing(
+        {"conv": _conv_desc(k=8), "sdp": _sdp_desc(k=8)}, NV_SMALL, Cbuf(NV_SMALL), _mcif()
+    )
+    large = op_timing(
+        {"conv": _conv_desc(k=64), "sdp": _sdp_desc(k=64)}, NV_SMALL, Cbuf(NV_SMALL), _mcif()
+    )
     assert large.total > small.total
 
 
@@ -158,34 +164,40 @@ def test_conv_timing_padding_inefficiency():
     """One input channel wastes 7/8 of the nv_small atoms: padded MACs
     must exceed true MACs by that factor."""
     desc = _conv_desc(c=1)
-    timing = conv_op_timing(desc, _sdp_desc(), None, NV_SMALL, Cbuf(NV_SMALL), _mcif())
+    timing = op_timing({"conv": desc, "sdp": _sdp_desc()}, NV_SMALL, Cbuf(NV_SMALL), _mcif())
     assert timing.detail["padded_macs"] == 8 * timing.detail["macs"]
 
 
 def test_conv_timing_kernel_splits_multiply_input_traffic():
     mcif = _mcif()
     big = _conv_desc(k=512, c=64, hw=16, ks=3)  # 512*64*9 = 288 KiB > 16 KiB partition
-    timing = conv_op_timing(big, _sdp_desc(k=512, hw=14), None, NV_SMALL, Cbuf(NV_SMALL), mcif)
+    timing = op_timing(
+        {"conv": big, "sdp": _sdp_desc(k=512, hw=14)}, NV_SMALL, Cbuf(NV_SMALL), mcif
+    )
     assert timing.detail["kernel_splits"] > 1
 
 
 def test_fp16_compute_slower_than_int8_on_same_geometry():
-    int8 = conv_op_timing(
-        _conv_desc(k=64, c=64, precision=Precision.INT8),
-        _sdp_desc(k=64, precision=Precision.INT8),
-        None, NV_FULL, Cbuf(NV_FULL), _mcif(),
+    int8 = op_timing(
+        {
+            "conv": _conv_desc(k=64, c=64, precision=Precision.INT8),
+            "sdp": _sdp_desc(k=64, precision=Precision.INT8),
+        },
+        NV_FULL, Cbuf(NV_FULL), _mcif(),
     )
-    fp16 = conv_op_timing(
-        _conv_desc(k=64, c=64, precision=Precision.FP16),
-        _sdp_desc(k=64, precision=Precision.FP16),
-        None, NV_FULL, Cbuf(NV_FULL), _mcif(),
+    fp16 = op_timing(
+        {
+            "conv": _conv_desc(k=64, c=64, precision=Precision.FP16),
+            "sdp": _sdp_desc(k=64, precision=Precision.FP16),
+        },
+        NV_FULL, Cbuf(NV_FULL), _mcif(),
     )
     assert fp16.detail["mac_cycles"] >= int8.detail["mac_cycles"]
 
 
 def test_sdp_standalone_timing():
-    timing = sdp_op_timing(
-        _sdp_desc(source=SdpSource.MEMORY), NV_SMALL, _mcif()
+    timing = op_timing(
+        {"sdp": _sdp_desc(source=SdpSource.MEMORY)}, NV_SMALL, Cbuf(NV_SMALL), _mcif()
     )
     assert timing.input_dma > 0 and timing.output_dma > 0
     assert timing.total >= timing.input_dma + timing.output_dma
@@ -200,8 +212,8 @@ def test_pdp_timing_tracks_input_elements():
             kernel_w=2, kernel_h=2, stride_x=2, stride_y=2,
         )
 
-    small = pdp_op_timing(pool_desc(8), NV_SMALL, _mcif())
-    large = pdp_op_timing(pool_desc(32), NV_SMALL, _mcif())
+    small = op_timing({"pdp": pool_desc(8)}, NV_SMALL, Cbuf(NV_SMALL), _mcif())
+    large = op_timing({"pdp": pool_desc(32)}, NV_SMALL, Cbuf(NV_SMALL), _mcif())
     assert large.total > small.total
 
 

@@ -25,12 +25,7 @@ from repro.nvdla.descriptors import (
     TensorDesc,
 )
 from repro.nvdla.mcif import Mcif
-from repro.nvdla.timing import (
-    TimingParams,
-    conv_op_timing,
-    pdp_op_timing,
-    sdp_op_timing,
-)
+from repro.nvdla.timing import TimingParams, op_timing
 
 from tests.conftest import DirectDbbPort
 
@@ -69,7 +64,7 @@ def _conv_timing(c: int, h: int, w: int, k: int, kernel: int = 3):
         output=_tensor(k, out_h, out_w, address=0x80000),
         out_precision=Precision.INT8,
     )
-    return conv_op_timing(conv, sdp, None, NV_SMALL, Cbuf(NV_SMALL), _mcif())
+    return op_timing({"conv": conv, "sdp": sdp}, NV_SMALL, Cbuf(NV_SMALL), _mcif())
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +102,7 @@ def test_pdp_timing_monotonic_in_spatial_dims():
             stride_x=2,
             stride_y=2,
         )
-        totals.append(pdp_op_timing(desc, NV_SMALL, _mcif()).total)
+        totals.append(op_timing({"pdp": desc}, NV_SMALL, Cbuf(NV_SMALL), _mcif()).total)
     assert totals == sorted(totals)
     assert totals[-1] > totals[0]
 
@@ -122,7 +117,7 @@ def test_sdp_timing_monotonic_in_channels():
             out_precision=Precision.INT8,
             relu=True,
         )
-        totals.append(sdp_op_timing(desc, NV_SMALL, _mcif()).total)
+        totals.append(op_timing({"sdp": desc}, NV_SMALL, Cbuf(NV_SMALL), _mcif()).total)
     assert totals == sorted(totals)
     assert totals[-1] > totals[0]
 
@@ -140,7 +135,7 @@ def test_minimal_layer_costs_only_fixed_overhead():
         output=_tensor(1, 1, 1, address=0x80000),
         out_precision=Precision.INT8,
     )
-    timing = sdp_op_timing(desc, NV_SMALL, _mcif())
+    timing = op_timing({"sdp": desc}, NV_SMALL, Cbuf(NV_SMALL), _mcif())
     assert timing.fixed == PARAMS.op_fixed_cycles + PARAMS.op_drain_cycles
     # The non-fixed part is a handful of DMA beats, not real work.
     assert timing.total - timing.fixed <= 16

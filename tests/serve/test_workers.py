@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baremetal import generate_baremetal
+from repro.baremetal import execute_bundle, generate_baremetal
 from repro.core import Soc
 from repro.errors import ReproError
 from repro.nvdla import NV_SMALL
 from repro.serve import (
     DeploymentSpec,
+    FastPathWorker,
     SocWorker,
     WorkerPool,
     hardware_key,
@@ -116,6 +117,27 @@ def test_explicit_input_equals_baked_preload(lenet_bundle):
     repacked = worker.run(lenet_bundle, input_image=lenet_bundle.input_image)
     assert baked.ok and repacked.ok
     assert np.array_equal(baked.output, repacked.output)
+
+
+def test_run_without_input_has_no_output_on_every_tier(lenet_bundle):
+    """A timing build bakes no ``input.bin``: run with no input image,
+    every tier returns ``output=None`` at the same cycles, even on a SoC
+    whose DRAM still holds a previous run's input."""
+    from repro.nn.zoo import lenet5
+
+    bundle = generate_baremetal(lenet5(), NV_SMALL, fidelity="timing")
+    assert not bundle.has_input() and bundle.has_input(bundle.input_image)
+    soc_worker = SocWorker(0, SPEC)
+    soc_worker.run(lenet_bundle)  # leaves a real input in DRAM
+    results = [
+        soc_worker.run(bundle),
+        soc_worker.run(bundle),  # replay: no DRAM scrub
+        FastPathWorker(1, SPEC, calibration=None).run(bundle),
+        execute_bundle(bundle, "cycle_accurate"),
+        execute_bundle(bundle, "fast"),
+    ]
+    assert all(result.ok and result.output is None for result in results)
+    assert len({result.cycles for result in results}) == 1
 
 
 def test_pack_input_rejects_wrong_shape(lenet_bundle):
