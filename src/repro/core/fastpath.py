@@ -41,10 +41,12 @@ from repro.core.soc import Soc, SocRunResult, read_output_tensor
 from repro.errors import BusError, ReproError
 from repro.mem.sparse_memory import SparseMemory
 from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision, get_config
+from repro.nvdla.descriptors import TensorDesc
 from repro.nvdla.engine import OpRecord
 from repro.nvdla.fastpath import lower_loadable, pack_input
 from repro.nvdla.mcif import Mcif
-from repro.nvdla.programming import execute_descriptors
+from repro.nvdla.programming import Descriptors, execute_descriptors
+from repro.nvdla.timing import WRITE, dma_streams
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,66 @@ def record_profile(
     )
 
 
+def _shape(tensor: TensorDesc | None) -> tuple | None:
+    return None if tensor is None else (tensor.shape, tensor.precision)
+
+
+def _batch_key(descriptors: Descriptors) -> tuple | None:
+    """What convolution launches must share to run as one kernel call:
+    every field the conv and SDP kernels read from a run's first launch
+    only (stages, geometry, cube shapes and precisions).  Surfaces,
+    weights, operands and converter values may differ per launch.
+    ``None`` for launches that never batch."""
+    if descriptors.keys() != {"conv", "sdp"}:
+        return None
+    conv, sdp = descriptors["conv"], descriptors["sdp"]
+    return (
+        _shape(conv.input),
+        conv.weight_shape,
+        conv.precision,
+        (conv.stride_y, conv.stride_x),
+        (conv.pad_top, conv.pad_bottom, conv.pad_left, conv.pad_right),
+        _shape(sdp.output),
+        sdp.out_precision,
+        sdp.source,
+        sdp.bias_address is None,
+        sdp.bn_mult_address is None,
+        sdp.eltwise,
+        _shape(sdp.eltwise_input),
+        sdp.relu,
+        sdp.dst_flying,
+    )
+
+
+def batch_launches(
+    launches: list[Descriptors], config: HardwareConfig
+) -> list[list[Descriptors]]:
+    """Split a launch sequence into runs that execute as one kernel call.
+
+    A run is consecutive launches with one :func:`_batch_key` (the
+    ``convN_dw_bK`` blocks of a depthwise layer) where no launch reads
+    bytes an earlier one in the run writes, so reading every input
+    before writing any output changes nothing.  Order is kept; a
+    launch that cannot join its predecessor starts a new run.
+    """
+    runs: list[list[Descriptors]] = []
+    run_key = None
+    written: list[tuple[int, int]] = []
+    for launch in launches:
+        key = _batch_key(launch)
+        streams = dma_streams(launch, config)
+        reads = [(s.address, s.address + s.nbytes) for s in streams if s.direction != WRITE]
+        joins = key is not None and key == run_key and not any(
+            lo < w_hi and w_lo < hi for lo, hi in reads for w_lo, w_hi in written
+        )
+        if not joins:
+            runs.append([])
+            run_key, written = key, []
+        runs[-1].append(launch)
+        written += [(s.address, s.address + s.nbytes) for s in streams if s.direction == WRITE]
+    return runs
+
+
 @dataclass
 class ResidentStats:
     """Warm-state accounting of the executor's resident-bundle LRU.
@@ -163,8 +225,9 @@ class _BundleState:
     """Resident serving state for one bundle (multi-tenant worker).
 
     Each bundle gets its own DRAM image plus the derived artefacts
-    that are invariant across requests — lowered descriptors, the
-    cycle profile and the unpacked-weight cache — so an interleaved
+    that are invariant across requests — lowered descriptors batched
+    into kernel calls (:func:`batch_launches`), the cycle profile and
+    the GEMM-ready weight cache — so an interleaved
     workload (the scheduler round-robins deployments) never pays the
     model-switch teardown the single-SoC tier pays.  ``bundle`` is a
     strong reference on purpose: states are keyed by ``id(bundle)``.
@@ -172,7 +235,7 @@ class _BundleState:
 
     bundle: BaremetalBundle
     storage: SparseMemory
-    ops: list
+    runs: list[list[Descriptors]]
     profile: CycleProfile
     weight_cache: dict = field(default_factory=dict)
 
@@ -273,7 +336,10 @@ class FastPathExecutor:
             state = _BundleState(
                 bundle=bundle,
                 storage=SparseMemory(DEFAULT_MAP.dram_size),
-                ops=lower_loadable(bundle.loadable, self.config),
+                runs=batch_launches(
+                    [op.descriptors for op in lower_loadable(bundle.loadable, self.config)],
+                    self.config,
+                ),
                 profile=self._profile(bundle),
             )
             self.port.storage = state.storage
@@ -299,9 +365,9 @@ class FastPathExecutor:
 
         output = None
         if bundle.has_input(input_image):
-            for op in state.ops:
+            for launches in state.runs:
                 execute_descriptors(
-                    op.descriptors, self.config, self.mcif, weight_cache=state.weight_cache
+                    launches, self.config, self.mcif, weight_cache=state.weight_cache
                 )
             output = read_output_tensor(
                 state.storage, bundle, self.config, DEFAULT_MAP.dram_base

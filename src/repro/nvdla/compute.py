@@ -1,11 +1,16 @@
 """Functional kernels for the NVDLA datapath.
 
 These implement the arithmetic of the hardware units on NumPy arrays:
-direct convolution (im2col), the SDP post-processing chain, pooling,
-LRN and eltwise.  Integer paths accumulate in int64 (hardware uses
-int32 accumulators with saturation applied by the SDP converter —
+direct convolution (im2col + one GEMM), the SDP post-processing chain,
+pooling, LRN and eltwise.  Integer paths accumulate in int64 (hardware
+uses int32 accumulators with saturation applied by the SDP converter —
 saturation is applied at the same point here); FP16 paths accumulate
 in float32, like CMAC's FP16 pipeline.
+
+The convolution and the SDP stages also take a leading *group* axis:
+a run of launches of one shape (the blocks of a depthwise layer)
+executes as one call, each launch with its own weights, operands and
+converter values.
 
 They are intentionally *not* shared with :mod:`repro.nn.reference`
 (the float reference executor) so that an arithmetic bug in one cannot
@@ -19,6 +24,23 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nvdla.descriptors import EltwiseOp, PoolMode
 
+#: Longest INT8 reduction a float32 GEMM sums exactly: every product
+#: is at most 2^14 in magnitude (-128 * -128), so any partial sum of
+#: 1024 of them is an integer of at most 2^24, which float32 holds.
+INT8_EXACT_TERMS = 1024
+
+
+def gemm_dtype(dtype: np.dtype) -> np.dtype:
+    """The dtype :func:`conv2d_direct` multiplies operands of ``dtype`` in.
+
+    INT8 runs in float32, exact in chunks of :data:`INT8_EXACT_TERMS`;
+    any other integer type in float64, exact while sums stay below
+    2^53; FP16 in float32, like CMAC's FP16 pipeline.
+    """
+    if dtype == np.int8 or not np.issubdtype(dtype, np.integer):
+        return np.dtype(np.float32)
+    return np.dtype(np.float64)
+
 
 def conv2d_direct(
     x: np.ndarray,
@@ -28,104 +50,143 @@ def conv2d_direct(
 ) -> np.ndarray:
     """Direct convolution, CHW input and KCRS weights.
 
+    With a leading group axis (``x`` GCHW, ``w`` GKCRS) each group is
+    its own convolution and all run as one batched GEMM.  ``w`` may
+    already be in the GEMM dtype (:func:`gemm_dtype` of ``x``), holding
+    the integer kernel's values; it is then used without a copy.
+
     Returns int64 accumulators for integer inputs and float32 for
     floating inputs (matching CMAC/CACC accumulation).
     ``pad`` is (top, bottom, left, right).
     """
-    if x.ndim != 3 or w.ndim != 4:
-        raise ConfigurationError("conv2d expects CHW input and KCRS weights")
-    c, h, width = x.shape
-    k, wc, r, s = w.shape
+    if x.ndim not in (3, 4) or w.ndim != x.ndim + 1 or x.shape[:-3] != w.shape[:-4]:
+        raise ConfigurationError(
+            "conv2d expects CHW input and KCRS weights (or one group axis on both)"
+        )
+    *group, c, h, width = x.shape
+    k, wc, r, s = w.shape[-4:]
     if wc != c:
         raise ConfigurationError(f"channel mismatch: input {c}, weights {wc}")
     stride_y, stride_x = stride
     pad_top, pad_bottom, pad_left, pad_right = pad
-
-    integer = np.issubdtype(x.dtype, np.integer)
-    acc_dtype = np.int64 if integer else np.float32
-    # Integer products are computed exactly in float64 (|a*b| <= 127^2,
-    # sums below 2^53 for any layer in the zoo), then rounded back —
-    # this keeps the hot path in BLAS instead of slow object loops.
-    compute_dtype = np.float64 if integer else np.float32
-
-    padded = np.pad(
-        x.astype(compute_dtype),
-        ((0, 0), (pad_top, pad_bottom), (pad_left, pad_right)),
-        mode="constant",
-    )
-    ph, pw = padded.shape[1], padded.shape[2]
+    ph, pw = h + pad_top + pad_bottom, width + pad_left + pad_right
     out_h = (ph - r) // stride_y + 1
     out_w = (pw - s) // stride_x + 1
     if out_h <= 0 or out_w <= 0:
         raise ConfigurationError("convolution output would be empty")
 
-    # im2col via stride tricks: windows[c, r, s, oh, ow]
-    cs, hs, ws = padded.strides
+    compute_dtype = gemm_dtype(x.dtype)
+    padded = np.zeros((*group, c, ph, pw), dtype=compute_dtype)
+    padded[..., pad_top : pad_top + h, pad_left : pad_left + width] = x
+
+    # im2col via stride tricks: windows[..., c, r, s, oh, ow]
+    *gs, cs, hs, ws = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded,
-        shape=(c, r, s, out_h, out_w),
-        strides=(cs, hs, ws, hs * stride_y, ws * stride_x),
+        shape=(*group, c, r, s, out_h, out_w),
+        strides=(*gs, cs, hs, ws, hs * stride_y, ws * stride_x),
         writeable=False,
     )
-    cols = windows.reshape(c * r * s, out_h * out_w)
-    kernel = w.astype(compute_dtype).reshape(k, c * r * s)
-    acc = kernel @ cols
-    result = acc.reshape(k, out_h, out_w)
-    if integer:
-        return np.rint(result).astype(acc_dtype)
-    return result.astype(acc_dtype)
+    terms = c * r * s
+    cols = windows.reshape(*group, terms, out_h * out_w)
+    kernel = w.astype(compute_dtype, copy=False).reshape(*group, k, terms)
+    if x.dtype != np.int8 or terms <= INT8_EXACT_TERMS:
+        acc = kernel @ cols
+    else:
+        acc = np.zeros((*group, k, out_h * out_w), dtype=np.int64)
+        for lo in range(0, terms, INT8_EXACT_TERMS):
+            hi = lo + INT8_EXACT_TERMS
+            acc += (kernel[..., lo:hi] @ cols[..., lo:hi, :]).astype(np.int64)
+    # Integer GEMMs are exact, so the cast back needs no rounding.
+    acc_dtype = np.int64 if np.issubdtype(x.dtype, np.integer) else np.float32
+    return acc.reshape(*group, k, out_h, out_w).astype(acc_dtype, copy=False)
+
+
+# The SDP stages below update the accumulator in place and return it:
+# the datapath owns the array it is handed (a convolution's fresh
+# accumulators or a freshly read surface).  Per-channel operands are
+# (..., C) and broadcast over H and W, so a group axis passes through.
+
+
+def _per_channel(acc: np.ndarray, operand: np.ndarray, what: str) -> np.ndarray:
+    if operand.shape[-1] != acc.shape[-3]:
+        raise ConfigurationError(
+            f"{what} channels {operand.shape[-1]} != output channels {acc.shape[-3]}"
+        )
+    return operand[..., None, None]
 
 
 def apply_bias(acc: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
-    """Per-output-channel bias addition on the accumulator."""
+    """Per-output-channel bias addition on the accumulator (in place)."""
     if bias is None:
         return acc
-    if bias.shape[0] != acc.shape[0]:
-        raise ConfigurationError(f"bias channels {bias.shape[0]} != output channels {acc.shape[0]}")
-    return acc + bias.reshape(-1, 1, 1).astype(acc.dtype)
+    acc += _per_channel(acc, bias, "bias").astype(acc.dtype, copy=False)
+    return acc
 
 
 def apply_batchnorm(acc: np.ndarray, mult: np.ndarray | None) -> np.ndarray:
-    """Per-channel multiplier (folded batch-norm scale)."""
+    """Per-channel multiplier (folded batch-norm scale); a new array in
+    the multiplier's dtype."""
     if mult is None:
         return acc
-    if mult.shape[0] != acc.shape[0]:
-        raise ConfigurationError("batch-norm multiplier channel mismatch")
-    return acc * mult.reshape(-1, 1, 1)
+    return acc * _per_channel(acc, mult, "batch-norm multiplier")
 
 
 def apply_eltwise(acc: np.ndarray, op: EltwiseOp, operand: np.ndarray | None) -> np.ndarray:
+    """Element-wise add/mul/max with a second tensor (in place)."""
     if op is EltwiseOp.NONE:
         return acc
     if operand is None:
         raise ConfigurationError("eltwise operand missing")
-    operand = operand.astype(acc.dtype)
-    if op is EltwiseOp.ADD:
-        return acc + operand
-    if op is EltwiseOp.MUL:
-        return acc * operand
-    return np.maximum(acc, operand)
+    ufunc = {EltwiseOp.ADD: np.add, EltwiseOp.MUL: np.multiply, EltwiseOp.MAX: np.maximum}[op]
+    return ufunc(acc, operand.astype(acc.dtype, copy=False), out=acc)
 
 
 def apply_relu(acc: np.ndarray, enabled: bool) -> np.ndarray:
+    """ReLU (in place)."""
     if not enabled:
         return acc
-    return np.maximum(acc, 0)
+    return np.maximum(acc, 0, out=acc)
 
 
-def requantize_int8(acc: np.ndarray, multiplier: int, shift: int) -> np.ndarray:
-    """Output converter: ``clamp(round(acc * mult / 2^shift))`` to int8."""
-    scaled = acc.astype(np.int64) * int(multiplier)
-    if shift > 0:
-        half = np.int64(1) << (shift - 1)
-        scaled = (scaled + np.sign(scaled) * half) >> shift
-    return np.clip(scaled, -128, 127).astype(np.int8)
+def scale_round(x: np.ndarray, multiplier, shift) -> np.ndarray:
+    """``(x * multiplier + sign · half) >> shift`` in place on int64 ``x``.
+
+    ``half`` is ``2^(shift-1)``, none when ``shift`` is 0: values round
+    half away from zero before the arithmetic (flooring) shift.
+    ``multiplier`` and ``shift`` are ints or int64 arrays broadcast
+    over ``x`` (one value per group).
+    """
+    x *= multiplier
+    shift = np.asarray(shift, dtype=np.int64)
+    # For shift > 0, (x - half) >> shift == ((x + half) >> shift) - 1,
+    # so negatives take the shared add and one decrement after it.
+    rounds_down = x < 0
+    if not np.all(shift > 0):
+        rounds_down &= shift > 0
+    x += (np.int64(1) << shift) >> 1
+    x >>= shift
+    x -= rounds_down
+    return x
 
 
-def convert_fp16(acc: np.ndarray, multiplier: int = 1, shift: int = 0) -> np.ndarray:
+def requantize_int8(acc: np.ndarray, multiplier, shift) -> np.ndarray:
+    """Output converter: ``clamp(round(acc * mult / 2^shift))`` to int8.
+
+    Rounds as :func:`scale_round`, in place on an int64 ``acc`` (its
+    contents are consumed); ``multiplier``/``shift`` broadcast the same way.
+    """
+    scaled = scale_round(acc.astype(np.int64, copy=False), multiplier, shift)
+    return np.clip(scaled, -128, 127, out=scaled).astype(np.int8)
+
+
+def convert_fp16(acc: np.ndarray, multiplier=1, shift=0) -> np.ndarray:
     """FP16 output converter with an optional power-of-two rescale."""
-    scale = multiplier / float(1 << shift)
-    return (acc.astype(np.float32) * scale).astype(np.float16)
+    scale = np.asarray(
+        np.asarray(multiplier, dtype=np.float64) / (np.int64(1) << np.asarray(shift)),
+        dtype=np.float32,
+    )
+    return (acc.astype(np.float32, copy=False) * scale).astype(np.float16)
 
 
 def pool2d(

@@ -170,7 +170,7 @@ class NvdlaEngine:
         descriptors = lower_group(self.units, launch, group, self.config)
         timing = op_timing(descriptors, self.config, self.cbuf, self.mcif)
         if self.fidelity == "functional":
-            execute_descriptors(descriptors, self.config, self.mcif)
+            execute_descriptors([descriptors], self.config, self.mcif)
         self._commit(launch.kind, sink, group, [*blocks, block], timing)
         return True
 

@@ -48,9 +48,6 @@ class DbbPort(Protocol):
 class McifStats:
     bytes_read: int = 0
     bytes_written: int = 0
-    read_requests: int = 0
-    write_requests: int = 0
-    dma_cycles: int = 0
 
 
 @dataclass
@@ -99,12 +96,10 @@ class Mcif:
     # Functional ---------------------------------------------------------
 
     def read(self, address: int, nbytes: int) -> bytes:
-        self.stats.read_requests += 1
         self.stats.bytes_read += nbytes
         return self.port.read(address, nbytes)
 
     def write(self, address: int, data: bytes) -> None:
-        self.stats.write_requests += 1
         self.stats.bytes_written += len(data)
         self.port.write(address, data)
 
@@ -115,9 +110,7 @@ class Mcif:
         if nbytes <= 0:
             return 0
         raw = self.port.stream_cycles(address, nbytes)
-        cycles = int(round(raw / self.dma_efficiency))
-        self.stats.dma_cycles += cycles
-        return cycles
+        return int(round(raw / self.dma_efficiency))
 
     def record_window(self, start: int, cycles: int) -> None:
         """Log a busy interval on the DBB for arbiter contention."""

@@ -32,6 +32,7 @@ fixture-updating change.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -569,19 +570,30 @@ def lower_chain(chain: LayerChain, config: HardwareConfig) -> Descriptors:
 
 
 def execute_descriptors(
-    descriptors: Descriptors,
+    launches: Sequence[Descriptors],
     config: HardwareConfig,
     mcif: Mcif,
     weight_cache: dict | None = None,
 ) -> None:
-    """Run one launch's descriptors through the unit kernels (moves real bytes)."""
-    if "conv" in descriptors:
+    """Run launches' descriptors through the unit kernels (moves real bytes).
+
+    ``launches`` is one launch, or a run of convolution launches of one
+    shape (see :func:`repro.core.fastpath.batch_launches`), which the
+    conv and SDP kernels execute as one call; every launch reads and
+    writes its own surfaces.
+    """
+    if "conv" in launches[0]:
         acc = conv_pipeline.execute(
-            descriptors["conv"], config, mcif, weight_cache=weight_cache
+            [launch["conv"] for launch in launches], config, mcif, weight_cache=weight_cache
         )
-        result = sdp_mod.execute(descriptors["sdp"], config, mcif, flying_input=acc)
-        if "pdp" in descriptors:
-            pdp_mod.execute(descriptors["pdp"], config, mcif, flying_input=result)
+        results = sdp_mod.execute([launch["sdp"] for launch in launches], config, mcif, acc)
+        if "pdp" in launches[0]:
+            for launch, result in zip(launches, results):
+                pdp_mod.execute(launch["pdp"], config, mcif, flying_input=result)
         return
-    [(stage, descriptor)] = descriptors.items()
-    _STAGE_MODULES[stage].execute(descriptor, config, mcif)
+    for launch in launches:
+        [(stage, descriptor)] = launch.items()
+        if stage == "sdp":
+            sdp_mod.execute([descriptor], config, mcif)
+        else:
+            _STAGE_MODULES[stage].execute(descriptor, config, mcif)

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
+import numpy as np
+
 from repro.errors import ConfigurationError
-from repro.nvdla.config import Precision
+from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import TensorDesc
+from repro.nvdla.layout import unpack_feature
+from repro.nvdla.mcif import Mcif
 from repro.nvdla.registers import FIRST_DESCRIPTOR_OFFSET, RegisterBlock, RegisterSpec
 
 
@@ -88,3 +94,17 @@ def tensor_register_names(prefix: str) -> list[str]:
         f"{prefix}_LINE_STRIDE",
         f"{prefix}_SURF_STRIDE",
     ]
+
+
+def read_surfaces(
+    mcif: Mcif, tensors: Sequence[TensorDesc], config: HardwareConfig, dtype
+) -> np.ndarray:
+    """Read and unpack one same-shape surface per launch, stacked along
+    a leading axis, in ``dtype``."""
+    first = tensors[0]
+    atom = config.atom_channels(first.precision)
+    out = np.empty((len(tensors), *first.shape), dtype=dtype)
+    for cube, tensor in zip(out, tensors):
+        blob = mcif.read(tensor.address, tensor.packed_bytes(atom))
+        cube[...] = unpack_feature(blob, tensor.shape, atom, tensor.precision)
+    return out

@@ -9,15 +9,17 @@ SDP stage (conv output always flows through SDP on NVDLA).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.nvdla.compute import conv2d_direct
+from repro.nvdla.compute import conv2d_direct, gemm_dtype
 from repro.nvdla.config import HardwareConfig
 from repro.nvdla.descriptors import ConvDescriptor
-from repro.nvdla.layout import unpack_feature, unpack_weights, weight_size_bytes
+from repro.nvdla.layout import dtype_for, unpack_weights, weight_size_bytes
 from repro.nvdla.mcif import Mcif
-from repro.nvdla.units.base import Unit, parse_precision, parse_tensor
+from repro.nvdla.units.base import Unit, parse_precision, parse_tensor, read_surfaces
 
 CONV_UNIT_NAMES = ("CDMA", "CSC", "CMAC_A", "CMAC_B", "CACC")
 
@@ -65,37 +67,50 @@ def parse(units: dict[str, Unit], group: int, config: HardwareConfig) -> ConvDes
 
 
 def execute(
-    desc: ConvDescriptor,
+    descs: Sequence[ConvDescriptor],
     config: HardwareConfig,
     mcif: Mcif,
     weight_cache: dict | None = None,
 ) -> np.ndarray:
-    """Run the convolution functionally; returns raw accumulators.
+    """Run convolutions of one geometry functionally as one kernel call.
 
-    Output dtype is int64 for INT8 layers (hardware int32 accumulation
-    saturates only at the SDP converter) and float32 for FP16.
+    ``descs`` is one launch, or a run of launches that differ only in
+    their surfaces and weights (the blocks of a depthwise layer).
+    Returns raw accumulators with one leading entry per launch: int64
+    for INT8 layers (hardware int32 accumulation saturates only at the
+    SDP converter) and float32 for FP16.
 
-    ``weight_cache`` memoises the unpacked kernel per (address, shape,
-    precision) — weights are read-only across a deployment's runs, so
-    the fast-path executor passes a per-bundle dict to skip the
-    re-read/unpack on every replay.  Values are cached *after* unpack,
-    so cached and uncached runs see bit-identical kernels.
+    ``weight_cache`` memoises the GEMM-ready kernel per run of weight
+    blobs: the stacked kernels already cast to
+    :func:`~repro.nvdla.compute.gemm_dtype` (float32 for INT8 and
+    FP16), instead of the packed-precision copy.  Weights are read-only
+    across a deployment's runs, so the fast-path executor passes a
+    per-bundle dict to skip the re-read, unpack and cast on every
+    replay; the cast is exact, so cached and uncached runs compute
+    bit-identical results.
     """
-    atom_channels = config.atom_channels(desc.precision)
-    atomic_c, atomic_k = config.atoms(desc.precision)
-    input_blob = mcif.read(desc.input.address, desc.input.packed_bytes(atom_channels))
-    x = unpack_feature(input_blob, desc.input.shape, atom_channels, desc.precision)
-    cache_key = (desc.weight_address, desc.weight_shape, desc.precision)
+    first = descs[0]
+    atomic_c, atomic_k = config.atoms(first.precision)
+    x = read_surfaces(mcif, [desc.input for desc in descs], config, dtype_for(first.precision))
+    cache_key = tuple((desc.weight_address, desc.weight_shape, desc.precision) for desc in descs)
     w = weight_cache.get(cache_key) if weight_cache is not None else None
     if w is None:
-        weight_bytes = weight_size_bytes(desc.weight_shape, atomic_c, atomic_k, desc.precision)
-        weight_blob = mcif.read(desc.weight_address, weight_bytes)
-        w = unpack_weights(weight_blob, desc.weight_shape, atomic_c, atomic_k, desc.precision)
+        weight_bytes = weight_size_bytes(first.weight_shape, atomic_c, atomic_k, first.precision)
+        w = np.stack([
+            unpack_weights(
+                mcif.read(desc.weight_address, weight_bytes),
+                desc.weight_shape,
+                atomic_c,
+                atomic_k,
+                desc.precision,
+            )
+            for desc in descs
+        ])
         if weight_cache is not None:
-            weight_cache[cache_key] = w
+            w = weight_cache[cache_key] = w.astype(gemm_dtype(x.dtype))
     return conv2d_direct(
         x,
         w,
-        stride=(desc.stride_y, desc.stride_x),
-        pad=(desc.pad_top, desc.pad_bottom, desc.pad_left, desc.pad_right),
+        stride=(first.stride_y, first.stride_x),
+        pad=(first.pad_top, first.pad_bottom, first.pad_left, first.pad_right),
     )

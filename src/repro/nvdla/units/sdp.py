@@ -9,6 +9,8 @@ write of the result cube to external memory.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -19,12 +21,19 @@ from repro.nvdla.compute import (
     apply_relu,
     convert_fp16,
     requantize_int8,
+    scale_round,
 )
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import EltwiseOp, SdpDescriptor, SdpSource, TensorDesc
-from repro.nvdla.layout import pack_feature, sdp_operand_bytes, unpack_feature
+from repro.nvdla.layout import pack_feature, sdp_operand_bytes
 from repro.nvdla.mcif import Mcif
-from repro.nvdla.units.base import Unit, parse_precision, parse_tensor, tensor_register_names
+from repro.nvdla.units.base import (
+    Unit,
+    parse_precision,
+    parse_tensor,
+    read_surfaces,
+    tensor_register_names,
+)
 
 RDMA_REGISTER_NAMES: list[str] = [
     "D_FEATURE_MODE_CFG",  # bit0: 0 = flying (from CACC), 1 = memory source
@@ -116,19 +125,31 @@ def parse(units: dict[str, Unit], group: int, config: HardwareConfig) -> SdpDesc
     )
 
 
+def _per_launch(values: list[int]) -> np.ndarray:
+    """One register value per launch, broadcast over its cube."""
+    return np.array(values, dtype=np.int64).reshape(-1, 1, 1, 1)
+
+
 def execute(
-    desc: SdpDescriptor,
+    descs: Sequence[SdpDescriptor],
     config: HardwareConfig,
     mcif: Mcif,
     flying_input: np.ndarray | None = None,
 ) -> np.ndarray | None:
-    """Run the SDP chain; write the result cube to memory.
+    """Run the SDP chain of one or more launches; write each result cube.
 
-    ``flying_input`` carries the convolution accumulators when the op
-    is fused (source = FLYING).  When the *destination* is flying
-    (``desc.dst_flying``) nothing is written: the result array is
-    returned for the downstream PDP stage instead.
+    ``descs`` is one launch, or a run of launches with the same stages
+    and cube shapes whose operands, converter values and surfaces
+    differ; all stages run once over a leading launch axis, and each
+    launch's result goes to the surface its own descriptor names.
+
+    ``flying_input`` carries the convolution accumulators (one per
+    launch along the leading axis) when the op is fused (source =
+    FLYING).  When the *destination* is flying (``dst_flying``) nothing
+    is written: the results are returned for the downstream PDP stage
+    instead.
     """
+    desc = descs[0]  # stages and shapes are shared by every launch
     channels = desc.output.channels
     if desc.source is SdpSource.FLYING:
         if flying_input is None:
@@ -136,59 +157,71 @@ def execute(
         acc = flying_input
         in_precision = Precision.INT8 if acc.dtype == np.int64 else Precision.FP16
     else:
-        assert desc.input is not None
-        atom = config.atom_channels(desc.input.precision)
-        blob = mcif.read(desc.input.address, desc.input.packed_bytes(atom))
-        x = unpack_feature(blob, desc.input.shape, atom, desc.input.precision)
+        # Unreachable: SdpDescriptor rejects a memory source without an
+        # input surface (and an eltwise stage without an operand surface,
+        # below) when it is built, and descriptors are frozen
+        # (tests/nvdla/test_descriptors.py pins both rejections).
+        if desc.input is None:
+            raise ConfigurationError("memory-sourced SDP op has no input surface (D_SRC)")
         in_precision = desc.input.precision
-        acc = x.astype(np.int64 if in_precision is Precision.INT8 else np.float32)
+        acc = read_surfaces(
+            mcif,
+            [d.input for d in descs],
+            config,
+            np.int64 if in_precision is Precision.INT8 else np.float32,
+        )
 
-    if acc.shape[0] != channels:
+    if acc.shape[-3] != channels:
         raise ConfigurationError(
-            f"SDP output channels {channels} != datapath channels {acc.shape[0]}"
+            f"SDP output channels {channels} != datapath channels {acc.shape[-3]}"
         )
 
     integer = acc.dtype == np.int64
     operand_bytes = sdp_operand_bytes(channels, in_precision)
+    operand_dtype = np.int32 if integer else np.float16
+
+    def operands(addresses: list[int]) -> np.ndarray:
+        return np.stack([
+            np.frombuffer(mcif.read(address, operand_bytes), dtype=operand_dtype)[:channels]
+            for address in addresses
+        ])
+
     if desc.bias_address is not None:
-        raw = mcif.read(desc.bias_address, operand_bytes)
-        bias = np.frombuffer(raw, dtype=np.int32 if integer else np.float16)[:channels]
-        acc = apply_bias(acc, bias.astype(acc.dtype))
+        acc = apply_bias(acc, operands([d.bias_address for d in descs]))
     if desc.bn_mult_address is not None:
-        raw = mcif.read(desc.bn_mult_address, operand_bytes)
-        mult = np.frombuffer(raw, dtype=np.int32 if integer else np.float16)[:channels]
+        mult = operands([d.bn_mult_address for d in descs])
         acc = apply_batchnorm(acc, mult.astype(np.float64 if integer else np.float32))
         if integer:
             acc = np.rint(acc).astype(np.int64)
     if desc.eltwise is not EltwiseOp.NONE:
-        assert desc.eltwise_input is not None
-        atom = config.atom_channels(desc.eltwise_input.precision)
-        blob = mcif.read(desc.eltwise_input.address, desc.eltwise_input.packed_bytes(atom))
-        operand = unpack_feature(
-            blob, desc.eltwise_input.shape, atom, desc.eltwise_input.precision
-        )
-        if integer and (desc.ew_cvt_multiplier, desc.ew_cvt_shift) != (1, 0):
+        if desc.eltwise_input is None:  # unreachable, see above
+            raise ConfigurationError("SDP eltwise stage has no operand surface (D_EW)")
+        operand = read_surfaces(mcif, [d.eltwise_input for d in descs], config, acc.dtype)
+        if integer:
             # ERDMA converter: operand -> accumulator domain.
-            scaled = operand.astype(np.int64) * desc.ew_cvt_multiplier
-            if desc.ew_cvt_shift > 0:
-                half = np.int64(1) << (desc.ew_cvt_shift - 1)
-                scaled = (scaled + np.sign(scaled) * half) >> desc.ew_cvt_shift
-            operand = scaled
+            operand = scale_round(
+                operand,
+                _per_launch([d.ew_cvt_multiplier for d in descs]),
+                _per_launch([d.ew_cvt_shift for d in descs]),
+            )
         acc = apply_eltwise(acc, desc.eltwise, operand)
     acc = apply_relu(acc, desc.relu)
 
+    multiplier = _per_launch([d.cvt_multiplier for d in descs])
+    shift = _per_launch([d.cvt_shift for d in descs])
     if desc.out_precision is Precision.INT8:
-        result = requantize_int8(acc, desc.cvt_multiplier, desc.cvt_shift)
+        result = requantize_int8(acc, multiplier, shift)
     else:
-        result = convert_fp16(acc, desc.cvt_multiplier, desc.cvt_shift)
+        result = convert_fp16(acc, multiplier, shift)
 
     expected_shape = desc.output.shape
-    if result.shape != expected_shape:
+    if result.shape[1:] != expected_shape:
         raise ConfigurationError(
-            f"SDP result shape {result.shape} != output descriptor {expected_shape}"
+            f"SDP result shape {result.shape[1:]} != output descriptor {expected_shape}"
         )
     if desc.dst_flying:
         return result
     atom_out = config.atom_channels(desc.out_precision)
-    mcif.write(desc.output.address, pack_feature(result, atom_out, desc.out_precision))
+    for d, cube in zip(descs, result):
+        mcif.write(d.output.address, pack_feature(cube, atom_out, d.out_precision))
     return None

@@ -3,22 +3,37 @@
 The output/cycle fidelity of the fast tier is gated by the differential
 suite (`tests/nvdla/test_fastpath_differential.py`); this module covers
 the machinery around it — the cycle-profile table and its key,
-``calibrate``, the ``execute_bundle`` dispatch and the active/skipped
-cycle partition of :class:`RunStats`.
+``calibrate``, the ``execute_bundle`` dispatch, the active/skipped
+cycle partition of :class:`RunStats` and the batching of same-shape
+launches into one kernel call.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.baremetal import execute_bundle, generate_baremetal
 from repro.core import FastPathExecutor, Soc, calibrate
-from repro.core.fastpath import profile_key
+from repro.core.fastpath import batch_launches, profile_key
 from repro.errors import ReproError
+from repro.mem import SparseMemory
 from repro.nn.zoo import lenet5
 from repro.nvdla import NV_SMALL
+from repro.nvdla.config import Precision
+from repro.nvdla.descriptors import (
+    ConvDescriptor,
+    EltwiseOp,
+    SdpDescriptor,
+    SdpSource,
+    TensorDesc,
+)
+from repro.nvdla.mcif import Mcif
+from repro.nvdla.programming import execute_descriptors
 from repro.serve.cache import BundleCache
+from tests.conftest import DirectDbbPort
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +194,58 @@ def test_eviction_never_re_records(lenet_bundle, tiny_net):
     assert executor.profiles[profile_key(lenet_bundle, 32)] is profile
     assert len(executor.profiles) == 2
     assert again.op_records == first.op_records
+
+
+def _conv_launch(index: int, input_address: int, eltwise: bool = False) -> dict:
+    """A 3x3 INT8 conv + SDP launch whose surfaces and operands sit at
+    ``index``-specific addresses, with its own converter values."""
+    def tensor(address):
+        return TensorDesc(address=address, width=6, height=6, channels=8,
+                          precision=Precision.INT8)
+
+    conv = ConvDescriptor(
+        input=tensor(input_address), weight_address=0x40000 + index * 0x1000,
+        kernel_k=8, kernel_c=8, kernel_r=3, kernel_s=3, stride_x=1, stride_y=1,
+        pad_left=1, pad_top=1, pad_right=1, pad_bottom=1, precision=Precision.INT8,
+        out_width=6, out_height=6,
+    )
+    sdp = SdpDescriptor(
+        source=SdpSource.FLYING, output=tensor(0x80000 + index * 0x1000),
+        out_precision=Precision.INT8, bias_address=0x60000 + index * 0x100,
+        eltwise=EltwiseOp.ADD if eltwise else EltwiseOp.NONE,
+        eltwise_input=tensor(0x70000 + index * 0x1000) if eltwise else None,
+        ew_cvt_multiplier=1 + index, ew_cvt_shift=index % 3 * 4,
+        relu=True, cvt_multiplier=1 + index, cvt_shift=9 + index % 3,
+    )
+    return {"conv": conv, "sdp": sdp}
+
+
+@pytest.mark.parametrize("eltwise", [False, True], ids=["conv", "conv+eltwise"])
+def test_batched_launches_write_what_single_launches_write(eltwise):
+    """A run of same-shape launches executed as one kernel call leaves
+    memory exactly as one call per launch does; a launch reading an
+    earlier launch's output, or of another shape, starts a new run."""
+    launches = [_conv_launch(i, 0x10000 + i * 0x1000, eltwise) for i in range(4)]
+    assert [len(run) for run in batch_launches(launches, NV_SMALL)] == [4]
+    dependent = _conv_launch(4, launches[1]["sdp"].output.address, eltwise)
+    other_shape = dict(launches[0], sdp=replace(launches[0]["sdp"], relu=False))
+    launches += [dependent, other_shape]
+    runs = batch_launches(launches, NV_SMALL)
+    assert [len(run) for run in runs] == [4, 1, 1]
+
+    rng = np.random.default_rng(5)
+    initial = bytearray(rng.integers(0, 256, 1 << 20, dtype=np.uint8).tobytes())
+    biases = rng.integers(-5000, 5000, size=(5, 64), dtype=np.int32).tobytes()
+    initial[0x60000 : 0x60000 + len(biases)] = biases
+
+    def final_memory(calls, weight_cache):
+        memory = SparseMemory(1 << 20)
+        memory.write(0, bytes(initial))
+        mcif = Mcif(DirectDbbPort(memory))
+        for call in calls:
+            execute_descriptors(call, NV_SMALL, mcif, weight_cache=weight_cache)
+        return memory.read(0, 1 << 20)
+
+    batched = final_memory(runs, weight_cache={})
+    assert batched != bytes(initial)
+    assert batched == final_memory([[launch] for launch in launches], weight_cache=None)

@@ -95,7 +95,9 @@ def test_conv_empty_output_rejected():
 def test_bias_and_batchnorm(rng):
     acc = rng.integers(-100, 100, size=(4, 3, 3)).astype(np.int64)
     bias = np.array([1, -2, 3, -4], dtype=np.int64)
-    assert np.array_equal(apply_bias(acc, bias)[1], acc[1] - 2)
+    biased = acc.copy()
+    assert apply_bias(biased, bias) is biased  # in place on the accumulator
+    assert np.array_equal(biased[1], acc[1] - 2)
     mult = np.array([2.0, 0.5, 1.0, 3.0])
     scaled = apply_batchnorm(acc.astype(np.float64), mult)
     assert np.allclose(scaled[0], acc[0] * 2.0)
@@ -114,7 +116,9 @@ def test_bias_and_batchnorm(rng):
 def test_eltwise_ops(rng, op, fn):
     a = rng.integers(-50, 50, size=(2, 4, 4)).astype(np.int64)
     b = rng.integers(-50, 50, size=(2, 4, 4)).astype(np.int64)
-    assert np.array_equal(apply_eltwise(a, op, b), fn(a, b))
+    expected = fn(a, b)
+    assert apply_eltwise(a, op, b) is a  # in place on the accumulator
+    assert np.array_equal(a, expected)
 
 
 def test_eltwise_none_passthrough(rng):
@@ -214,3 +218,91 @@ def test_conv_property_vs_scipy(c, hw, k, ks):
     w = rng.integers(-4, 4, size=(k, c, ks, ks), dtype=np.int8)
     ours = conv2d_direct(x, w, (1, 1), (0, 0, 0, 0))
     assert np.array_equal(ours, scipy_conv(x, w, (1, 1), (0, 0, 0, 0)))
+
+
+def int64_conv(x, w):
+    """Exact reference: unpadded, stride-1 correlation in int64."""
+    c, h, width = x.shape
+    k, _, r, s = w.shape
+    out = np.zeros((k, h - r + 1, width - s + 1), dtype=np.int64)
+    for dy in range(r):
+        for dx in range(s):
+            patch = x[:, dy : dy + out.shape[1], dx : dx + out.shape[2]].astype(np.int64)
+            out += np.einsum("kc,chw->khw", w[:, :, dy, dx].astype(np.int64), patch)
+    return out
+
+
+@pytest.mark.parametrize(
+    "c,rs", [(1024, 1), (128, 3), (512, 3)], ids=["crs1024", "crs1152", "crs4608"]
+)
+def test_int8_conv_exact_at_full_magnitude(c, rs):
+    """-128 x -128 = 2^14 per product: the largest sums, exactly at and
+    across the float32 chunk boundary (C*R*S = 1024, 1152, 4608)."""
+    x = np.full((c, rs + 1, rs + 1), -128, dtype=np.int8)
+    w = np.full((2, c, rs, rs), -128, dtype=np.int8)
+    out = conv2d_direct(x, w, (1, 1), (0, 0, 0, 0))
+    assert out.dtype == np.int64
+    assert np.array_equal(out, int64_conv(x, w))
+    assert out[0, 0, 0] == c * rs * rs * (1 << 14)
+
+
+@pytest.mark.parametrize("c,rs", [(1024, 1), (128, 3), (512, 3), (7, 5)])
+@pytest.mark.parametrize("low,high", [(-128, 128), (-128, -100)], ids=["full", "extreme"])
+def test_int8_conv_exact_on_random_data(c, rs, low, high):
+    """Random int8 data, over the whole range and at the negative
+    extreme, where products are large and odd sums pass 2^24 within
+    one output: one float32 GEMM over 4608 terms would lose bits."""
+    rng = np.random.default_rng(c + rs)
+    x = rng.integers(low, high, size=(c, rs + 2, rs + 3), dtype=np.int8)
+    w = rng.integers(low, high, size=(4, c, rs, rs), dtype=np.int8)
+    out = conv2d_direct(x, w, (1, 1), (0, 0, 0, 0))
+    assert np.array_equal(out, int64_conv(x, w))
+    # A kernel already cast to the GEMM dtype computes the same.
+    assert np.array_equal(conv2d_direct(x, w.astype(np.float32), (1, 1), (0, 0, 0, 0)), out)
+
+
+def test_grouped_conv_equals_one_call_per_group(rng):
+    x = rng.integers(-128, 128, size=(5, 8, 7, 7), dtype=np.int8)
+    w = rng.integers(-128, 128, size=(5, 8, 8, 3, 3), dtype=np.int8)
+    out = conv2d_direct(x, w, (2, 1), (1, 0, 1, 2))
+    for g in range(5):
+        assert np.array_equal(out[g], conv2d_direct(x[g], w[g], (2, 1), (1, 0, 1, 2)))
+    with pytest.raises(ConfigurationError):
+        conv2d_direct(x, w[:4], (1, 1), (0, 0, 0, 0))
+
+
+def old_requantize_int8(acc, multiplier, shift):
+    """The converter formula the in-place kernel must reproduce."""
+    scaled = acc.astype(np.int64) * int(multiplier)
+    if shift > 0:
+        half = np.int64(1) << (shift - 1)
+        scaled = (scaled + np.sign(scaled) * half) >> shift
+    return np.clip(scaled, -128, 127).astype(np.int8)
+
+
+@pytest.mark.parametrize("multiplier", [1, 3, 255, (1 << 16) - 1])
+@pytest.mark.parametrize("shift", [0, 1, 2, 7, 16, 31])
+def test_requantize_pinned_to_formula(multiplier, shift):
+    half = (1 << shift) >> 1
+    unit = 1 << shift
+    values = {0, 1, -1, half, -half, (1 << 40), -(1 << 40)}
+    for q in (0, 1, 2, 5, 126, 127, 128, 129, 1000):
+        for delta in (-half - 1, -half, -half + 1, -1, 0, 1, half - 1, half, half + 1):
+            values.update({q * unit + delta, -(q * unit + delta)})
+    acc = np.array(sorted(values), dtype=np.int64).reshape(1, 1, -1)
+    expected = old_requantize_int8(acc, multiplier, shift)
+    assert np.array_equal(requantize_int8(acc.copy(), multiplier, shift), expected)
+    # Per-group converter values broadcast along a leading axis.
+    grouped = np.stack([acc, acc])
+    out = requantize_int8(
+        grouped.copy(),
+        np.array([multiplier, 1]).reshape(2, 1, 1, 1),
+        np.array([shift, 0]).reshape(2, 1, 1, 1),
+    )
+    assert np.array_equal(out[0], expected)
+    assert np.array_equal(out[1], old_requantize_int8(acc, 1, 0))
+
+
+def test_requantize_saturates_both_ends():
+    acc = np.array([[[-(1 << 40), -129, -128, 127, 128, 1 << 40]]], dtype=np.int64)
+    assert list(requantize_int8(acc, 1, 0).flatten()) == [-128, -128, -128, 127, 127, 127]

@@ -10,6 +10,7 @@ from repro.nvdla.descriptors import (
     BdmaDescriptor,
     CdpDescriptor,
     ConvDescriptor,
+    EltwiseOp,
     PdpDescriptor,
     PoolMode,
     RubikDescriptor,
@@ -145,4 +146,18 @@ def test_sdp_descriptor_converter_ranges():
             output=_tensor(),
             out_precision=Precision.INT8,
             ew_cvt_shift=40,
+        )
+
+
+def test_sdp_descriptor_requires_its_surfaces():
+    """`units/sdp.execute` relies on these: a memory-sourced SDP has an
+    input surface and an eltwise stage has an operand surface."""
+    with pytest.raises(ConfigurationError, match="needs an input tensor"):
+        SdpDescriptor(source=SdpSource.MEMORY, output=_tensor(), out_precision=Precision.INT8)
+    with pytest.raises(ConfigurationError, match="second operand"):
+        SdpDescriptor(
+            source=SdpSource.FLYING,
+            output=_tensor(),
+            out_precision=Precision.INT8,
+            eltwise=EltwiseOp.ADD,
         )
