@@ -24,7 +24,7 @@ from repro.baremetal.trace_to_config import trace_to_config
 from repro.baremetal.weight_extract import extract_initial_memory, split_by_regions
 from repro.compiler import CompileOptions, compile_network
 from repro.compiler.loadable import Loadable
-from repro.errors import CodegenError
+from repro.errors import CodegenError, TraceError
 from repro.nn.graph import Network
 from repro.nn.quantize import CalibrationTable
 from repro.nvdla.config import HardwareConfig, Precision, get_config
@@ -140,7 +140,8 @@ def generate_baremetal(
     runtime.set_input(input_image)
     vp_result = runtime.execute()
     trace = platform.trace
-    assert trace is not None
+    if trace is None:
+        raise TraceError("the virtual platform kept no trace log")
 
     commands = trace_to_config(trace)
     assembly = generate_assembly(

@@ -51,24 +51,20 @@ def extract_initial_memory(trace: TraceLog) -> list[MemorySegment]:
     address, then contiguous runs of the initial addresses become
     segments.
     """
-    dbb = trace.dbb
-    starts = np.fromiter((t.address for t in dbb), dtype=np.int64, count=len(dbb))
-    lengths = np.fromiter((len(t.data) for t in dbb), dtype=np.int64, count=len(dbb))
+    starts, lengths, writes, payload = trace.dbb_arrays()
     # A transaction over exactly the range of an earlier one has an
     # earlier event on every byte, so it cannot contribute; dropping
     # those (and empty ones) first shrinks the per-byte work below.
     by_range = np.lexsort((lengths, starts))  # stable: ties stay in trace order
-    repeats = np.zeros(len(dbb), dtype=bool)
+    repeats = np.zeros(starts.size, dtype=bool)
     repeats[by_range[1:]] = (np.diff(starts[by_range]) == 0) & (
         np.diff(lengths[by_range]) == 0
     )
-    keep = np.flatnonzero(~repeats & (lengths > 0))
-    if not keep.size:
+    kept = ~repeats & (lengths > 0)
+    if not kept.any():
         return []
-    txns = [dbb[i] for i in keep.tolist()]
-    starts, lengths = starts[keep], lengths[keep]
-    writes = np.fromiter((t.iswrite for t in txns), dtype=bool, count=len(txns))
-    payload = np.frombuffer(b"".join(t.data for t in txns), dtype=np.uint8)
+    payload = payload[np.repeat(kept, lengths)]
+    starts, lengths, writes = starts[kept], lengths[kept], writes[kept]
     total = payload.size
 
     # Row i (log order) of transaction t is byte starts[t] + i - (bytes

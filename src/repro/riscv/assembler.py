@@ -20,6 +20,7 @@ corrected upper 20 bits, so ``lui/addi`` pairs compose to the exact
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 
 from repro.errors import AssemblerError
@@ -28,8 +29,16 @@ from repro.riscv.isa import CSR_ADDRESSES, Format, REGISTER_ALIASES, SPEC_BY_MNE
 from repro.riscv.program import Program
 
 _LABEL_RE = re.compile(r"^([A-Za-z_.$][\w.$]*)\s*:")
+_NUMBER = r"0[xX][0-9a-fA-F]+|0[bB][01]+|\d+"
 _TOKEN_RE = re.compile(
-    r"\s*(%hi|%lo|[A-Za-z_.$][\w.$]*|0[xX][0-9a-fA-F]+|0[bB][01]+|\d+|[()+\-*,]|'(?:\\.|[^'])')"
+    rf"\s*(%hi|%lo|[A-Za-z_.$][\w.$]*|{_NUMBER}|[()+\-*,]|'(?:\\.|[^'])')"
+)
+_COMMENT_RE = re.compile(r"#|//|;")
+# A whole operand that is one (optionally negated) number token.
+_LITERAL_RE = re.compile(rf"(-?)({_NUMBER})")
+# Mnemonics whose encoding reads the item's own address.
+_PC_RELATIVE = frozenset(
+    spec.mnemonic for spec in isa.SPECS if spec.fmt in (Format.J, Format.B)
 )
 
 
@@ -42,6 +51,13 @@ def _lo12(value: int) -> int:
     """Signed low 12 bits."""
     low = value & 0xFFF
     return low - 0x1000 if low & 0x800 else low
+
+
+def _number(token: str, line: int) -> int:
+    try:
+        return int(token, 0)
+    except ValueError as exc:  # e.g. "010": int() refuses a leading zero
+        raise AssemblerError(f"bad number {token!r}", line) from exc
 
 
 @dataclass
@@ -67,6 +83,11 @@ class _ExprEvaluator:
         self._pos = 0
 
     def evaluate(self, text: str) -> int:
+        literal = _LITERAL_RE.fullmatch(text)
+        if literal:  # same number grammar and value, without the tokenizer
+            sign, digits = literal.groups()
+            value = _number(digits, self._line)
+            return -value if sign else value
         self._tokens = self._tokenize(text)
         self._pos = 0
         value = self._expr()
@@ -135,10 +156,7 @@ class _ExprEvaluator:
                 raise AssemblerError(f"bad character literal {token}", self._line)
             return ord(unescaped)
         if token[0].isdigit():
-            try:
-                return int(token, 0)
-            except ValueError as exc:
-                raise AssemblerError(f"bad number {token!r}", self._line) from exc
+            return _number(token, self._line)
         if token in self._symbols:
             return self._symbols[token]
         raise AssemblerError(f"undefined symbol {token!r}", self._line)
@@ -165,9 +183,11 @@ class Assembler:
         items: list[_Item] = []
         symbols: dict[str, int] = {}
         equ_exprs: dict[str, tuple[str, int]] = {}
+        # Instruction text -> its (mnemonic, operands) expansion.
+        expansions: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
         for line_no, raw_line in enumerate(source.splitlines(), start=1):
             line = self._strip_comment(raw_line)
-            while True:
+            while ":" in line:
                 match = _LABEL_RE.match(line)
                 if not match:
                     break
@@ -178,25 +198,23 @@ class Assembler:
                 line = line[match.end() :].strip()
             if not line:
                 continue
-            parts = line.split(None, 1)
-            mnemonic = parts[0].lower()
-            rest = parts[1].strip() if len(parts) > 1 else ""
-            if mnemonic.startswith("."):
-                address = self._pass1_directive(
-                    mnemonic, rest, address, items, symbols, equ_exprs, line_no
-                )
-                continue
-            operands = self._split_operands(rest)
-            for expanded in self._expand_pseudo(mnemonic, operands, line_no):
-                items.append(
-                    _Item(
-                        kind="insn",
-                        address=address,
-                        line=line_no,
-                        mnemonic=expanded[0],
-                        operands=tuple(expanded[1:]),
+            expanded = expansions.get(line)
+            if expanded is None:
+                parts = line.split(None, 1)
+                mnemonic = parts[0].lower()
+                rest = parts[1].strip() if len(parts) > 1 else ""
+                if mnemonic.startswith("."):
+                    address = self._pass1_directive(
+                        mnemonic, rest, address, items, symbols, equ_exprs, line_no
                     )
-                )
+                    continue
+                operands = self._split_operands(rest)
+                expanded = expansions[line] = [
+                    (insn[0], tuple(insn[1:]))
+                    for insn in self._expand_pseudo(mnemonic, operands, line_no)
+                ]
+            for mnemonic, operands in expanded:
+                items.append(_Item("insn", address, line_no, mnemonic, operands))
                 address += 4
         # Resolve .equ expressions now that all labels are known.
         for name, (expr, line_no) in equ_exprs.items():
@@ -271,8 +289,8 @@ class Assembler:
     @staticmethod
     def _strip_comment(line: str) -> str:
         if '"' not in line:
-            cuts = [i for i in (line.find("#"), line.find("//"), line.find(";")) if i >= 0]
-            return (line[: min(cuts)] if cuts else line).strip()
+            comment = _COMMENT_RE.search(line)
+            return (line[: comment.start()] if comment else line).strip()
         in_string = False
         for i, ch in enumerate(line):
             if ch == '"':
@@ -412,7 +430,10 @@ class Assembler:
 
     def _pass2(self, items: list[_Item], symbols: dict[str, int], top: int) -> list[int]:
         size = top - self._base
-        blob = bytearray(size)
+        blob = bytearray(-(-size // 4) * 4)
+        # Symbols are final here, so an instruction whose encoding does
+        # not read its own address encodes the same wherever it sits.
+        encoded: dict[tuple[str, tuple[str, ...]], int] = {}
         for item in items:
             offset = item.address - self._base
             if item.kind == "data":
@@ -421,11 +442,14 @@ class Assembler:
                     item.data_width, "little"
                 )
                 continue
-            word = self._encode_item(item, symbols)
+            key = (item.mnemonic, item.operands)
+            word = encoded.get(key)
+            if word is None:
+                word = self._encode_item(item, symbols)
+                if item.mnemonic not in _PC_RELATIVE:
+                    encoded[key] = word
             blob[offset : offset + 4] = word.to_bytes(4, "little")
-        if size % 4 != 0:
-            blob.extend(b"\x00" * (4 - size % 4))
-        return [int.from_bytes(blob[i : i + 4], "little") for i in range(0, len(blob), 4)]
+        return list(struct.unpack(f"<{len(blob) // 4}I", blob))
 
     def _encode_item(self, item: _Item, symbols: dict[str, int]) -> int:
         spec = SPEC_BY_MNEMONIC.get(item.mnemonic)

@@ -45,8 +45,8 @@ class Spec:
     fmt: Format
     opcode: int
     funct3: int | None = None
-    funct7: int | None = None
-    fixed_imm: int | None = None  # for SYS encodings
+    funct7: int = 0  # R and SHIFT encodings
+    fixed_imm: int = 0  # SYS encodings: imm[11:0]
 
 
 _OP_LUI = 0b0110111
@@ -201,13 +201,11 @@ def encode(
     op = spec.opcode
     f3 = spec.funct3 or 0
     if spec.fmt is Format.R:
-        assert spec.funct7 is not None
         return (spec.funct7 << 25) | (rs2 << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
     if spec.fmt is Format.I:
         _check_imm_signed(imm, 12)
         return ((imm & 0xFFF) << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
     if spec.fmt is Format.SHIFT:
-        assert spec.funct7 is not None
         if not 0 <= imm < 32:
             raise IsaError(f"shift amount {imm} out of range")
         return (spec.funct7 << 25) | (imm << 20) | (rs1 << 15) | (f3 << 12) | (rd << 7) | op
@@ -265,7 +263,6 @@ def encode(
             raise IsaError("CSR immediate must fit in 5 bits")
         return (csr << 20) | (imm << 15) | (f3 << 12) | (rd << 7) | op
     if spec.fmt is Format.SYS:
-        assert spec.fixed_imm is not None
         return (spec.fixed_imm << 20) | (f3 << 12) | op
     if spec.fmt is Format.FENCE:
         return (f3 << 12) | op

@@ -8,6 +8,7 @@ former, with serialisers for both file formats.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.errors import IsaError
@@ -60,7 +61,7 @@ class Program:
         return self.words[index]
 
     def to_bytes(self) -> bytes:
-        return b"".join(word.to_bytes(4, "little") for word in self.words)
+        return struct.pack(f"<{len(self.words)}I", *self.words)
 
     def to_bin_file(self) -> bytes:
         """Raw ``.bin`` image (what the Zynq preloads into memory)."""
@@ -76,8 +77,7 @@ class Program:
     def from_bytes(cls, blob: bytes, base: int = 0) -> "Program":
         if len(blob) % 4 != 0:
             raise IsaError("program image must be a whole number of words")
-        words = [int.from_bytes(blob[i : i + 4], "little") for i in range(0, len(blob), 4)]
-        return cls(base=base, words=words)
+        return cls(base=base, words=list(struct.unpack(f"<{len(blob) // 4}I", blob)))
 
     @classmethod
     def from_mem_file(cls, text: str) -> "Program":

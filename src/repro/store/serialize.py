@@ -73,8 +73,12 @@ def bundle_meta(bundle: BaremetalBundle) -> dict:
     }
 
 
-def serialize_bundle(bundle: BaremetalBundle) -> bytes:
-    """One deterministic container blob for the whole bundle."""
+def serialize_bundle(bundle: BaremetalBundle, meta: dict | None = None) -> bytes:
+    """One deterministic container blob for the whole bundle.
+
+    ``meta`` is :func:`bundle_meta` of ``bundle`` when the caller has
+    already computed it (it hashes every artefact).
+    """
     program = bundle.program
     sections = [
         Section("loadable", bundle.loadable.to_bytes()),
@@ -143,7 +147,7 @@ def serialize_bundle(bundle: BaremetalBundle) -> bytes:
                 "vp_result.probabilities", _array_bytes(bundle.vp_result.probabilities)
             )
         )
-    return write_container(bundle_meta(bundle), sections)
+    return write_container(meta or bundle_meta(bundle), sections)
 
 
 def deserialize_bundle(

@@ -225,7 +225,7 @@ class BundleStore:
         meta = bundle_meta(bundle)
         return self._put_object(
             key,
-            serialize_bundle(bundle),
+            serialize_bundle(bundle, meta),
             {
                 "kind": BUNDLE_KIND,
                 "name": f"{meta['network']}/{meta['config']}/"

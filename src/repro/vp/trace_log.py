@@ -10,6 +10,25 @@ the paper's scripts filter on the adaptor keywords::
 CSB lines carry one 32-bit register access; DBB lines carry up to
 ``DBB_LINE_BYTES`` of memory traffic with hex payload (reads log the
 data returned — that is what weight extraction reconstructs).
+
+In memory, :class:`TraceLog` keeps the few CSB accesses as objects and
+the DBB traffic (tens of thousands of lines per network) as columns:
+
+- one kind byte per transaction, in logged order (0 csb, 1 dbb);
+- per DBB line, four ``int64`` columns: cycle, address, length and
+  iswrite;
+- one payload buffer holding every DBB line's data back to back.
+
+A DMA transfer appends all of its lines to the columns at once.  The
+binary form, which the store keeps as a bundle's ``trace`` section, is
+the same layout::
+
+    header: "VPTB" | version (u8) | n_csb (u32) | n_dbb (u32) |
+            compressed-columns length (u64), little-endian
+    zlib:   kind bytes | csb cycle | csb address | csb data |
+            csb iswrite | dbb cycle | dbb address | dbb length |
+            dbb iswrite   (each csb/dbb column little-endian int64)
+    raw:    the DBB payload
 """
 
 from __future__ import annotations
@@ -17,8 +36,10 @@ from __future__ import annotations
 import re
 import struct
 import zlib
-from dataclasses import dataclass, field
-from typing import Iterable
+from array import array
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
+from typing import overload
 
 import numpy as np
 
@@ -33,7 +54,6 @@ _BINARY_VERSION = 1
 _BINARY_HEADER = struct.Struct("<4sBIIQ")
 _COLUMN = np.dtype("<i8")
 _ZLIB_LEVEL = 1  # fixed: the store content-addresses these bytes
-_KINDS = ("csb", "dbb")
 
 
 @dataclass(frozen=True)
@@ -68,60 +88,167 @@ class DbbTransaction:
         )
 
 
-@dataclass
-class TraceLog:
-    """An append-only transaction log with text round-tripping."""
+class DbbLines(Sequence[DbbTransaction]):
+    """Read-only sequence view of a log's DBB lines.
 
-    csb: list[CsbTransaction] = field(default_factory=list)
-    dbb: list[DbbTransaction] = field(default_factory=list)
-    _order: list[tuple[str, int]] = field(default_factory=list)
+    Builds a :class:`DbbTransaction` only for a line that is indexed
+    or iterated; bulk readers use :meth:`TraceLog.dbb_arrays`.
+    """
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: TraceLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log._lengths)
+
+    @overload
+    def __getitem__(self, index: int) -> DbbTransaction: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[DbbTransaction]: ...
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        log = self._log
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("DBB line index out of range")
+        start = sum(log._lengths[:index])
+        return DbbTransaction(
+            log._cycles[index],
+            log._addresses[index],
+            bytes(log._payload[start : start + log._lengths[index]]),
+            bool(log._writes[index]),
+        )
+
+    def __iter__(self) -> Iterator[DbbTransaction]:
+        log = self._log
+        start = 0
+        for cycle, address, length, iswrite in zip(
+            log._cycles, log._addresses, log._lengths, log._writes
+        ):
+            yield DbbTransaction(
+                cycle, address, bytes(log._payload[start : start + length]), bool(iswrite)
+            )
+            start += length
+
+
+class TraceLog:
+    """An append-only transaction log with text and binary round-tripping.
+
+    CSB accesses are :class:`CsbTransaction` objects; DBB traffic is
+    kept in columns (see the module docstring) and read through the
+    :attr:`dbb` view or :meth:`dbb_arrays`.
+    """
+
+    def __init__(self) -> None:
+        self.csb: list[CsbTransaction] = []
+        self._kinds = bytearray()  # per transaction: 0 csb, 1 dbb
+        self._cycles = array("q")  # per DBB line, like the next three
+        self._addresses = array("q")
+        self._lengths = array("q")
+        self._writes = array("q")
+        self._payload = bytearray()  # the DBB lines' data, back to back
+
+    @property
+    def dbb(self) -> DbbLines:
+        return DbbLines(self)
+
+    def _columns(self) -> tuple:
+        return (
+            self.csb, self._kinds, self._cycles, self._addresses,
+            self._lengths, self._writes, self._payload,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TraceLog):
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __repr__(self) -> str:
+        return (
+            f"TraceLog({len(self.csb)} csb, {len(self._lengths)} dbb lines, "
+            f"{len(self._payload)} payload bytes)"
+        )
 
     def log_csb(self, cycle: int, address: int, data: int, iswrite: bool) -> None:
         self.csb.append(CsbTransaction(cycle, address, data & 0xFFFFFFFF, iswrite))
-        self._order.append(("csb", len(self.csb) - 1))
+        self._kinds.append(0)
 
     def log_dbb(self, cycle: int, address: int, data: bytes, iswrite: bool) -> None:
-        for offset in range(0, len(data), DBB_LINE_BYTES):
-            chunk = data[offset : offset + DBB_LINE_BYTES]
-            self.dbb.append(DbbTransaction(cycle, address + offset, chunk, iswrite))
-            self._order.append(("dbb", len(self.dbb) - 1))
+        """Log one DMA transfer as ``DBB_LINE_BYTES`` lines (the last
+        one shorter); an empty transfer logs nothing."""
+        lines = -(-len(data) // DBB_LINE_BYTES)
+        if not lines:
+            return
+        self._kinds.extend(b"\x01" * lines)
+        self._cycles.extend(array("q", (cycle,)) * lines)
+        self._addresses.extend(range(address, address + len(data), DBB_LINE_BYTES))
+        self._lengths.extend(array("q", (DBB_LINE_BYTES,)) * (lines - 1))
+        self._lengths.append(len(data) - DBB_LINE_BYTES * (lines - 1))
+        self._writes.extend(array("q", (int(iswrite),)) * lines)
+        self._payload += data
 
-    def transactions(self) -> Iterable[CsbTransaction | DbbTransaction]:
+    def log_dbb_line(self, cycle: int, address: int, data: bytes, iswrite: bool) -> None:
+        """Log ``data`` as one DBB line, whatever its length (a parsed
+        trace line, or a hand-built trace in a test)."""
+        self._kinds.append(1)
+        self._cycles.append(cycle)
+        self._addresses.append(address)
+        self._lengths.append(len(data))
+        self._writes.append(int(iswrite))
+        self._payload += data
+
+    def dbb_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the DBB columns for bulk readers: per-line start
+        addresses and lengths (int64) and write flags (bool), plus the
+        payload (uint8), all in log order."""
+        return (
+            np.array(self._addresses, dtype=np.int64),
+            np.array(self._lengths, dtype=np.int64),
+            np.array(self._writes, dtype=bool),
+            np.array(self._payload, dtype=np.uint8),
+        )
+
+    def transactions(self) -> Iterator[CsbTransaction | DbbTransaction]:
         """All transactions in logged order."""
-        for kind, index in self._order:
-            yield self.csb[index] if kind == "csb" else self.dbb[index]
+        csb, dbb = iter(self.csb), iter(self.dbb)
+        for kind in self._kinds:
+            yield next(dbb) if kind else next(csb)
 
     def render(self) -> str:
-        return "\n".join(t.render() for t in self.transactions()) + ("\n" if self._order else "")
+        return "\n".join(t.render() for t in self.transactions()) + ("\n" if self._kinds else "")
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._kinds)
 
     def to_bytes(self) -> bytes:
         """The binary form (see the module docstring); deterministic."""
-
-        def column(values: Iterable[int], count: int) -> bytes:
-            return np.fromiter(values, dtype=_COLUMN, count=count).tobytes()
-
-        csb, dbb = self.csb, self.dbb
+        csb = self.csb
+        csb_columns = (
+            np.fromiter(values, dtype=_COLUMN, count=len(csb)).tobytes()
+            for values in (
+                (t.cycle for t in csb),
+                (t.address for t in csb),
+                (t.data for t in csb),
+                (t.iswrite for t in csb),
+            )
+        )
+        dbb_columns = (
+            np.array(column, dtype=_COLUMN).tobytes()
+            for column in (self._cycles, self._addresses, self._lengths, self._writes)
+        )
         columns = zlib.compress(
-            b"".join((
-                bytes(kind == "dbb" for kind, _ in self._order),
-                column((t.cycle for t in csb), len(csb)),
-                column((t.address for t in csb), len(csb)),
-                column((t.data for t in csb), len(csb)),
-                column((t.iswrite for t in csb), len(csb)),
-                column((t.cycle for t in dbb), len(dbb)),
-                column((t.address for t in dbb), len(dbb)),
-                column((len(t.data) for t in dbb), len(dbb)),
-                column((t.iswrite for t in dbb), len(dbb)),
-            )),
-            _ZLIB_LEVEL,
+            b"".join((self._kinds, *csb_columns, *dbb_columns)), _ZLIB_LEVEL
         )
         header = _BINARY_HEADER.pack(
-            _BINARY_MAGIC, _BINARY_VERSION, len(csb), len(dbb), len(columns)
+            _BINARY_MAGIC, _BINARY_VERSION, len(csb), len(self._lengths), len(columns)
         )
-        return b"".join((header, columns, *(t.data for t in dbb)))
+        return b"".join((header, columns, self._payload))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> TraceLog:
@@ -155,33 +282,23 @@ class TraceLog:
             raise TraceError("binary trace kind bytes disagree with its counts")
         if np.any(csb < 0) or np.any(dbb < 0) or np.any(csb[3] > 1) or np.any(dbb[3] > 1):
             raise TraceError("binary trace column value out of range")
-        payload = blob[payload_start:]
-        if int(dbb[2].sum()) != len(payload):
+        payload_len = len(blob) - payload_start
+        if int(dbb[2].sum()) != payload_len:
             raise TraceError(
-                f"binary trace payload holds {len(payload)} bytes, "
+                f"binary trace payload holds {payload_len} bytes, "
                 f"its dbb lengths sum to {int(dbb[2].sum())}"
             )
-        ends = np.cumsum(dbb[2]).tolist()
-        cycles, addresses, lengths, writes = dbb.tolist()
-        # The n-th logged transaction of a kind sits at index n of its list.
-        is_dbb = kinds.astype(np.int64)
-        indices = np.where(is_dbb, np.cumsum(is_dbb), np.cumsum(1 - is_dbb)) - 1
-        return cls(
-            csb=[
-                CsbTransaction(cycle, address, data, bool(iswrite))
-                for cycle, address, data, iswrite in zip(*csb.tolist())
-            ],
-            dbb=[
-                DbbTransaction(cycle, address, payload[end - length : end], bool(iswrite))
-                for cycle, address, length, end, iswrite in zip(
-                    cycles, addresses, lengths, ends, writes
-                )
-            ],
-            _order=[
-                (_KINDS[kind], index)
-                for kind, index in zip(kinds.tolist(), indices.tolist())
-            ],
+        log = cls()
+        log.csb = [
+            CsbTransaction(cycle, address, data, bool(iswrite))
+            for cycle, address, data, iswrite in zip(*csb.tolist())
+        ]
+        log._kinds = bytearray(kinds)
+        log._cycles, log._addresses, log._lengths, log._writes = (
+            array("q", column.astype(np.int64).tobytes()) for column in dbb
         )
+        log._payload = bytearray(memoryview(blob)[payload_start:])
+        return log
 
     def to_spans(self, frequency_hz: float = 100e6) -> list[dict]:
         """The log as ``repro.obs`` span dicts on the simulated clock.
@@ -262,8 +379,5 @@ def parse_trace(text: str) -> TraceLog:
                 raise TraceError(
                     f"line {line_no}: dbb payload length {len(payload)} != len={length}"
                 )
-            log.dbb.append(
-                DbbTransaction(int(cycle), int(address, 16), payload, iswrite == "1")
-            )
-            log._order.append(("dbb", len(log.dbb) - 1))
+            log.log_dbb_line(int(cycle), int(address, 16), payload, iswrite == "1")
     return log

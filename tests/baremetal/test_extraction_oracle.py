@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baremetal.weight_extract import MemorySegment, extract_initial_memory
 from repro.errors import TraceError
-from repro.vp.trace_log import DbbTransaction, TraceLog
+from repro.vp.trace_log import TraceLog
 
 
 def reference_extract_initial_memory(trace: TraceLog) -> list[MemorySegment]:
@@ -54,10 +54,9 @@ def _coalesce(bytes_by_address: dict[int, int]) -> list[MemorySegment]:
 def _trace(transactions) -> TraceLog:
     log = TraceLog()
     for cycle, (address, data, iswrite) in enumerate(transactions):
-        # Appended directly (not via log_dbb) so lengths above the
+        # One line each (not split by log_dbb) so lengths above the
         # 64-byte line split and empty payloads reach the extractor.
-        log.dbb.append(DbbTransaction(cycle, address, data, iswrite))
-        log._order.append(("dbb", len(log.dbb) - 1))
+        log.log_dbb_line(cycle, address, data, iswrite)
     return log
 
 

@@ -191,3 +191,39 @@ def test_assemble_disassemble_reassemble_fixpoint(lines):
     listing = "\n".join(disassemble(w, pc=i * 4) for i, w in enumerate(first.words))
     second = assemble(listing + "\n")
     assert first.words == second.words
+
+
+def test_same_branch_text_at_two_addresses_encodes_two_offsets():
+    program = assemble("beq a0, a1, done\nj done\nbeq a0, a1, done\nj done\ndone:\n nop\n")
+    first_beq, first_j, second_beq, second_j = (decode(w) for w in program.words[:4])
+    assert (first_beq.imm, second_beq.imm) == (16, 8)
+    assert (first_j.imm, second_j.imm) == (12, 4)
+
+
+def test_li_of_equ_defined_after_use():
+    program = assemble("li a0, LATER\nli a1, LATER\n.equ LATER, 0x12345FFF\n")
+    for index in (0, 2):
+        hi = decode(program.words[index]).imm
+        lo = decode(program.words[index + 1]).imm
+        assert ((hi << 12) + lo) & 0xFFFFFFFF == 0x12345FFF
+    assert program.words[0:2] != program.words[2:4]  # rd differs
+
+
+@pytest.mark.parametrize("literal", ["1_000", "0o17", "010", "-010"])
+def test_literals_outside_the_token_grammar_are_rejected(literal):
+    with pytest.raises(AssemblerError):
+        assemble(f"addi a0, x0, {literal}\n")
+    with pytest.raises(AssemblerError):
+        assemble(f".word {literal}\n")
+
+
+@given(
+    value=st.integers(min_value=-2048, max_value=2047),
+    form=st.sampled_from(["{:d}", "0x{:x}", "0X{:X}", "0b{:b}"]),
+)
+def test_literal_operands_match_the_expression_evaluator(value, form):
+    """A bare literal takes the fast path; ``0+literal`` goes through
+    the tokenizer.  Both must encode the same word."""
+    text = ("-" if value < 0 else "") + form.format(abs(value))
+    assert words(f"addi a0, x0, {text}") == words(f"addi a0, x0, 0+{text}")
+    assert words(f"sw a0, {text}(sp)") == words(f"sw a0, 0+{text}(sp)")

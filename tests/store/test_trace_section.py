@@ -166,9 +166,9 @@ def test_every_prefix_and_byte_flip_is_refused_or_decoded():
             pass  # refused; anything else escaping is the failure
 
 
-def _version_1_blob(bundle) -> bytes:
+def _version_1_blob(bundle, meta=None) -> bytes:
     """What the previous writer stored: rendered hex text, zlib'd."""
-    meta, sections = read_container(serialize_bundle(bundle))
+    meta, sections = read_container(serialize_bundle(bundle, meta))
     meta["serial_version"] = 1
     sections["trace"] = bundle.trace.render().encode()
     return write_container(
