@@ -23,15 +23,16 @@ _GLB_INTR_STATUS_ADDR = UNIT_BASES["GLB"] + INTR_STATUS
 def trace_to_config(trace: TraceLog) -> list[ConfigCommand]:
     """Convert the CSB side of a trace into register commands."""
     commands: list[ConfigCommand] = []
-    for txn in trace.csb:
-        if txn.iswrite:
-            commands.append(ConfigCommand("write_reg", txn.address, txn.data))
+    addresses, data, writes = (column.tolist() for column in trace.csb_arrays())
+    for address, value, iswrite in zip(addresses, data, writes):
+        if iswrite:
+            commands.append(ConfigCommand("write_reg", address, value))
             continue
-        if txn.address == _GLB_INTR_STATUS_ADDR and txn.data != 0:
-            mask = txn.data  # poll for exactly the completion bit(s)
+        if address == _GLB_INTR_STATUS_ADDR and value != 0:
+            mask = value  # poll for exactly the completion bit(s)
         else:
             mask = 0xFFFFFFFF
-        commands.append(ConfigCommand("read_reg", txn.address, txn.data, mask))
+        commands.append(ConfigCommand("read_reg", address, value, mask))
     return commands
 
 

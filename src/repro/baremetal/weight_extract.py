@@ -46,60 +46,131 @@ def extract_initial_memory(trace: TraceLog) -> list[MemorySegment]:
     """Reconstruct initial DRAM state from the DBB transaction order.
 
     An address holds an initial byte iff its earliest DBB event is a
-    read; that read's byte is the value.  Computed over the whole trace
-    at once: one row per transferred byte, the earliest row of each
-    address, then contiguous runs of the initial addresses become
-    segments.
+    read; that read's byte is the value.  Work is per line wherever
+    the answer is known per line:
+
+    - a line over exactly the range of an earlier line has an earlier
+      event on every byte, so it cannot contribute and is dropped;
+    - a kept line that overlaps no other kept line is the only event
+      on its bytes: a read contributes all of them, a write none;
+    - only lines that overlap another kept line go through the
+      per-byte pass (:func:`_first_reads`).  Overlap is symmetric, so
+      those lines are the only events on their bytes too.
+
+    The contributed byte ranges are disjoint; sorted by address,
+    abutting ones join into segments.
     """
     starts, lengths, writes, payload = trace.dbb_arrays()
-    # A transaction over exactly the range of an earlier one has an
-    # earlier event on every byte, so it cannot contribute; dropping
-    # those (and empty ones) first shrinks the per-byte work below.
+    sources = np.cumsum(lengths) - lengths  # each line's payload offset
     by_range = np.lexsort((lengths, starts))  # stable: ties stay in trace order
     repeats = np.zeros(starts.size, dtype=bool)
     repeats[by_range[1:]] = (np.diff(starts[by_range]) == 0) & (
         np.diff(lengths[by_range]) == 0
     )
-    kept = ~repeats & (lengths > 0)
-    if not kept.any():
+    kept = by_range[~repeats[by_range] & (lengths[by_range] > 0)]  # by address
+    if not kept.size:
         return []
-    payload = payload[np.repeat(kept, lengths)]
-    starts, lengths, writes = starts[kept], lengths[kept], writes[kept]
-    total = payload.size
-
-    # Row i (log order) of transaction t is byte starts[t] + i - (bytes
-    # logged before t): one arange supplies every in-transaction offset.
-    rows = np.arange(total)
-    logged_before = np.cumsum(lengths) - lengths
-    keys = np.repeat(starts - logged_before, lengths)
-    keys += rows
-
-    # Sort (address, row) pairs packed into one int64 key; the smallest
-    # key of each address is its earliest event.  The keys arrive as
-    # ascending runs (one per transaction), which the stable sort's
-    # run merging exploits.
-    low = int(starts.min())
-    shift = (total - 1).bit_length()
-    if (int((starts + lengths).max()) - 1 - low).bit_length() + shift > 63:
+    starts, lengths, writes, sources = (
+        starts[kept], lengths[kept], writes[kept], sources[kept]
+    )
+    ends = starts + lengths
+    low = int(starts[0])
+    # The per-byte pass packs (address - low, row) into one int64 key;
+    # bounding it over every kept line covers whichever lines it gets.
+    if (int(ends.max()) - 1 - low).bit_length() + (int(lengths.sum()) - 1).bit_length() > 63:
         raise TraceError("DBB trace spans too many addresses and bytes to extract")
-    keys -= low
+
+    # A line overlaps an earlier-starting one iff it starts before the
+    # running maximum of their ends, and a later-starting one iff it
+    # ends after the next line's start.
+    overlaps = np.zeros(kept.size, dtype=bool)
+    overlaps[1:] = starts[1:] < np.maximum.accumulate(ends)[:-1]
+    overlaps[:-1] |= ends[:-1] > starts[1:]
+
+    lone = ~overlaps & ~writes
+    chunks = [(starts[lone], sources[lone], lengths[lone])]
+    if overlaps.any():
+        flagged = np.flatnonzero(overlaps)
+        order = flagged[np.argsort(kept[flagged])]  # back to log order
+        addresses, byte_sources = _first_reads(
+            starts[order], lengths[order], writes[order], sources[order], low
+        )
+        if addresses.size:
+            # Consecutive addresses read from consecutive payload
+            # bytes form one chunk.
+            first = np.flatnonzero(np.concatenate((
+                [True], (np.diff(addresses) != 1) | (np.diff(byte_sources) != 1)
+            )))
+            chunks.append((
+                addresses[first],
+                byte_sources[first],
+                np.diff(np.append(first, addresses.size)),
+            ))
+    addresses, sources, lengths = (np.concatenate(column) for column in zip(*chunks))
+    if not addresses.size:
+        return []
+
+    # The chunks are disjoint.  By address, one joins the segment of the
+    # one before when it abuts it, and the same copy when its payload
+    # bytes continue that one's too.
+    order = np.argsort(addresses, kind="stable")
+    addresses, sources, lengths = addresses[order], sources[order], lengths[order]
+    abuts = addresses[1:] == addresses[:-1] + lengths[:-1]
+    continues = abuts & (sources[1:] == sources[:-1] + lengths[:-1])
+    copy_first = np.flatnonzero(np.concatenate(([True], ~continues)))
+    copy_last = np.append(copy_first[1:], addresses.size) - 1
+    copy_from = sources[copy_first].tolist()
+    copy_to = (sources[copy_last] + lengths[copy_last]).tolist()
+    segment_first = np.flatnonzero(np.concatenate(([True], ~abuts))[copy_first])
+    bounds = [*segment_first.tolist(), copy_first.size]
+    segment_addresses = addresses[copy_first[segment_first]].tolist()
+    data = memoryview(payload)
+    return [
+        MemorySegment(
+            address, b"".join(data[copy_from[i] : copy_to[i]] for i in range(lo, hi))
+        )
+        for address, lo, hi in zip(segment_addresses, bounds, bounds[1:])
+    ]
+
+
+def _first_reads(
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    writes: np.ndarray,
+    sources: np.ndarray,
+    low: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The per-byte pass over lines in log order: ascending addresses
+    whose earliest event is a read, and each one's payload offset.
+
+    One row per byte; the (address, row) pairs are sorted packed into
+    one int64 key, and the smallest key of each address is its
+    earliest event.  ``low`` is at most every start.
+    """
+    total = int(lengths.sum())
+    # Row i (log order) of line t is byte starts[t] + i - (bytes before
+    # t): one arange supplies every in-line offset.
+    rows = np.arange(total)
+    before = np.cumsum(lengths) - lengths
+    keys = np.repeat(starts - before - low, lengths)
+    keys += rows
+    shift = (total - 1).bit_length()
     keys <<= shift
     keys |= rows
+    # The keys arrive as ascending runs (one per line), which the
+    # stable sort's run merging exploits.
     keys.sort(kind="stable")
     offsets = keys >> shift
     earliest = np.ones(total, dtype=bool)
     np.not_equal(offsets[1:], offsets[:-1], out=earliest[1:])
     first_rows = keys[earliest] & ((1 << shift) - 1)
-    initial = ~np.repeat(writes, lengths)[first_rows]
-    addresses = offsets[earliest][initial] + low
-    data = payload[first_rows[initial]]
-    if not addresses.size:
-        return []
-    bounds = [0, *(np.flatnonzero(np.diff(addresses) != 1) + 1).tolist(), addresses.size]
-    return [
-        MemorySegment(int(addresses[lo]), data[lo:hi].tobytes())
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    line = np.repeat(np.arange(lengths.size), lengths)[first_rows]
+    initial = ~writes[line]
+    first_rows, line = first_rows[initial], line[initial]
+    return (
+        offsets[earliest][initial] + low,
+        sources[line] + first_rows - before[line],
+    )
 
 
 def split_by_regions(

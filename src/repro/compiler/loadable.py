@@ -45,12 +45,14 @@ class Loadable:
 
     @property
     def input_tensor(self) -> TensorRef:
-        assert self.schedule.input_tensor is not None
+        if self.schedule.input_tensor is None:
+            raise LoadableError(f"loadable {self.network!r}: schedule has no input tensor")
         return self.schedule.input_tensor
 
     @property
     def output_tensor(self) -> TensorRef:
-        assert self.schedule.output_tensor is not None
+        if self.schedule.output_tensor is None:
+            raise LoadableError(f"loadable {self.network!r}: schedule has no output tensor")
         return self.schedule.output_tensor
 
     @property

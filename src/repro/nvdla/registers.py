@@ -169,6 +169,36 @@ def check_field(register: str, value: int) -> str | None:
     return field_spec(register).check(value)
 
 
+class RegisterTable:
+    """A unit type's validated register specs and reset values.
+
+    Built once per unit type and shared, never mutated, by every
+    :class:`RegisterBlock` of that type; a block copies only the reset
+    values into its two shadow groups.
+    """
+
+    __slots__ = ("unit_name", "by_offset", "by_name", "resets")
+
+    def __init__(self, unit_name: str, specs: list[RegisterSpec]) -> None:
+        self.unit_name = unit_name
+        self.by_offset: dict[int, RegisterSpec] = {}
+        self.by_name: dict[str, RegisterSpec] = {}
+        for spec in specs:
+            if spec.offset < FIRST_DESCRIPTOR_OFFSET:
+                raise RegisterError(
+                    f"{unit_name}.{spec.name}: descriptor registers start at "
+                    f"0x{FIRST_DESCRIPTOR_OFFSET:03x}",
+                    spec.offset,
+                )
+            if spec.offset in self.by_offset:
+                raise RegisterError(f"{unit_name}: duplicate offset for {spec.name}", spec.offset)
+            if spec.name in self.by_name:
+                raise RegisterError(f"{unit_name}: duplicate register name {spec.name}")
+            self.by_offset[spec.offset] = spec
+            self.by_name[spec.name] = spec
+        self.resets = {spec.offset: spec.reset for spec in specs}
+
+
 class RegisterBlock:
     """A unit's register file with dual shadow groups.
 
@@ -179,29 +209,26 @@ class RegisterBlock:
     specs:
         Descriptor registers (offsets >= ``FIRST_DESCRIPTOR_OFFSET``).
         ``S_STATUS``/``S_POINTER``/``D_OP_ENABLE`` are implicit.
+
+    :meth:`from_table` builds a block from an already validated
+    :class:`RegisterTable` instead.
     """
 
     def __init__(self, unit_name: str, specs: list[RegisterSpec]) -> None:
-        self.unit_name = unit_name
-        self._specs: dict[int, RegisterSpec] = {}
-        self._by_name: dict[str, RegisterSpec] = {}
-        for spec in specs:
-            if spec.offset < FIRST_DESCRIPTOR_OFFSET:
-                raise RegisterError(
-                    f"{unit_name}.{spec.name}: descriptor registers start at "
-                    f"0x{FIRST_DESCRIPTOR_OFFSET:03x}",
-                    spec.offset,
-                )
-            if spec.offset in self._specs:
-                raise RegisterError(f"{unit_name}: duplicate offset for {spec.name}", spec.offset)
-            if spec.name in self._by_name:
-                raise RegisterError(f"{unit_name}: duplicate register name {spec.name}")
-            self._specs[spec.offset] = spec
-            self._by_name[spec.name] = spec
-        self._groups: list[dict[int, int]] = [
-            {s.offset: s.reset for s in specs},
-            {s.offset: s.reset for s in specs},
-        ]
+        self._adopt(RegisterTable(unit_name, specs))
+
+    @classmethod
+    def from_table(cls, table: RegisterTable) -> RegisterBlock:
+        block = cls.__new__(cls)
+        block._adopt(table)
+        return block
+
+    def _adopt(self, table: RegisterTable) -> None:
+        self.unit_name = table.unit_name
+        self._table = table
+        self._specs = table.by_offset
+        self._by_name = table.by_name
+        self._groups: list[dict[int, int]] = [dict(table.resets), dict(table.resets)]
         self.producer = 0
         self.consumer = 0
         self.status: list[GroupStatus] = [GroupStatus.IDLE, GroupStatus.IDLE]
@@ -301,8 +328,7 @@ class RegisterBlock:
 
     def reset(self) -> None:
         for group in self._groups:
-            for offset, spec in self._specs.items():
-                group[offset] = spec.reset
+            group.update(self._table.resets)
         self.producer = 0
         self.consumer = 0
         self.status = [GroupStatus.IDLE, GroupStatus.IDLE]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 
 import numpy as np
@@ -11,7 +12,12 @@ from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import TensorDesc
 from repro.nvdla.layout import unpack_feature
 from repro.nvdla.mcif import Mcif
-from repro.nvdla.registers import FIRST_DESCRIPTOR_OFFSET, RegisterBlock, RegisterSpec
+from repro.nvdla.registers import (
+    FIRST_DESCRIPTOR_OFFSET,
+    RegisterBlock,
+    RegisterSpec,
+    RegisterTable,
+)
 
 
 class Unit:
@@ -23,12 +29,8 @@ class Unit:
     """
 
     def __init__(self, name: str, register_names: list[str]) -> None:
-        specs = [
-            RegisterSpec(name=reg, offset=FIRST_DESCRIPTOR_OFFSET + 4 * index)
-            for index, reg in enumerate(register_names)
-        ]
         self.name = name
-        self.block = RegisterBlock(name, specs)
+        self.block = RegisterBlock.from_table(_register_table(name, tuple(register_names)))
 
     # Convenience pass-throughs -----------------------------------------
 
@@ -52,6 +54,18 @@ class Unit:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Unit({self.name})"
+
+
+@functools.cache
+def _register_table(name: str, register_names: tuple[str, ...]) -> RegisterTable:
+    """One validated table per unit type, shared by all its instances."""
+    return RegisterTable(
+        name,
+        [
+            RegisterSpec(name=reg, offset=FIRST_DESCRIPTOR_OFFSET + 4 * index)
+            for index, reg in enumerate(register_names)
+        ],
+    )
 
 
 def parse_precision(value: int, unit: str) -> Precision:

@@ -9,10 +9,11 @@ The index names every *section* of the payload — offset, stored
 length, SHA-256 of the stored bytes, logical length and encoding —
 plus a free-form ``meta`` dict for the object kind and identity.  A
 reader verifies the index's own digest and then each section's digest
-before decoding it, so a flipped byte *anywhere in the file* — header,
-index, meta or payload — a truncated tail or a swapped payload is
-always a typed :class:`~repro.errors.StoreIntegrityError`, never
-silently wrong data.
+before decoding it (the store, which has already checked the whole
+file against its content address, skips the latter), so a flipped
+byte *anywhere in the file* — header, index, meta or payload — a
+truncated tail or a swapped payload is always a typed
+:class:`~repro.errors.StoreIntegrityError`, never silently wrong data.
 
 The encoding is deterministic: JSON is emitted with sorted keys and
 fixed separators, and zlib (the only compression used) is fixed at
@@ -88,12 +89,19 @@ def write_container(meta: dict, sections: list[Section]) -> bytes:
     )
 
 
-def read_container(blob: bytes, path: str | None = None) -> tuple[dict, dict[str, bytes]]:
+def read_container(
+    blob: bytes, path: str | None = None, content_verified: bool = False
+) -> tuple[dict, dict[str, bytes]]:
     """Parse and verify a container; returns ``(meta, {name: data})``.
 
     Every anomaly — bad magic, unknown version, an index that does not
     parse, a section outside the payload, a digest mismatch, an
     undecodable zlib stream — raises :class:`StoreIntegrityError`.
+
+    ``content_verified=True`` says the caller has already checked the
+    whole blob against its content address (the store does on every
+    load), so the section digests, which that check covers, are not
+    hashed again; everything else is still checked.
     """
 
     def bad(reason: str) -> StoreIntegrityError:
@@ -136,7 +144,7 @@ def read_container(blob: bytes, path: str | None = None) -> tuple[dict, dict[str
                 f"{len(payload)}-byte payload (truncated?)"
             )
         stored = payload[offset : offset + stored_length]
-        if sha256_hex(stored) != digest:
+        if not content_verified and sha256_hex(stored) != digest:
             raise bad(f"section {name!r}: SHA-256 mismatch (corrupted bytes)")
         if encoding == "zlib":
             try:

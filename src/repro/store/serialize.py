@@ -151,15 +151,19 @@ def serialize_bundle(bundle: BaremetalBundle, meta: dict | None = None) -> bytes
 
 
 def deserialize_bundle(
-    blob: bytes, path: str | None = None, expected_digest: str | None = None
+    blob: bytes,
+    path: str | None = None,
+    expected_digest: str | None = None,
+    content_verified: bool = False,
 ) -> BaremetalBundle:
     """Reconstruct a bundle; integrity failures raise, never mis-load.
 
     The reconstruction's :meth:`artifact_digest` must equal the one
     recorded in the object and, when given, ``expected_digest`` (the
     one a store ref records); it is computed once for both checks.
+    ``content_verified`` is passed to :func:`read_container`.
     """
-    meta, sections = read_container(blob, path=path)
+    meta, sections = read_container(blob, path=path, content_verified=content_verified)
     if meta.get("kind") != BUNDLE_KIND:
         raise StoreIntegrityError(
             f"object is a {meta.get('kind')!r}, not a {BUNDLE_KIND!r}", path=path
@@ -262,8 +266,10 @@ def serialize_loadable(loadable: Loadable) -> bytes:
     )
 
 
-def deserialize_loadable(blob: bytes, path: str | None = None) -> Loadable:
-    meta, sections = read_container(blob, path=path)
+def deserialize_loadable(
+    blob: bytes, path: str | None = None, content_verified: bool = False
+) -> Loadable:
+    meta, sections = read_container(blob, path=path, content_verified=content_verified)
     if meta.get("kind") != LOADABLE_KIND:
         raise StoreIntegrityError(
             f"object is a {meta.get('kind')!r}, not a {LOADABLE_KIND!r}", path=path

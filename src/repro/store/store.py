@@ -17,8 +17,11 @@ complete new file, or nothing; a crashed writer leaves only a
 ``.tmp-*`` turd that the next :meth:`gc` sweeps.
 
 Loads verify three layers before returning a bundle: the file digest
-against the ref, every section's SHA-256 inside the container, and
-the reconstructed bundle's :meth:`artifact_digest` against the one
+against the ref, the container's own index digest and structure (its
+section digests are covered by the file digest, so a load does not
+hash them again; :meth:`BundleStore.verify` and direct
+:func:`~repro.store.format.read_container` callers still do), and the
+reconstructed bundle's :meth:`artifact_digest` against the one
 recorded at write time.  Any mismatch raises
 :class:`~repro.errors.StoreIntegrityError`; :class:`BundleStore`
 never returns bytes it could not verify.
@@ -305,6 +308,7 @@ class BundleStore:
                 blob,
                 path=str(self._object_path(ref["object"])),
                 expected_digest=ref.get("artifact_digest"),
+                content_verified=True,  # _read_object hashed the whole blob
             )
         except StoreIntegrityError:
             self.stats.integrity_failures += 1
@@ -320,7 +324,9 @@ class BundleStore:
             if ref is None:
                 self.stats.misses += 1
                 return None
-            loadable = deserialize_loadable(self._read_object(ref, kdigest))
+            loadable = deserialize_loadable(
+                self._read_object(ref, kdigest), content_verified=True
+            )
         except StoreIntegrityError:
             self.stats.integrity_failures += 1
             raise
@@ -401,7 +407,11 @@ class BundleStore:
             report.checked += 1
             try:
                 ref = self._read_ref(path.stem)
-                assert ref is not None
+                if ref is None:
+                    raise StoreIntegrityError(
+                        "ref disappeared during verify (discarded or evicted concurrently)",
+                        path=str(path),
+                    )
                 referenced.add(ref["object"])
                 blob = self._read_object(ref, path.stem)
                 if ref.get("kind") == LOADABLE_KIND:

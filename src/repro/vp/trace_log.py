@@ -11,17 +11,23 @@ CSB lines carry one 32-bit register access; DBB lines carry up to
 ``DBB_LINE_BYTES`` of memory traffic with hex payload (reads log the
 data returned — that is what weight extraction reconstructs).
 
-In memory, :class:`TraceLog` keeps the few CSB accesses as objects and
-the DBB traffic (tens of thousands of lines per network) as columns:
+In memory, :class:`TraceLog` keeps both sides as columns:
 
 - one kind byte per transaction, in logged order (0 csb, 1 dbb);
+- per CSB access, four ``int64`` columns: cycle, address, data and
+  iswrite;
 - per DBB line, four ``int64`` columns: cycle, address, length and
   iswrite;
 - one payload buffer holding every DBB line's data back to back.
 
 A DMA transfer appends all of its lines to the columns at once.  The
+``csb`` and ``dbb`` attributes are read-only views that build a
+:class:`CsbTransaction` or :class:`DbbTransaction` only for a line
+that is indexed or iterated; bulk readers (configuration-file
+generation, weight extraction) take the columns as arrays.  The
 binary form, which the store keeps as a bundle's ``trace`` section, is
-the same layout::
+the same layout, so encoding writes the columns and decoding adopts
+them without building an object per line::
 
     header: "VPTB" | version (u8) | n_csb (u32) | n_dbb (u32) |
             compressed-columns length (u64), little-endian
@@ -39,7 +45,7 @@ import zlib
 from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import overload
+from typing import TypeVar, overload
 
 import numpy as np
 
@@ -88,48 +94,90 @@ class DbbTransaction:
         )
 
 
-class DbbLines(Sequence[DbbTransaction]):
-    """Read-only sequence view of a log's DBB lines.
+_Line = TypeVar("_Line", CsbTransaction, DbbTransaction)
 
-    Builds a :class:`DbbTransaction` only for a line that is indexed
-    or iterated; bulk readers use :meth:`TraceLog.dbb_arrays`.
-    """
+
+class _LineView(Sequence[_Line]):
+    """Read-only sequence view of one side of a log's columns; builds
+    a transaction object only for a line that is indexed or iterated."""
 
     __slots__ = ("_log",)
+    _side = ""
 
     def __init__(self, log: TraceLog) -> None:
         self._log = log
 
-    def __len__(self) -> int:
-        return len(self._log._lengths)
+    def _line(self, index: int) -> _Line:
+        raise NotImplementedError
 
     @overload
-    def __getitem__(self, index: int) -> DbbTransaction: ...
+    def __getitem__(self, index: int) -> _Line: ...
 
     @overload
-    def __getitem__(self, index: slice) -> list[DbbTransaction]: ...
+    def __getitem__(self, index: slice) -> list[_Line]: ...
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        log = self._log
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
-            raise IndexError("DBB line index out of range")
-        start = sum(log._lengths[:index])
+            raise IndexError(f"{self._side} line index out of range")
+        return self._line(index)
+
+
+class CsbLines(_LineView[CsbTransaction]):
+    """The CSB accesses of a log; bulk readers use
+    :meth:`TraceLog.csb_arrays`."""
+
+    __slots__ = ()
+    _side = "CSB"
+
+    def __len__(self) -> int:
+        return len(self._log._csb_cycles)
+
+    def _line(self, index: int) -> CsbTransaction:
+        log = self._log
+        return CsbTransaction(
+            log._csb_cycles[index],
+            log._csb_addresses[index],
+            log._csb_data[index],
+            bool(log._csb_writes[index]),
+        )
+
+    def __iter__(self) -> Iterator[CsbTransaction]:
+        log = self._log
+        for cycle, address, data, iswrite in zip(
+            log._csb_cycles, log._csb_addresses, log._csb_data, log._csb_writes
+        ):
+            yield CsbTransaction(cycle, address, data, bool(iswrite))
+
+
+class DbbLines(_LineView[DbbTransaction]):
+    """The DBB lines of a log; bulk readers use
+    :meth:`TraceLog.dbb_arrays`."""
+
+    __slots__ = ()
+    _side = "DBB"
+
+    def __len__(self) -> int:
+        return len(self._log._dbb_lengths)
+
+    def _line(self, index: int) -> DbbTransaction:
+        log = self._log
+        start = sum(log._dbb_lengths[:index])
         return DbbTransaction(
-            log._cycles[index],
-            log._addresses[index],
-            bytes(log._payload[start : start + log._lengths[index]]),
-            bool(log._writes[index]),
+            log._dbb_cycles[index],
+            log._dbb_addresses[index],
+            bytes(log._payload[start : start + log._dbb_lengths[index]]),
+            bool(log._dbb_writes[index]),
         )
 
     def __iter__(self) -> Iterator[DbbTransaction]:
         log = self._log
         start = 0
         for cycle, address, length, iswrite in zip(
-            log._cycles, log._addresses, log._lengths, log._writes
+            log._dbb_cycles, log._dbb_addresses, log._dbb_lengths, log._dbb_writes
         ):
             yield DbbTransaction(
                 cycle, address, bytes(log._payload[start : start + length]), bool(iswrite)
@@ -140,29 +188,39 @@ class DbbLines(Sequence[DbbTransaction]):
 class TraceLog:
     """An append-only transaction log with text and binary round-tripping.
 
-    CSB accesses are :class:`CsbTransaction` objects; DBB traffic is
-    kept in columns (see the module docstring) and read through the
-    :attr:`dbb` view or :meth:`dbb_arrays`.
+    Both sides are kept in columns (see the module docstring) and read
+    through the :attr:`csb` and :attr:`dbb` views or, in bulk, through
+    :meth:`csb_arrays` and :meth:`dbb_arrays`.
     """
 
     def __init__(self) -> None:
-        self.csb: list[CsbTransaction] = []
         self._kinds = bytearray()  # per transaction: 0 csb, 1 dbb
-        self._cycles = array("q")  # per DBB line, like the next three
-        self._addresses = array("q")
-        self._lengths = array("q")
-        self._writes = array("q")
+        self._csb_cycles = array("q")  # per CSB access, like the next three
+        self._csb_addresses = array("q")
+        self._csb_data = array("q")
+        self._csb_writes = array("q")
+        self._dbb_cycles = array("q")  # per DBB line, like the next three
+        self._dbb_addresses = array("q")
+        self._dbb_lengths = array("q")
+        self._dbb_writes = array("q")
         self._payload = bytearray()  # the DBB lines' data, back to back
+
+    @property
+    def csb(self) -> CsbLines:
+        return CsbLines(self)
 
     @property
     def dbb(self) -> DbbLines:
         return DbbLines(self)
 
+    def _csb_columns(self) -> tuple[array, array, array, array]:
+        return self._csb_cycles, self._csb_addresses, self._csb_data, self._csb_writes
+
+    def _dbb_columns(self) -> tuple[array, array, array, array]:
+        return self._dbb_cycles, self._dbb_addresses, self._dbb_lengths, self._dbb_writes
+
     def _columns(self) -> tuple:
-        return (
-            self.csb, self._kinds, self._cycles, self._addresses,
-            self._lengths, self._writes, self._payload,
-        )
+        return (self._kinds, *self._csb_columns(), *self._dbb_columns(), self._payload)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TraceLog):
@@ -171,13 +229,16 @@ class TraceLog:
 
     def __repr__(self) -> str:
         return (
-            f"TraceLog({len(self.csb)} csb, {len(self._lengths)} dbb lines, "
+            f"TraceLog({len(self._csb_cycles)} csb, {len(self._dbb_lengths)} dbb lines, "
             f"{len(self._payload)} payload bytes)"
         )
 
     def log_csb(self, cycle: int, address: int, data: int, iswrite: bool) -> None:
-        self.csb.append(CsbTransaction(cycle, address, data & 0xFFFFFFFF, iswrite))
         self._kinds.append(0)
+        self._csb_cycles.append(cycle)
+        self._csb_addresses.append(address)
+        self._csb_data.append(data & 0xFFFFFFFF)
+        self._csb_writes.append(int(iswrite))
 
     def log_dbb(self, cycle: int, address: int, data: bytes, iswrite: bool) -> None:
         """Log one DMA transfer as ``DBB_LINE_BYTES`` lines (the last
@@ -186,31 +247,41 @@ class TraceLog:
         if not lines:
             return
         self._kinds.extend(b"\x01" * lines)
-        self._cycles.extend(array("q", (cycle,)) * lines)
-        self._addresses.extend(range(address, address + len(data), DBB_LINE_BYTES))
-        self._lengths.extend(array("q", (DBB_LINE_BYTES,)) * (lines - 1))
-        self._lengths.append(len(data) - DBB_LINE_BYTES * (lines - 1))
-        self._writes.extend(array("q", (int(iswrite),)) * lines)
+        self._dbb_cycles.extend(array("q", (cycle,)) * lines)
+        self._dbb_addresses.extend(range(address, address + len(data), DBB_LINE_BYTES))
+        self._dbb_lengths.extend(array("q", (DBB_LINE_BYTES,)) * (lines - 1))
+        self._dbb_lengths.append(len(data) - DBB_LINE_BYTES * (lines - 1))
+        self._dbb_writes.extend(array("q", (int(iswrite),)) * lines)
         self._payload += data
 
     def log_dbb_line(self, cycle: int, address: int, data: bytes, iswrite: bool) -> None:
         """Log ``data`` as one DBB line, whatever its length (a parsed
         trace line, or a hand-built trace in a test)."""
         self._kinds.append(1)
-        self._cycles.append(cycle)
-        self._addresses.append(address)
-        self._lengths.append(len(data))
-        self._writes.append(int(iswrite))
+        self._dbb_cycles.append(cycle)
+        self._dbb_addresses.append(address)
+        self._dbb_lengths.append(len(data))
+        self._dbb_writes.append(int(iswrite))
         self._payload += data
+
+    def csb_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copies of the CSB columns for bulk readers: per-access
+        register addresses and data (int64) and write flags (bool), in
+        log order."""
+        return (
+            np.array(self._csb_addresses, dtype=np.int64),
+            np.array(self._csb_data, dtype=np.int64),
+            np.array(self._csb_writes, dtype=bool),
+        )
 
     def dbb_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Copies of the DBB columns for bulk readers: per-line start
         addresses and lengths (int64) and write flags (bool), plus the
         payload (uint8), all in log order."""
         return (
-            np.array(self._addresses, dtype=np.int64),
-            np.array(self._lengths, dtype=np.int64),
-            np.array(self._writes, dtype=bool),
+            np.array(self._dbb_addresses, dtype=np.int64),
+            np.array(self._dbb_lengths, dtype=np.int64),
+            np.array(self._dbb_writes, dtype=bool),
             np.array(self._payload, dtype=np.uint8),
         )
 
@@ -228,25 +299,19 @@ class TraceLog:
 
     def to_bytes(self) -> bytes:
         """The binary form (see the module docstring); deterministic."""
-        csb = self.csb
-        csb_columns = (
-            np.fromiter(values, dtype=_COLUMN, count=len(csb)).tobytes()
-            for values in (
-                (t.cycle for t in csb),
-                (t.address for t in csb),
-                (t.data for t in csb),
-                (t.iswrite for t in csb),
-            )
-        )
-        dbb_columns = (
-            np.array(column, dtype=_COLUMN).tobytes()
-            for column in (self._cycles, self._addresses, self._lengths, self._writes)
-        )
         columns = zlib.compress(
-            b"".join((self._kinds, *csb_columns, *dbb_columns)), _ZLIB_LEVEL
+            b"".join((
+                self._kinds,
+                *(
+                    np.array(column, dtype=_COLUMN).tobytes()
+                    for column in (*self._csb_columns(), *self._dbb_columns())
+                ),
+            )),
+            _ZLIB_LEVEL,
         )
         header = _BINARY_HEADER.pack(
-            _BINARY_MAGIC, _BINARY_VERSION, len(csb), len(self._lengths), len(columns)
+            _BINARY_MAGIC, _BINARY_VERSION, len(self._csb_cycles),
+            len(self._dbb_lengths), len(columns),
         )
         return b"".join((header, columns, self._payload))
 
@@ -289,14 +354,11 @@ class TraceLog:
                 f"its dbb lengths sum to {int(dbb[2].sum())}"
             )
         log = cls()
-        log.csb = [
-            CsbTransaction(cycle, address, data, bool(iswrite))
-            for cycle, address, data, iswrite in zip(*csb.tolist())
-        ]
         log._kinds = bytearray(kinds)
-        log._cycles, log._addresses, log._lengths, log._writes = (
-            array("q", column.astype(np.int64).tobytes()) for column in dbb
-        )
+        (
+            log._csb_cycles, log._csb_addresses, log._csb_data, log._csb_writes,
+            log._dbb_cycles, log._dbb_addresses, log._dbb_lengths, log._dbb_writes,
+        ) = (array("q", column.astype(np.int64).tobytes()) for column in (*csb, *dbb))
         log._payload = bytearray(memoryview(blob)[payload_start:])
         return log
 

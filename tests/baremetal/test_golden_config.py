@@ -21,6 +21,11 @@ chain, and one interrupt poll per fused pair all disappear from the
 register program; standalone-pool register sequences are otherwise
 byte-identical.
 
+The same two builds also pin the SHA-256 of their preload images
+(``weights.bin``, ``input.bin``: the output of weight extraction) and
+of their binary trace (``TraceLog.to_bytes()``, the store's ``trace``
+section), so extraction and trace-codec changes must keep every byte.
+
 If a change is *intentional*, regenerate a fixture::
 
     PYTHONPATH=src python - <<'EOF'
@@ -39,10 +44,29 @@ If a change is *intentional*, regenerate a fixture::
             header=f"golden configuration file: {bundle.network} on "
                    f"{config.name} ({precision.value}), seed 2024"))
     EOF
+
+and print the pinned digests for ``PINNED`` with::
+
+    PYTHONPATH=src python - <<'EOF'
+    import hashlib
+    from repro.baremetal import generate_baremetal
+    from repro.nn.zoo import lenet5, resnet18_cifar
+    from repro.nvdla import NV_FULL, NV_SMALL
+    from repro.nvdla.config import Precision
+    for net, config, precision, name in (
+        (lenet5(), NV_SMALL, Precision.INT8, "lenet5_nv_small"),
+        (resnet18_cifar(), NV_FULL, Precision.FP16, "resnet18_nv_full"),
+    ):
+        bundle = generate_baremetal(net, config, precision=precision)
+        sha = lambda data: hashlib.sha256(data).hexdigest()
+        print(name, {image.name: sha(image.data) for image in bundle.images.preload},
+              sha(bundle.trace.to_bytes()))
+    EOF
 """
 
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -71,12 +95,39 @@ CASES = {
 }
 
 
+#: SHA-256 of each build's preload images and binary trace.
+PINNED = {
+    "lenet5_nv_small": {
+        "images": {
+            "weights.bin": "49c2dc0228feb7d318d93bbef464a88c0b09e4c6565535cc7b86929876de3471",
+            "input.bin": "8e41f0185d829a201945e9cf025fc44fc2a9d4f5457c673a7dcd9cb9225b5190",
+        },
+        "trace": "23beca29b6fd967f9b8b933712d74324d77f53c0f62d259bfcea99326ff2200a",
+    },
+    "resnet18_nv_full": {
+        "images": {
+            "weights.bin": "fa31917865bea774670051e0fd78a56561b60c32010385a63d5b30f980ab7a1f",
+            "input.bin": "d215dfd7862447eca9f5c3ad4a2464f72f50ca1b2c3ff1346acb05efcb4eb2bc",
+        },
+        "trace": "362826ad1928eb39a0103ed3bec91f76225d36a6dd435202e7eaced1b889171e",
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.fixture(scope="module", params=sorted(CASES))
-def case(request):
-    builder, config, precision, header = CASES[request.param]
-    bundle = generate_baremetal(builder(), config, precision=precision)
-    golden = GOLDEN_DIR / f"{request.param}.cfg"
-    return bundle.commands, golden, header
+def built(request):
+    builder, config, precision, _ = CASES[request.param]
+    return request.param, generate_baremetal(builder(), config, precision=precision)
+
+
+@pytest.fixture(scope="module")
+def case(built):
+    name, bundle = built
+    return bundle.commands, GOLDEN_DIR / f"{name}.cfg", CASES[name][3]
 
 
 def test_render_is_byte_stable_against_golden(case):
@@ -105,3 +156,18 @@ def test_golden_command_mix_is_plausible(case):
     # Interrupt-status polls carry restricted masks (the trace_to_config
     # masking rule); plain register reads keep the full mask.
     assert any(c.mask != 0xFFFFFFFF for c in reads)
+
+
+def test_preload_images_are_pinned(built):
+    name, bundle = built
+    images = {image.name: _sha256(image.data) for image in bundle.images.preload}
+    assert images == PINNED[name]["images"], (
+        "preload image drift — if intentional, re-pin (see module docstring)"
+    )
+
+
+def test_trace_bytes_are_pinned(built):
+    name, bundle = built
+    assert _sha256(bundle.trace.to_bytes()) == PINNED[name]["trace"], (
+        "binary trace drift — if intentional, re-pin (see module docstring)"
+    )

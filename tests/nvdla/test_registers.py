@@ -198,3 +198,78 @@ def test_interrupt_bits_unique_per_unit_group():
 def test_unknown_interrupt_unit_rejected():
     with pytest.raises(RegisterError):
         interrupt_bit("CDMA", 0)
+
+
+# ----------------------------------------------------------------------
+# Register files built by fresh_units() from shared per-type tables.
+# ----------------------------------------------------------------------
+
+
+def _declared_registers() -> dict[str, list[str]]:
+    from repro.nvdla.units import cacc, cdma, cdp, cmac, csc, pdp, sdp
+
+    return {
+        "CDMA": cdma.REGISTER_NAMES,
+        "CSC": csc.REGISTER_NAMES,
+        "CMAC_A": cmac.REGISTER_NAMES,
+        "CMAC_B": cmac.REGISTER_NAMES,
+        "CACC": cacc.REGISTER_NAMES,
+        "SDP_RDMA": sdp.RDMA_REGISTER_NAMES,
+        "SDP": sdp.SDP_REGISTER_NAMES,
+        "PDP_RDMA": pdp.RDMA_REGISTER_NAMES,
+        "PDP": pdp.PDP_REGISTER_NAMES,
+        "CDP_RDMA": cdp.RDMA_REGISTER_NAMES,
+        "CDP": cdp.CDP_REGISTER_NAMES,
+    }
+
+
+def _assert_at_reset(units) -> None:
+    for name, unit in units.items():
+        block = unit.block
+        assert (block.producer, block.consumer) == (0, 0), name
+        assert block.status == [GroupStatus.IDLE, GroupStatus.IDLE], name
+        assert block.enabled == [False, False], name
+        for register in block.register_names():
+            assert unit.reg(register, 0) == unit.reg(register, 1) == 0, (name, register)
+
+
+def test_fresh_units_match_each_declared_register_list():
+    from repro.nvdla.units import fresh_units
+
+    units = fresh_units()
+    declared = _declared_registers()
+    assert sorted(units) == sorted(declared)
+    for name, unit in units.items():
+        assert unit.name == unit.block.unit_name == name
+        assert unit.block.register_names() == declared[name]
+        for index, register in enumerate(declared[name]):
+            assert unit.offset_of(register) == FIRST_DESCRIPTOR_OFFSET + 4 * index
+    _assert_at_reset(units)
+
+
+def test_fresh_units_share_no_mutable_state():
+    """Writes, launches and resets of one register file leave another
+    ``fresh_units()`` result, and the next one, at reset values."""
+    from repro.nvdla.units import fresh_units
+
+    first, second = fresh_units(), fresh_units()
+    for unit in first.values():
+        for group in (0, 1):
+            unit.csb_write(S_POINTER, group)
+            for register in unit.block.register_names():
+                unit.csb_write(unit.offset_of(register), 0x1000 + group)
+            unit.csb_write(D_OP_ENABLE, 1)
+        unit.block.launch(0)
+    assert first["CDMA"].reg(first["CDMA"].block.register_names()[0], 1) == 0x1001
+    _assert_at_reset(second)
+    _assert_at_reset(fresh_units())
+
+    for unit in first.values():
+        unit.reset()
+    _assert_at_reset(first)
+    for unit in second.values():
+        register = unit.block.register_names()[-1]
+        unit.csb_write(unit.offset_of(register), 7)
+        unit.reset()
+    _assert_at_reset(second)
+    _assert_at_reset(fresh_units())

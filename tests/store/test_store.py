@@ -218,3 +218,39 @@ def test_ref_touch_updates_last_used(store, lenet_bundle, lenet_key):
     )
     assert ref["object"] == store.ls()[0].object_digest
     assert os.path.exists(store.root / "objects" / ref["object"][:2] / ref["object"])
+
+
+def test_verify_reports_a_ref_that_vanishes_mid_sweep(store, lenet_bundle, lenet_key, monkeypatch):
+    """A ref listed by the sweep but gone when read (a concurrent
+    discard or eviction) is reported, not asserted on."""
+    store.put_bundle(lenet_key, lenet_bundle)
+    monkeypatch.setattr(store, "_read_ref", lambda kdigest: None)
+    report = store.verify()
+    assert report.ok == 0
+    reasons = [reason for _, reason in report.problems]
+    assert sum("ref disappeared during verify" in reason for reason in reasons) == 1
+
+
+def test_load_hashes_sections_only_through_the_object_digest(
+    store, lenet_bundle, lenet_key, monkeypatch
+):
+    """``get_bundle`` checks the whole object against its content
+    address and does not hash its sections again; ``read_container``
+    on bytes nobody has checked hashes every section."""
+    import repro.store.format as container
+
+    store.put_bundle(lenet_key, lenet_bundle)
+    hashed: list[int] = []
+    real = container.sha256_hex
+
+    def counting(data):
+        hashed.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(container, "sha256_hex", counting)
+    assert store.get_bundle(lenet_key).artifact_digest() == lenet_bundle.artifact_digest()
+    assert hashed == []
+    blob = serialize_bundle(lenet_bundle)
+    hashed.clear()
+    _, sections = container.read_container(blob)
+    assert len(hashed) == len(sections)
