@@ -84,6 +84,20 @@ def residency_key(spec: DeploymentSpec) -> tuple:
     return (spec.model, spec.config, spec.precision.value)
 
 
+#: Provisioning link a cold replica loads preload images over.
+WARMUP_BANDWIDTH_BYTES_PER_S = 32 * 1024 * 1024
+#: Fixed setup charge of every warm-up, on top of the bytes.
+WARMUP_FIXED_S = 0.010
+#: Fixed charge of a full offline build (compile, VP, bare-metal flow).
+BUILD_FIXED_S = 0.250
+#: Serialized-container bytes a full build produces per second.
+BUILD_BYTES_PER_S = 4 * 1024 * 1024
+#: Fixed charge of a verified fetch from the persistent store.
+FETCH_FIXED_S = 0.002
+#: Serialized-container bytes a store fetch reads per second.
+FETCH_BYTES_PER_S = 128 * 1024 * 1024
+
+
 class ServiceTimeModel:
     """Prices requests from the bundle's recorded cycle profile.
 
@@ -93,42 +107,27 @@ class ServiceTimeModel:
     - *warm-up* — loading the bundle's preload images (program,
       weights, input) onto a replica that does not hold them resident,
       priced as bytes over a provisioning link plus a fixed setup
-      charge.  This is what cache-affinity routing saves and what a
-      freshly scaled-up replica pays.
+      charge (``WARMUP_*``).  This is what cache-affinity routing saves
+      and what a freshly scaled-up replica pays.
     - *acquisition* (only with a ``store`` attached) — the first time a
       replica ever touches a deployment it must *acquire* the compiled
       artefacts: a full offline build when no one has published them
-      yet, or a (much cheaper) verified fetch from the persistent
-      store.  Both are priced from the serialized container size, so
-      the numbers stay bit-reproducible from the seed.
+      yet (``BUILD_*``), or a (much cheaper) verified fetch from the
+      persistent store (``FETCH_*``).  Both are priced from the
+      serialized container size, so the numbers stay bit-reproducible
+      from the seed.
     """
 
     def __init__(
         self,
         cache: BundleCache | None = None,
         calibration: ProfileTable | None = None,
-        warmup_bandwidth_bytes_per_s: float = 32 * 1024 * 1024,
-        warmup_fixed_s: float = 0.010,
         store: "BundleStore | None" = None,
-        build_fixed_s: float = 0.250,
-        build_bytes_per_s: float = 4 * 1024 * 1024,
-        fetch_fixed_s: float = 0.002,
-        fetch_bytes_per_s: float = 128 * 1024 * 1024,
     ) -> None:
-        if warmup_bandwidth_bytes_per_s <= 0:
-            raise ReproError("warm-up bandwidth must be positive")
-        if build_bytes_per_s <= 0 or fetch_bytes_per_s <= 0:
-            raise ReproError("acquisition bandwidths must be positive")
         # NOT `cache or ...`: an empty BundleCache is falsy (__len__).
         self.cache = cache if cache is not None else BundleCache(store=store)
         self.profiles: ProfileTable = calibration if calibration is not None else {}
-        self.warmup_bandwidth_bytes_per_s = warmup_bandwidth_bytes_per_s
-        self.warmup_fixed_s = warmup_fixed_s
         self.store = store
-        self.build_fixed_s = build_fixed_s
-        self.build_bytes_per_s = build_bytes_per_s
-        self.fetch_fixed_s = fetch_fixed_s
-        self.fetch_bytes_per_s = fetch_bytes_per_s
         self._estimators: dict[tuple, FastPathExecutor] = {}
         self._costs: dict[tuple, RequestCost] = {}
 
@@ -156,16 +155,12 @@ class ServiceTimeModel:
                 from repro.store import serialize_bundle
 
                 artifact_bytes = len(serialize_bundle(bundle))
-                build_seconds = (
-                    self.build_fixed_s + artifact_bytes / self.build_bytes_per_s
-                )
-                fetch_seconds = (
-                    self.fetch_fixed_s + artifact_bytes / self.fetch_bytes_per_s
-                )
+                build_seconds = BUILD_FIXED_S + artifact_bytes / BUILD_BYTES_PER_S
+                fetch_seconds = FETCH_FIXED_S + artifact_bytes / FETCH_BYTES_PER_S
             cost = self._costs[key] = RequestCost(
                 run_seconds=profile.total_cycles / spec.frequency_hz,
-                warmup_seconds=self.warmup_fixed_s
-                + preload_bytes / self.warmup_bandwidth_bytes_per_s,
+                warmup_seconds=WARMUP_FIXED_S
+                + preload_bytes / WARMUP_BANDWIDTH_BYTES_PER_S,
                 build_seconds=build_seconds,
                 fetch_seconds=fetch_seconds,
             )

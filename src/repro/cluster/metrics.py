@@ -8,16 +8,20 @@ an aggregate of every replica's host-side
 :class:`~repro.serve.metrics.ServiceMetrics`
 (via :func:`aggregate_service_metrics`, built on the serve layer's
 ``to_dict`` export rather than scraping rendered text).
+
+It is a plain record — each count stored once, as a field — and the
+fleet reports through :meth:`ClusterMetrics.to_dict` and
+:meth:`ClusterMetrics.render`; per-reason rejections and the latency
+samples are ``rejections_by_reason`` and ``latencies``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.cluster.admission import SloPolicy
 from repro.cluster.autoscaler import ScaleEvent
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.stats import LatencySummary
 from repro.serve.metrics import ServiceMetrics
 
@@ -78,81 +82,34 @@ class ReplicaUsage:
         }
 
 
-def _int_counter(metric: str) -> property:
-    """Registry-backed int attribute (same facade as ServiceMetrics)."""
-
-    def fget(self) -> int:
-        return int(self.registry.counter(metric).value)
-
-    def fset(self, value) -> None:
-        self.registry.counter(metric).value = int(value)
-
-    return property(fget, fset)
-
-
+@dataclass
 class ClusterMetrics:
     """Counters accumulated across one fleet-simulation run.
 
-    Scalar counters live in a :class:`~repro.obs.metrics.MetricsRegistry`
-    under ``cluster.*`` names; the attribute surface and
-    :meth:`to_dict` snapshot shape are unchanged from the pre-registry
-    dataclass.
+    A plain record: ``slo`` and ``policy_name`` are set at construction,
+    ``arrival_name`` and the rest are assigned or accumulated afterwards.
     """
 
-    arrivals = _int_counter("cluster.arrivals")
-    completed = _int_counter("cluster.completed")
+    slo: SloPolicy = field(default_factory=SloPolicy)
+    policy_name: str = ""
+    arrival_name: str = field(default="", init=False)
+    arrivals: int = field(default=0, init=False)
+    completed: int = field(default=0, init=False)
     # executed responses that came back not-ok
-    failures = _int_counter("cluster.failures")
-    rejected = _int_counter("cluster.rejected")
-    resident_hits = _int_counter("cluster.resident.hits")
-    resident_misses = _int_counter("cluster.resident.misses")
-    slo_met = _int_counter("cluster.slo_met")
-
-    def __init__(
-        self,
-        slo: SloPolicy | None = None,
-        policy_name: str = "",
-        arrival_name: str = "",
-        arrivals: int = 0,
-        completed: int = 0,
-        failures: int = 0,
-        rejected: int = 0,
-        rejections_by_reason: dict[str, int] | None = None,
-        resident_hits: int = 0,
-        resident_misses: int = 0,
-        slo_met: int = 0,
-        latencies: list[float] | None = None,
-        first_arrival_s: float | None = None,
-        last_arrival_s: float = 0.0,
-        last_completion_s: float = 0.0,
-        peak_replicas: int = 0,
-        scale_events: list[ScaleEvent] | None = None,
-        replica_usage: list[ReplicaUsage] | None = None,
-        service_aggregate: dict | None = None,
-        registry: MetricsRegistry | None = None,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.slo = slo if slo is not None else SloPolicy()
-        self.policy_name = policy_name
-        self.arrival_name = arrival_name
-        self.arrivals = arrivals
-        self.completed = completed
-        self.failures = failures
-        self.rejected = rejected
-        self.rejections_by_reason = (
-            rejections_by_reason if rejections_by_reason is not None else {}
-        )
-        self.resident_hits = resident_hits
-        self.resident_misses = resident_misses
-        self.slo_met = slo_met
-        self.latencies = latencies if latencies is not None else []
-        self.first_arrival_s = first_arrival_s
-        self.last_arrival_s = last_arrival_s
-        self.last_completion_s = last_completion_s
-        self.peak_replicas = peak_replicas
-        self.scale_events = scale_events if scale_events is not None else []
-        self.replica_usage = replica_usage if replica_usage is not None else []
-        self.service_aggregate = service_aggregate
+    failures: int = field(default=0, init=False)
+    rejected: int = field(default=0, init=False)
+    rejections_by_reason: dict[str, int] = field(default_factory=dict, init=False)
+    resident_hits: int = field(default=0, init=False)
+    resident_misses: int = field(default=0, init=False)
+    slo_met: int = field(default=0, init=False)
+    latencies: list[float] = field(default_factory=list, init=False)
+    first_arrival_s: float | None = field(default=None, init=False)
+    last_arrival_s: float = field(default=0.0, init=False)
+    last_completion_s: float = field(default=0.0, init=False)
+    peak_replicas: int = field(default=0, init=False)
+    scale_events: list[ScaleEvent] = field(default_factory=list, init=False)
+    replica_usage: list[ReplicaUsage] = field(default_factory=list, init=False)
+    service_aggregate: dict | None = field(default=None, init=False)
 
     # ------------------------------------------------------------------
     # Accumulation (driven by the simulation loop).
@@ -167,7 +124,6 @@ class ClusterMetrics:
     def reject(self, now: float, reason: str) -> None:
         self.rejected += 1
         self.rejections_by_reason[reason] = self.rejections_by_reason.get(reason, 0) + 1
-        self.registry.counter(f"cluster.rejected.{reason}").inc()
 
     def complete(
         self, now: float, latency_s: float, resident_hit: bool, ok: bool = True
@@ -182,7 +138,6 @@ class ClusterMetrics:
         if latency_s <= self.slo.slo_latency_s:
             self.slo_met += 1
         self.latencies.append(latency_s)
-        self.registry.histogram("cluster.latency.seconds").observe(latency_s)
         self.last_completion_s = max(self.last_completion_s, now + latency_s)
 
     # ------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Counters, gauges, and log-scale histograms with cross-process merge.
 
-The registry is the one sink every layer's counters live in
-(``ServiceMetrics`` and ``ClusterMetrics`` are thin facades over it).
-Recording is plain attribute arithmetic in the owning process — no
-locks, because each process owns its registry — and aggregation happens
-by shipping ``to_dict()`` snapshots across the process boundary and
-:meth:`MetricsRegistry.merge`-ing them, which is exact for counters and
-histograms (elementwise sums, hence associative and commutative).
+The registry is the export and merge format for counters: layers keep
+their numbers in plain records and build a registry when they export
+(``ServiceMetrics.registry``, written by ``--metrics-out``).  Snapshots
+travel as ``to_dict()`` JSON and combine with
+:meth:`MetricsRegistry.merge` (``repro metrics a.json b.json``), which
+is exact for counters and histograms (elementwise sums, hence
+associative and commutative).
 
 Naming convention: dotted lowercase paths, ``<layer>.<noun>[.<verb>]``
 — e.g. ``serve.requests``, ``serve.bundle.compiles``,
-``cluster.arrivals``.  Histograms end in a unit suffix
+``serve.busy.seconds``.  Histograms end in a unit suffix
 (``.seconds``, ``.cycles``).
 """
 
@@ -149,7 +149,7 @@ class Histogram:
 class MetricsRegistry:
     """Create-on-first-use registry of named instruments.
 
-    One per process.  ``counter``/``gauge``/``histogram`` return the
+    ``counter``/``gauge``/``histogram`` return the
     existing instrument when the name is already registered (and raise
     if it is registered as a different type), so call sites never need
     to coordinate creation order.

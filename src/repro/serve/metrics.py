@@ -5,12 +5,12 @@ serve a request, the number the cache is trying to shrink) and
 *simulated* cycles (what the modelled SoC would take, the number the
 paper reports).
 
-Counters live in a :class:`repro.obs.metrics.MetricsRegistry`
-(``metrics.registry``) so they merge across processes and export
-through ``repro metrics``; the attribute surface below
-(``metrics.requests += 1`` etc.) is a facade over registry counters
-and is unchanged from the pre-registry dataclass, as is the
-:meth:`ServiceMetrics.to_dict` snapshot shape.
+:class:`ServiceMetrics` is a plain record: each counter and each
+latency sample is stored once, as a field (``metrics.requests += 1``).
+:meth:`ServiceMetrics.to_dict` is the JSON snapshot benchmarks and the
+cluster aggregator read; ``metrics.registry`` builds a
+:class:`repro.obs.metrics.MetricsRegistry` from the fields at export
+time, the format ``--metrics-out`` writes and ``repro metrics`` merges.
 """
 
 from __future__ import annotations
@@ -60,90 +60,73 @@ class DeploymentMetrics:
         }
 
 
-def _int_counter(metric: str, doc: str | None = None) -> property:
-    """Registry-backed int attribute: ``metrics.requests += 1`` works."""
-
-    def fget(self) -> int:
-        return int(self.registry.counter(metric).value)
-
-    def fset(self, value) -> None:
-        self.registry.counter(metric).value = int(value)
-
-    return property(fget, fset, doc=doc)
-
-
-def _float_counter(metric: str, doc: str | None = None) -> property:
-    def fget(self) -> float:
-        return self.registry.counter(metric).value
-
-    def fset(self, value) -> None:
-        self.registry.counter(metric).value = float(value)
-
-    return property(fget, fset, doc=doc)
-
-
+@dataclass
 class ServiceMetrics:
-    """Counters accumulated across a service lifetime."""
+    """Counters accumulated across a service lifetime.
 
-    requests = _int_counter("serve.requests")
-    failures = _int_counter("serve.failures")
-    batches = _int_counter("serve.batches")
+    Every number is stored once, as a plain field; :attr:`registry`
+    builds the mergeable export from these fields on demand.
+    """
+
+    requests: int = field(default=0, init=False)
+    failures: int = field(default=0, init=False)
+    batches: int = field(default=0, init=False)
     # served from the in-memory cache
-    bundle_hits = _int_counter("serve.bundle.hits")
+    bundle_hits: int = field(default=0, init=False)
     # = bundle_store_hits + bundle_compiles
-    bundle_misses = _int_counter("serve.bundle.misses")
+    bundle_misses: int = field(default=0, init=False)
     # misses satisfied by the persistent store
-    bundle_store_hits = _int_counter("serve.bundle.store_hits")
+    bundle_store_hits: int = field(default=0, init=False)
     # misses that paid the full offline flow
-    bundle_compiles = _int_counter("serve.bundle.compiles")
-    workers_created = _int_counter("serve.workers.created")
-    workers_reused = _int_counter("serve.workers.reused")
+    bundle_compiles: int = field(default=0, init=False)
+    workers_created: int = field(default=0, init=False)
+    workers_reused: int = field(default=0, init=False)
     # busy time inside workers
-    wall_seconds_total = _float_counter("serve.busy.seconds")
+    wall_seconds_total: float = field(default=0.0, init=False)
     # end-to-end serve() time
-    elapsed_seconds = _float_counter("serve.elapsed.seconds")
+    elapsed_seconds: float = field(default=0.0, init=False)
+    # Exact samples: the summaries report true nearest-rank
+    # percentiles, and the exported histograms are built from them.
+    wall_latencies: list[float] = field(default_factory=list, init=False)
+    cycle_latencies: list[float] = field(default_factory=list, init=False)
+    per_deployment: dict[str, DeploymentMetrics] = field(default_factory=dict, init=False)
+    # Worker-process slot → its counters (runs, busy_seconds, batches,
+    # restarts), aggregated by the serving plane after each drain.  The
+    # single-process service leaves this empty.
+    per_process: dict[int, dict] = field(default_factory=dict, init=False)
 
-    def __init__(
-        self,
-        requests: int = 0,
-        failures: int = 0,
-        batches: int = 0,
-        bundle_hits: int = 0,
-        bundle_misses: int = 0,
-        bundle_store_hits: int = 0,
-        bundle_compiles: int = 0,
-        workers_created: int = 0,
-        workers_reused: int = 0,
-        wall_seconds_total: float = 0.0,
-        elapsed_seconds: float = 0.0,
-        wall_latencies: list[float] | None = None,
-        cycle_latencies: list[float] | None = None,
-        per_deployment: dict[str, DeploymentMetrics] | None = None,
-        per_process: dict[int, dict] | None = None,
-        registry: MetricsRegistry | None = None,
-    ):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.requests = requests
-        self.failures = failures
-        self.batches = batches
-        self.bundle_hits = bundle_hits
-        self.bundle_misses = bundle_misses
-        self.bundle_store_hits = bundle_store_hits
-        self.bundle_compiles = bundle_compiles
-        self.workers_created = workers_created
-        self.workers_reused = workers_reused
-        self.wall_seconds_total = wall_seconds_total
-        self.elapsed_seconds = elapsed_seconds
-        # Exact samples kept alongside the registry histograms: the
-        # summaries below report true nearest-rank percentiles, the
-        # histograms are what merges across processes.
-        self.wall_latencies = wall_latencies if wall_latencies is not None else []
-        self.cycle_latencies = cycle_latencies if cycle_latencies is not None else []
-        self.per_deployment = per_deployment if per_deployment is not None else {}
-        # Worker-process slot → its counters (runs, busy_seconds,
-        # batches, restarts), aggregated by the serving plane after each
-        # drain.  The single-process service leaves this empty.
-        self.per_process = per_process if per_process is not None else {}
+    @property
+    def registry(self) -> MetricsRegistry:
+        """The counters and latency histograms as a mergeable export.
+
+        Built fresh from the fields on each call (``repro serve
+        --metrics-out`` writes it, ``repro metrics`` merges snapshots);
+        the two histograms appear once a request has been recorded.
+        """
+        registry = MetricsRegistry()
+        for name, value in (
+            ("serve.requests", self.requests),
+            ("serve.failures", self.failures),
+            ("serve.batches", self.batches),
+            ("serve.bundle.hits", self.bundle_hits),
+            ("serve.bundle.misses", self.bundle_misses),
+            ("serve.bundle.store_hits", self.bundle_store_hits),
+            ("serve.bundle.compiles", self.bundle_compiles),
+            ("serve.workers.created", self.workers_created),
+            ("serve.workers.reused", self.workers_reused),
+            ("serve.busy.seconds", self.wall_seconds_total),
+            ("serve.elapsed.seconds", self.elapsed_seconds),
+        ):
+            registry.counter(name).value = value
+        for name, samples in (
+            ("serve.request.wall.seconds", self.wall_latencies),
+            ("serve.request.cycles", self.cycle_latencies),
+        ):
+            if samples:
+                hist = registry.histogram(name)
+                for value in samples:
+                    hist.observe(value)
+        return registry
 
     def record(
         self, wall_seconds: float, cycles: int, ok: bool, deployment: str | None = None
@@ -154,8 +137,6 @@ class ServiceMetrics:
         self.wall_latencies.append(wall_seconds)
         self.cycle_latencies.append(float(cycles))
         self.wall_seconds_total += wall_seconds
-        self.registry.histogram("serve.request.wall.seconds").observe(wall_seconds)
-        self.registry.histogram("serve.request.cycles").observe(float(cycles))
         if deployment is not None:
             slice_ = self.per_deployment.setdefault(deployment, DeploymentMetrics())
             slice_.requests += 1

@@ -1,7 +1,7 @@
 """Persistent content-addressed store for compiled artifacts.
 
 ``repro.store`` persists the expensive products of the bare-metal
-pipeline — compiled loadables and full deployment bundles — under
+pipeline — full deployment bundles, compiled loadable included — under
 content-addressed digest keys so that a process (or a freshly
 provisioned replica) can warm up by *fetching* instead of
 *recompiling*.  See :mod:`repro.store.format` for the container
@@ -22,12 +22,9 @@ from repro.store.format import (
 )
 from repro.store.serialize import (
     BUNDLE_KIND,
-    LOADABLE_KIND,
     SERIAL_VERSION,
     deserialize_bundle,
-    deserialize_loadable,
     serialize_bundle,
-    serialize_loadable,
 )
 from repro.store.store import (
     DEFAULT_STORE_DIR,
@@ -46,7 +43,6 @@ __all__ = [
     "DEFAULT_STORE_DIR",
     "FORMAT_VERSION",
     "GC_GRACE_SECONDS",
-    "LOADABLE_KIND",
     "MAGIC",
     "SERIAL_VERSION",
     "STORE_ENV_VAR",
@@ -58,11 +54,9 @@ __all__ = [
     "VerifyReport",
     "canonical_json",
     "deserialize_bundle",
-    "deserialize_loadable",
     "key_digest",
     "read_container",
     "serialize_bundle",
-    "serialize_loadable",
     "sha256_hex",
     "write_container",
 ]

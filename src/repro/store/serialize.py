@@ -1,4 +1,4 @@
-"""Bundle and loadable (de)serialisation for the persistent store.
+"""Bundle (de)serialisation for the persistent store.
 
 A :class:`~repro.baremetal.pipeline.BaremetalBundle` is a bag of
 heterogeneous artefacts — a compiled loadable, a VP trace, register
@@ -42,7 +42,6 @@ from repro.vp import InferenceResult
 from repro.vp.trace_log import TraceLog
 
 BUNDLE_KIND = "baremetal-bundle"
-LOADABLE_KIND = "loadable"
 SERIAL_VERSION = 2
 
 
@@ -250,35 +249,3 @@ def deserialize_bundle(
             "bundle artifact digest disagrees with its ref", path=path
         )
     return bundle
-
-
-def serialize_loadable(loadable: Loadable) -> bytes:
-    """A standalone compiled loadable in the same container format."""
-    return write_container(
-        {
-            "kind": LOADABLE_KIND,
-            "serial_version": SERIAL_VERSION,
-            "network": loadable.network,
-            "config": loadable.config,
-            "precision": loadable.precision.value,
-        },
-        [Section("loadable", loadable.to_bytes())],
-    )
-
-
-def deserialize_loadable(
-    blob: bytes, path: str | None = None, content_verified: bool = False
-) -> Loadable:
-    meta, sections = read_container(blob, path=path, content_verified=content_verified)
-    if meta.get("kind") != LOADABLE_KIND:
-        raise StoreIntegrityError(
-            f"object is a {meta.get('kind')!r}, not a {LOADABLE_KIND!r}", path=path
-        )
-    if "loadable" not in sections:
-        raise StoreIntegrityError("missing section 'loadable'", path=path)
-    try:
-        return Loadable.from_bytes(sections["loadable"])
-    except Exception as exc:
-        raise StoreIntegrityError(
-            f"stored loadable does not decode: {exc}", path=path
-        ) from exc

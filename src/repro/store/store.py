@@ -40,17 +40,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.baremetal.pipeline import BaremetalBundle
-from repro.compiler.loadable import Loadable
 from repro.errors import StoreError, StoreIntegrityError
 from repro.store.format import canonical_json, sha256_hex
 from repro.store.serialize import (
     BUNDLE_KIND,
-    LOADABLE_KIND,
     bundle_meta,
     deserialize_bundle,
-    deserialize_loadable,
     serialize_bundle,
-    serialize_loadable,
 )
 
 LAYOUT_VERSION = 1
@@ -237,17 +233,6 @@ class BundleStore:
             },
         )
 
-    def put_loadable(self, key: tuple, loadable: Loadable) -> str:
-        return self._put_object(
-            key,
-            serialize_loadable(loadable),
-            {
-                "kind": LOADABLE_KIND,
-                "name": f"{loadable.network}/{loadable.config}/"
-                f"{loadable.precision.value}",
-            },
-        )
-
     # ------------------------------------------------------------------
     # Reading.
     # ------------------------------------------------------------------
@@ -316,23 +301,6 @@ class BundleStore:
         self._touch(kdigest, ref)
         self.stats.hits += 1
         return bundle
-
-    def get_loadable(self, key: tuple) -> Loadable | None:
-        kdigest = key_digest(key)
-        try:
-            ref = self._read_ref(kdigest)
-            if ref is None:
-                self.stats.misses += 1
-                return None
-            loadable = deserialize_loadable(
-                self._read_object(ref, kdigest), content_verified=True
-            )
-        except StoreIntegrityError:
-            self.stats.integrity_failures += 1
-            raise
-        self._touch(kdigest, ref)
-        self.stats.hits += 1
-        return loadable
 
     def contains(self, key: tuple) -> bool:
         """Cheap presence probe (ref + object files exist; no hashing)."""
@@ -414,16 +382,11 @@ class BundleStore:
                     )
                 referenced.add(ref["object"])
                 blob = self._read_object(ref, path.stem)
-                if ref.get("kind") == LOADABLE_KIND:
-                    loadable = deserialize_loadable(blob)
-                    if static:
-                        self._verify_static(loadable, path)
-                else:
-                    bundle = deserialize_bundle(
-                        blob, expected_digest=ref.get("artifact_digest")
-                    )
-                    if static:
-                        self._verify_static(bundle.loadable, path)
+                bundle = deserialize_bundle(
+                    blob, expected_digest=ref.get("artifact_digest")
+                )
+                if static:
+                    self._verify_static(bundle.loadable, path)
             except StoreIntegrityError as exc:
                 report.problems.append((str(path), str(exc)))
             else:

@@ -11,8 +11,6 @@ burst measurably lowers tail latency versus an empty store.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baremetal.pipeline import bundle_cache_key
 from repro.cluster import (
     Autoscaler,
@@ -22,7 +20,6 @@ from repro.cluster import (
     generate_workload,
     make_router,
 )
-from repro.errors import ReproError
 from repro.nvdla import Precision
 from repro.serve import BundleCache, DeploymentSpec, shared_cache
 from repro.store import BundleStore
@@ -73,13 +70,6 @@ def test_fetch_is_much_cheaper_than_build(tmp_path):
     # Pricing a store-backed deployment published it (the pricing probe
     # compiles through the cache, which writes through).
     assert len(store) == 1
-
-
-def test_bandwidths_must_be_positive():
-    with pytest.raises(ReproError):
-        ServiceTimeModel(cache=shared_cache(), build_bytes_per_s=0.0)
-    with pytest.raises(ReproError):
-        ServiceTimeModel(cache=shared_cache(), fetch_bytes_per_s=-1.0)
 
 
 def test_storeless_simulation_unchanged():

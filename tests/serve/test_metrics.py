@@ -9,11 +9,13 @@ q=100 → maximum, single-sample series, duplicated values.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from repro.obs.metrics import log_bucket_bounds
 from repro.serve import DeploymentSpec, InferenceService, percentile
 from repro.serve.metrics import LatencySummary, ServiceMetrics
 
@@ -123,6 +125,88 @@ def test_service_metrics_to_dict_round_trip():
     assert slice_["requests"] == 2
     assert slice_["wall"]["max"] == pytest.approx(0.030)
     assert slice_["cycles"]["p50"] == pytest.approx(1000.0)
+
+
+def _counters(values: dict) -> dict:
+    return {name: {"type": "counter", "value": value} for name, value in values.items()}
+
+
+def _histogram(buckets: dict[int, int], count, total, low, high) -> dict:
+    bounds = log_bucket_bounds()
+    return {
+        "type": "histogram",
+        "bounds": bounds,
+        "counts": [buckets.get(i, 0) for i in range(len(bounds) + 1)],
+        "count": count,
+        "sum": total,
+        "min": low,
+        "max": high,
+    }
+
+
+_EMPTY_COUNTERS = {
+    "serve.batches": 0,
+    "serve.bundle.compiles": 0,
+    "serve.bundle.hits": 0,
+    "serve.bundle.misses": 0,
+    "serve.bundle.store_hits": 0,
+    "serve.busy.seconds": 0.0,
+    "serve.elapsed.seconds": 0.0,
+    "serve.failures": 0,
+    "serve.requests": 0,
+    "serve.workers.created": 0,
+    "serve.workers.reused": 0,
+}
+
+
+def _assert_same_export(actual: dict, expected: dict) -> None:
+    assert actual == expected
+    # JSON spells 1 and 1.0 differently: pins int vs float counters.
+    assert json.dumps(actual, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_registry_export_of_empty_metrics():
+    """Eleven counters, no histograms until a request is recorded."""
+    _assert_same_export(ServiceMetrics().registry.to_dict(), _counters(_EMPTY_COUNTERS))
+
+
+def test_registry_export_is_pinned():
+    """The ``--metrics-out`` snapshot: names, value types, histograms."""
+    metrics = ServiceMetrics()
+    metrics.record(0.004, cycles=402264, ok=True, deployment="lenet5/nv_small")
+    metrics.record(0.25, cycles=1500, ok=False, deployment="resnet18/nv_small[fast]")
+    metrics.record(0.0125, cycles=7, ok=True)
+    metrics.record(3e-05, cycles=0, ok=True, deployment="lenet5/nv_small")
+    for source in ("memory", "memory", "store", "compile"):
+        metrics.record_resolution(source)
+    metrics.batches += 2
+    metrics.elapsed_seconds += 0.5
+    metrics.workers_created = 1
+    metrics.workers_reused = 3
+    metrics.record_process(0, {"runs": 2, "busy_seconds": 0.1, "batches": 1, "restarts": 0})
+    expected = {
+        **_counters({
+            "serve.batches": 2,
+            "serve.bundle.compiles": 1,
+            "serve.bundle.hits": 2,
+            "serve.bundle.misses": 2,
+            "serve.bundle.store_hits": 1,
+            "serve.busy.seconds": 0.26653,
+            "serve.elapsed.seconds": 0.5,
+            "serve.failures": 1,
+            "serve.requests": 4,
+            "serve.workers.created": 1,
+            "serve.workers.reused": 3,
+        }),
+        # Underflow (bucket 0) through overflow (bucket 41).
+        "serve.request.cycles": _histogram(
+            {0: 1, 25: 1, 36: 1, 41: 1}, 4, 403771.0, 0.0, 402264.0
+        ),
+        "serve.request.wall.seconds": _histogram(
+            {0: 1, 9: 1, 11: 1, 17: 1}, 4, 0.26653, 3e-05, 0.25
+        ),
+    }
+    _assert_same_export(metrics.registry.to_dict(), expected)
 
 
 def test_render_per_deployment_includes_wall_p99():

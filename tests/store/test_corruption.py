@@ -14,7 +14,14 @@ import pytest
 
 from repro.errors import StoreIntegrityError
 from repro.serve.cache import BundleCache
-from repro.store import key_digest, read_container, serialize_bundle
+from repro.store import (
+    Section,
+    key_digest,
+    read_container,
+    serialize_bundle,
+    sha256_hex,
+    write_container,
+)
 
 
 def _object_path(store, key):
@@ -106,13 +113,24 @@ def test_torn_ref_refused(loaded_store, lenet_key):
 
 
 def test_wrong_kind_object_refused(loaded_store, lenet_bundle, lenet_key):
-    """A loadable container under a bundle ref must not deserialize."""
-    from repro.store import serialize_loadable
+    """A non-bundle container under a bundle ref must not deserialize."""
+    import json
 
-    _object_path(loaded_store, lenet_key).write_bytes(
-        serialize_loadable(lenet_bundle.loadable)
+    blob = write_container(
+        {"kind": "loadable", "serial_version": 2},
+        [Section("loadable", lenet_bundle.loadable.to_bytes())],
     )
-    with pytest.raises(StoreIntegrityError):
+    # Published at its own content address, so the file digest matches
+    # the ref and only the kind check stands in the way.
+    digest = sha256_hex(blob)
+    object_path = loaded_store.root / "objects" / digest[:2] / digest
+    object_path.parent.mkdir(parents=True, exist_ok=True)
+    object_path.write_bytes(blob)
+    ref_path = loaded_store.root / "refs" / f"{key_digest(lenet_key)}.json"
+    ref = json.loads(ref_path.read_text())
+    ref["object"] = digest
+    ref_path.write_text(json.dumps(ref))
+    with pytest.raises(StoreIntegrityError, match="not a 'baremetal-bundle'"):
         loaded_store.get_bundle(lenet_key)
 
 

@@ -24,9 +24,7 @@ from repro.store import (  # noqa: E402
     Section,
     read_container,
     serialize_bundle,
-    serialize_loadable,
     deserialize_bundle,
-    deserialize_loadable,
     sha256_hex,
     write_container,
 )
@@ -113,7 +111,7 @@ def test_array_sections_round_trip_exactly(dtype, shape, data):
 
 
 # ----------------------------------------------------------------------
-# Bundle / loadable laws on real artefacts.
+# Bundle laws on real artefacts.
 # ----------------------------------------------------------------------
 
 
@@ -137,13 +135,6 @@ def test_bundle_round_trip_law(lenet_bundle):
     assert [i.name for i in loaded.images.preload] == [
         i.name for i in lenet_bundle.images.preload
     ]
-
-
-def test_loadable_round_trip_law(lenet_bundle):
-    blob = serialize_loadable(lenet_bundle.loadable)
-    loaded = deserialize_loadable(blob)
-    assert serialize_loadable(loaded) == blob
-    assert loaded.to_bytes() == lenet_bundle.loadable.to_bytes()
 
 
 _SUBPROCESS_PROGRAM = """

@@ -12,7 +12,6 @@ from repro.store import (
     BundleStore,
     key_digest,
     serialize_bundle,
-    serialize_loadable,
     sha256_hex,
 )
 
@@ -184,16 +183,6 @@ def test_key_digest_is_stable_and_order_sensitive():
     assert key_digest(key) == key_digest(tuple(key))
     assert key_digest(key) != key_digest(key[::-1])
     assert len(key_digest(key)) == 64
-
-
-def test_loadable_round_trip(store, lenet_bundle):
-    loadable = lenet_bundle.loadable
-    key = ("loadable", loadable.network, loadable.config, loadable.precision.value)
-    store.put_loadable(key, loadable)
-    loaded = store.get_loadable(key)
-    assert loaded is not None
-    assert loaded.to_bytes() == loadable.to_bytes()
-    assert serialize_loadable(loaded) == serialize_loadable(loadable)
 
 
 def test_store_survives_reopen(tmp_path, lenet_bundle, lenet_key):
