@@ -12,6 +12,13 @@ A mixed LeNet-5 + ResNet-18 workload on nv_small (INT8) and nv_full
 Asserts the tentpole acceptance criterion: ≥ 5× throughput on repeated
 same-deployment requests, with cache-hit outputs bit-identical to the
 cold path.
+
+Run as a script it measures fast-tier process scaling and merges one
+row per code version into ``--out`` (rows with other labels are kept,
+so two versions can be measured back to back)::
+
+    PYTHONPATH=src python benchmarks/bench_serving.py --label change \
+        --out BENCH_serving.json
 """
 
 from __future__ import annotations
@@ -406,7 +413,10 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="reduced run (1 vs 2 processes, fewer requests) for CI",
     )
-    parser.add_argument("--out", default=None, help="write metrics JSON here")
+    parser.add_argument("--label", default="head", help="row name for this code version")
+    parser.add_argument(
+        "--out", default=None, help="merge this row into the metrics JSON file here"
+    )
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -427,6 +437,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         from repro.obs import bench_envelope
 
+        path = Path(args.out)
+        # Rows with other labels are kept, so two code versions can be
+        # measured back to back into one file (an older file without
+        # rows starts afresh).
+        rows = json.loads(path.read_text())["results"].get("rows", []) if path.exists() else []
+        row = {"label": args.label, "smoke": args.smoke, **result}
+        rows = [r for r in rows if r["label"] != args.label] + [row]
         payload = bench_envelope(
             "bench_serving.process_scaling",
             {
@@ -436,9 +453,9 @@ def main(argv: list[str] | None = None) -> int:
                 "workload_seed": WORKLOAD_SEED,
                 "models": ["lenet5", "resnet18"],
             },
-            result,
+            {"rows": rows},
         )
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True))
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         print(f"metrics written to {args.out}")
     return 0 if result["bit_identical"] else 1
 

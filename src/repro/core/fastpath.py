@@ -9,7 +9,8 @@ bundle without the ISS or any bus transaction —
 - **function** — the loadable's layer sequence runs straight through
   the NVDLA unit kernels (:mod:`repro.nvdla.fastpath`) on a private
   DRAM image, producing output tensors bit-identical to a
-  cycle-accurate SoC run of the same bundle;
+  cycle-accurate SoC run of the same bundle; a batch of inputs runs
+  each launch once for all of them, every request on its own image;
 - **timing** — reported cycles are a :class:`CycleProfile`: one
   timing-fidelity SoC run of the bundle's program, recorded on first
   use and returned verbatim ever after.  The bare-metal program never
@@ -38,7 +39,7 @@ from repro.baremetal.pipeline import BaremetalBundle
 from repro.core.address_map import DEFAULT_MAP
 from repro.core.executor import RunStats
 from repro.core.soc import Soc, SocRunResult, read_output_tensor
-from repro.errors import BusError, ReproError
+from repro.errors import BusError, ConfigurationError, ReproError
 from repro.mem.sparse_memory import SparseMemory
 from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision, get_config
 from repro.nvdla.descriptors import TensorDesc
@@ -224,31 +225,33 @@ class ResidentStats:
 class _BundleState:
     """Resident serving state for one bundle (multi-tenant worker).
 
-    Each bundle gets its own DRAM image plus the derived artefacts
-    that are invariant across requests — lowered descriptors batched
-    into kernel calls (:func:`batch_launches`), the cycle profile and
-    the GEMM-ready weight cache — so an interleaved
+    Each bundle gets its own preloaded DRAM image plus the derived
+    artefacts that are invariant across requests — lowered descriptors
+    batched into kernel calls (:func:`batch_launches`), the cycle
+    profile and the GEMM-ready weight cache — so an interleaved
     workload (the scheduler round-robins deployments) never pays the
-    model-switch teardown the single-SoC tier pays.  ``bundle`` is a
-    strong reference on purpose: states are keyed by ``id(bundle)``.
+    model-switch teardown the single-SoC tier pays.  No run writes to
+    ``image``: every request runs on a copy-on-write overlay of it.
+    ``bundle`` is a strong reference on purpose: states are keyed by
+    ``id(bundle)``.
     """
 
     bundle: BaremetalBundle
-    storage: SparseMemory
+    image: SparseMemory
     runs: list[list[Descriptors]]
     profile: CycleProfile
     weight_cache: dict = field(default_factory=dict)
 
 
 class _ImagePort:
-    """Functional DBB port onto the resident bundle's DRAM image.
+    """Functional DBB port onto one request's DRAM image.
 
     The fast tier only moves bytes; nothing here is priced.
     """
 
-    def __init__(self, dram_base: int) -> None:
+    def __init__(self, dram_base: int, storage: SparseMemory | None = None) -> None:
         self.dram_base = dram_base
-        self.storage: SparseMemory | None = None
+        self.storage = storage
 
     def _rebase(self, address: int) -> int:
         if address < self.dram_base:
@@ -273,6 +276,13 @@ class FastPathExecutor:
     way a missing profile is recorded on first use.  Profiles live
     apart from the resident-bundle LRU, so an eviction never
     re-records.
+
+    Each request of a run gets a private DRAM image: a copy-on-write
+    overlay of the bundle's resident image, so the read-only weights
+    are shared and only the pages a request writes (its input and
+    activations) are its own.  ``mcifs[k]`` reaches request ``k``'s
+    image; ``mcif`` and ``port`` are the first request's, which keeps
+    its image (and byte counts) until the next run.
     """
 
     def __init__(
@@ -289,8 +299,9 @@ class FastPathExecutor:
         self.frequency_hz = frequency_hz
         self.profiles: ProfileTable = calibration if calibration is not None else {}
         self.memory_bus_width_bits = memory_bus_width_bits
-        self.port = _ImagePort(DEFAULT_MAP.dram_base)
-        self.mcif = Mcif(self.port)
+        self.mcifs: list[Mcif] = [Mcif(_ImagePort(DEFAULT_MAP.dram_base))]
+        self.mcif = self.mcifs[0]
+        self.port: _ImagePort = self.mcif.port
         self.max_resident_bundles = max_resident_bundles
         self._states: "OrderedDict[int, _BundleState]" = OrderedDict()
         self.resident_stats = ResidentStats()
@@ -320,58 +331,89 @@ class FastPathExecutor:
             )
         return profile
 
+    def _resident(self, bundle: BaremetalBundle) -> _BundleState:
+        """The bundle's resident state, built (and its DRAM image
+        preloaded) on a miss."""
+        state = self._states.get(id(bundle))
+        if state is not None:
+            self.resident_stats.hits += 1
+            self._states.move_to_end(id(bundle))
+            return state
+        self.resident_stats.misses += 1
+        state = _BundleState(
+            bundle=bundle,
+            image=SparseMemory(DEFAULT_MAP.dram_size),
+            runs=batch_launches(
+                [op.descriptors for op in lower_loadable(bundle.loadable, self.config)],
+                self.config,
+            ),
+            profile=self._profile(bundle),
+        )
+        port = _ImagePort(DEFAULT_MAP.dram_base, state.image)
+        for image in bundle.images.preload:
+            port.write(image.load_address, image.data)
+        self._states[id(bundle)] = state
+        while len(self._states) > self.max_resident_bundles:
+            self._states.popitem(last=False)
+            self.resident_stats.evictions += 1
+        return state
+
+    def _requests(
+        self, bundle: BaremetalBundle, input_image: np.ndarray | None
+    ) -> tuple[list[np.ndarray | None], bool]:
+        """The run's per-request inputs (``[None]`` without an input) and
+        whether ``input_image`` is a batch."""
+        if input_image is None:
+            return [None], False
+        shape = tuple(bundle.loadable.input_tensor.shape)
+        if tuple(input_image.shape) == shape:
+            return [input_image], False
+        if tuple(input_image.shape[1:]) != shape or len(input_image) == 0:
+            raise ConfigurationError(
+                f"input shape {input_image.shape} is neither the network input "
+                f"{shape} nor a non-empty batch of it"
+            )
+        return list(input_image), True
+
     def run(
         self, bundle: BaremetalBundle, input_image: np.ndarray | None = None
     ) -> SocRunResult:
         """Replay one bundle functionally; cycles from its profile.
+
+        ``input_image`` is one input, or a batch of them along a leading
+        axis: every launch then runs once for the whole batch, each
+        request on its own DRAM image, and ``output`` carries the same
+        leading axis.  Cycles, stats and op records are per request
+        (the recorded profile) either way.
 
         The kernels run when the run has an input
         (:meth:`~repro.baremetal.pipeline.BaremetalBundle.has_input`);
         the output is ``None`` otherwise.
         """
         self._check_config(bundle)
-        state = self._states.get(id(bundle))
-        if state is None:
-            self.resident_stats.misses += 1
-            state = _BundleState(
-                bundle=bundle,
-                storage=SparseMemory(DEFAULT_MAP.dram_size),
-                runs=batch_launches(
-                    [op.descriptors for op in lower_loadable(bundle.loadable, self.config)],
-                    self.config,
-                ),
-                profile=self._profile(bundle),
-            )
-            self.port.storage = state.storage
-            for image in bundle.images.preload:
-                self._preload(image.load_address, image.data)
-            self._states[id(bundle)] = state
-            while len(self._states) > self.max_resident_bundles:
-                self._states.popitem(last=False)
-                self.resident_stats.evictions += 1
-        else:
-            self.resident_stats.hits += 1
-            self._states.move_to_end(id(bundle))
-            self.port.storage = state.storage
-            for image in bundle.images.preload:
-                if image.name == "weights.bin":
-                    continue  # read-only during a run; still loaded
-                if image.name == "input.bin" and input_image is not None:
-                    continue  # about to be overwritten below
-                self._preload(image.load_address, image.data)
-        if input_image is not None:
-            address, packed = pack_input(bundle.loadable, self.config, input_image)
-            self._preload(address, packed)
+        requests, batched = self._requests(bundle, input_image)
+        state = self._resident(bundle)
+        while len(self.mcifs) < len(requests):
+            self.mcifs.append(Mcif(_ImagePort(DEFAULT_MAP.dram_base)))
+        mcifs = self.mcifs[: len(requests)]
+        for mcif in self.mcifs[len(requests) :]:
+            mcif.port.storage = None  # past this batch: let go of the last image
+        for mcif, image in zip(mcifs, requests):
+            mcif.port.storage = SparseMemory(DEFAULT_MAP.dram_size, base=state.image)
+            if image is not None:
+                mcif.port.write(*pack_input(bundle.loadable, self.config, image))
 
         output = None
         if bundle.has_input(input_image):
             for launches in state.runs:
                 execute_descriptors(
-                    launches, self.config, self.mcif, weight_cache=state.weight_cache
+                    launches, self.config, mcifs, weight_cache=state.weight_cache
                 )
-            output = read_output_tensor(
-                state.storage, bundle, self.config, DEFAULT_MAP.dram_base
-            )
+            outputs = [
+                read_output_tensor(mcif.port.storage, bundle, self.config, DEFAULT_MAP.dram_base)
+                for mcif in mcifs
+            ]
+            output = np.stack(outputs) if batched else outputs[0]
 
         profile = state.profile
         stats = replace(
@@ -388,9 +430,6 @@ class FastPathExecutor:
             output=output,
             op_records=list(profile.op_records),
         )
-
-    def _preload(self, address: int, data: bytes) -> None:
-        self.port.write(address, data)
 
 
 def calibrate(

@@ -3,6 +3,9 @@
 Backs every memory in the system.  Pages are allocated lazily so a
 512 MB DRAM costs nothing until written, which matters when streaming
 the 100 MB-class weight files of ResNet-50/AlexNet through the flow.
+A memory made with a ``base`` is a copy-on-write overlay of it: pages
+it never wrote read through to the base, so many private images can
+share one large preloaded one.
 """
 
 from __future__ import annotations
@@ -20,17 +23,24 @@ class SparseMemory:
     """A byte-addressable sparse memory of a fixed size.
 
     Reads from never-written locations return ``fill`` (default 0),
-    like zero-initialised simulation memory.
+    like zero-initialised simulation memory.  With a ``base`` memory
+    (itself without one), never-written pages read as the base's, and
+    the first write to a page copies the base's page into this memory;
+    the base is never written through the overlay.
     """
 
-    def __init__(self, size: int, fill: int = 0) -> None:
+    def __init__(self, size: int, fill: int = 0, base: "SparseMemory | None" = None) -> None:
         if size <= 0:
             raise MemoryError_("memory size must be positive")
         if not 0 <= fill <= 0xFF:
             raise MemoryError_("fill byte out of range")
+        if base is not None and (base.size, base.fill) != (size, fill):
+            raise MemoryError_("an overlay needs its base's size and fill")
         self.size = size
         self.fill = fill
         self._pages: dict[int, bytearray] = {}
+        # Pages this memory has not written itself: the base's (shared).
+        self._shared: dict[int, bytearray] = base._pages if base is not None else {}
         self.reads = 0
         self.writes = 0
 
@@ -43,7 +53,8 @@ class SparseMemory:
     def _page(self, index: int) -> bytearray:
         page = self._pages.get(index)
         if page is None:
-            page = bytearray([self.fill]) * _PAGE_SIZE
+            shared = self._shared.get(index)
+            page = bytearray(shared) if shared is not None else bytearray([self.fill]) * _PAGE_SIZE
             self._pages[index] = page
         return page
 
@@ -59,6 +70,8 @@ class SparseMemory:
             in_page = addr & _PAGE_MASK
             chunk = min(nbytes - offset, _PAGE_SIZE - in_page)
             page = self._pages.get(page_index)
+            if page is None:
+                page = self._shared.get(page_index)
             if page is None:
                 if self.fill:
                     out[offset : offset + chunk] = bytes([self.fill]) * chunk
@@ -139,5 +152,5 @@ class SparseMemory:
         return ranges
 
     def clear(self) -> None:
-        """Drop all pages (memory reads as ``fill`` again)."""
+        """Drop all pages (memory reads as ``fill``, or its base, again)."""
         self._pages.clear()

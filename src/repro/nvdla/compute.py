@@ -10,7 +10,8 @@ in float32, like CMAC's FP16 pipeline.
 The convolution and the SDP stages also take a leading *group* axis:
 a run of launches of one shape (the blocks of a depthwise layer)
 executes as one call, each launch with its own weights, operands and
-converter values.
+converter values.  A *batch* axis after it carries the requests of a
+serving batch: same launches, one input each.
 
 They are intentionally *not* shared with :mod:`repro.nn.reference`
 (the float reference executor) so that an arithmetic bug in one cannot
@@ -18,6 +19,8 @@ cancel out in validation.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -42,6 +45,15 @@ def gemm_dtype(dtype: np.dtype) -> np.dtype:
     return np.dtype(np.float64)
 
 
+#: Largest batched temporary of the fast tier's kernels, in bytes: the
+#: im2col matrix of one :func:`conv2d_direct` GEMM, and the int64
+#: accumulators of one conv+SDP pass
+#: (:func:`repro.nvdla.programming.execute_descriptors`).  A bigger
+#: batch runs as several GEMMs or passes, split by images, so a serving
+#: batch's transient memory stays near that of a single image.
+BATCH_BYTES = 1 << 19
+
+
 def conv2d_direct(
     x: np.ndarray,
     w: np.ndarray,
@@ -51,19 +63,32 @@ def conv2d_direct(
     """Direct convolution, CHW input and KCRS weights.
 
     With a leading group axis (``x`` GCHW, ``w`` GKCRS) each group is
-    its own convolution and all run as one batched GEMM.  ``w`` may
-    already be in the GEMM dtype (:func:`gemm_dtype` of ``x``), holding
-    the integer kernel's values; it is then used without a copy.
+    its own convolution and all run as one batched GEMM.  A batch axis
+    right before C (``x`` BCHW or GBCHW) convolves every image with the
+    same weights: the images' im2col columns sit side by side in one
+    GEMM, at most :data:`BATCH_BYTES` of them, and the result keeps
+    the batch axis before K.  ``w`` may already be in the GEMM dtype
+    (:func:`gemm_dtype` of ``x``), holding the integer kernel's values;
+    it is then used without a copy.
 
     Returns int64 accumulators for integer inputs and float32 for
     floating inputs (matching CMAC/CACC accumulation).
     ``pad`` is (top, bottom, left, right).
     """
-    if x.ndim not in (3, 4) or w.ndim != x.ndim + 1 or x.shape[:-3] != w.shape[:-4]:
+    group = w.shape[:-4]
+    batched = x.ndim == w.ndim
+    if (
+        w.ndim not in (4, 5)
+        or x.ndim - len(group) - batched != 3
+        or x.shape[: len(group)] != group
+    ):
         raise ConfigurationError(
-            "conv2d expects CHW input and KCRS weights (or one group axis on both)"
+            "conv2d expects CHW input and KCRS weights (or one group axis on "
+            "both), the input optionally with a batch axis before C"
         )
-    *group, c, h, width = x.shape
+    if not batched:
+        x = x[..., None, :, :, :]
+    *_, images, c, h, width = x.shape
     k, wc, r, s = w.shape[-4:]
     if wc != c:
         raise ConfigurationError(f"channel mismatch: input {c}, weights {wc}")
@@ -76,36 +101,50 @@ def conv2d_direct(
         raise ConfigurationError("convolution output would be empty")
 
     compute_dtype = gemm_dtype(x.dtype)
-    padded = np.zeros((*group, c, ph, pw), dtype=compute_dtype)
+    padded = np.zeros((*group, images, c, ph, pw), dtype=compute_dtype)
     padded[..., pad_top : pad_top + h, pad_left : pad_left + width] = x
 
-    # im2col via stride tricks: windows[..., c, r, s, oh, ow]
-    *gs, cs, hs, ws = padded.strides
+    # im2col via stride tricks: windows[..., c, r, s, image, oh, ow]
+    *gs, bs, cs, hs, ws = padded.strides
     windows = np.lib.stride_tricks.as_strided(
         padded,
-        shape=(*group, c, r, s, out_h, out_w),
-        strides=(*gs, cs, hs, ws, hs * stride_y, ws * stride_x),
+        shape=(*group, c, r, s, images, out_h, out_w),
+        strides=(*gs, cs, hs, ws, bs, hs * stride_y, ws * stride_x),
         writeable=False,
     )
     terms = c * r * s
-    cols = windows.reshape(*group, terms, out_h * out_w)
+    pixels = out_h * out_w
     kernel = w.astype(compute_dtype, copy=False).reshape(*group, k, terms)
-    if x.dtype != np.int8 or terms <= INT8_EXACT_TERMS:
-        acc = kernel @ cols
-    else:
-        acc = np.zeros((*group, k, out_h * out_w), dtype=np.int64)
-        for lo in range(0, terms, INT8_EXACT_TERMS):
-            hi = lo + INT8_EXACT_TERMS
-            acc += (kernel[..., lo:hi] @ cols[..., lo:hi, :]).astype(np.int64)
     # Integer GEMMs are exact, so the cast back needs no rounding.
     acc_dtype = np.int64 if np.issubdtype(x.dtype, np.integer) else np.float32
-    return acc.reshape(*group, k, out_h, out_w).astype(acc_dtype, copy=False)
+    per_gemm = max(1, BATCH_BYTES // (math.prod(group) * terms * pixels * compute_dtype.itemsize))
+    parts = []
+    for first in range(0, images, per_gemm):
+        last = min(images, first + per_gemm)
+        # The reshape copies the windows: this is the im2col matrix.
+        cols = windows[..., first:last, :, :].reshape(*group, terms, (last - first) * pixels)
+        if x.dtype != np.int8 or terms <= INT8_EXACT_TERMS:
+            part = kernel @ cols
+        else:
+            part = np.zeros((*group, k, cols.shape[-1]), dtype=np.int64)
+            for lo in range(0, terms, INT8_EXACT_TERMS):
+                hi = lo + INT8_EXACT_TERMS
+                part += (kernel[..., lo:hi] @ cols[..., lo:hi, :]).astype(np.int64)
+        del cols  # before the next GEMM's matrix exists
+        # (.., K, images, pixels) -> (.., images, K, pixels), in one cast copy
+        parts.append(np.ascontiguousarray(
+            part.reshape(*group, k, last - first, pixels).swapaxes(-2, -3), dtype=acc_dtype
+        ))
+    acc = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-3)
+    acc = acc.reshape(*group, images, k, out_h, out_w)
+    return acc if batched else acc[..., 0, :, :, :]
 
 
 # The SDP stages below update the accumulator in place and return it:
 # the datapath owns the array it is handed (a convolution's fresh
 # accumulators or a freshly read surface).  Per-channel operands are
-# (..., C) and broadcast over H and W, so a group axis passes through.
+# (..., C) and broadcast over H and W, so a group axis passes through
+# (and a batch axis, given (G, 1, C) operands).
 
 
 def _per_channel(acc: np.ndarray, operand: np.ndarray, what: str) -> np.ndarray:
@@ -149,34 +188,43 @@ def apply_relu(acc: np.ndarray, enabled: bool) -> np.ndarray:
     return np.maximum(acc, 0, out=acc)
 
 
-def scale_round(x: np.ndarray, multiplier, shift) -> np.ndarray:
+def scale_round(x: np.ndarray, multiplier, shift, nonnegative: bool = False) -> np.ndarray:
     """``(x * multiplier + sign · half) >> shift`` in place on int64 ``x``.
 
     ``half`` is ``2^(shift-1)``, none when ``shift`` is 0: values round
     half away from zero before the arithmetic (flooring) shift.
     ``multiplier`` and ``shift`` are ints or int64 arrays broadcast
-    over ``x`` (one value per group).
+    over ``x`` (one value per group).  ``nonnegative`` promises that no
+    value of ``x`` is negative (the chain ran ReLU), which makes the
+    sign correction dead, so it is skipped.
     """
     x *= multiplier
     shift = np.asarray(shift, dtype=np.int64)
     # For shift > 0, (x - half) >> shift == ((x + half) >> shift) - 1,
     # so negatives take the shared add and one decrement after it.
-    rounds_down = x < 0
-    if not np.all(shift > 0):
-        rounds_down &= shift > 0
+    rounds_down = None
+    if not nonnegative:
+        rounds_down = x < 0
+        if not np.all(shift > 0):
+            rounds_down &= shift > 0
     x += (np.int64(1) << shift) >> 1
     x >>= shift
-    x -= rounds_down
+    if rounds_down is not None:
+        x -= rounds_down
     return x
 
 
-def requantize_int8(acc: np.ndarray, multiplier, shift) -> np.ndarray:
+def requantize_int8(acc: np.ndarray, multiplier, shift, nonnegative: bool = False) -> np.ndarray:
     """Output converter: ``clamp(round(acc * mult / 2^shift))`` to int8.
 
     Rounds as :func:`scale_round`, in place on an int64 ``acc`` (its
-    contents are consumed); ``multiplier``/``shift`` broadcast the same way.
+    contents are consumed); ``multiplier``/``shift`` broadcast the same
+    way.  With ``nonnegative`` (no negative ``acc``, multipliers of at
+    least 0) only the high end can saturate.
     """
-    scaled = scale_round(acc.astype(np.int64, copy=False), multiplier, shift)
+    scaled = scale_round(acc.astype(np.int64, copy=False), multiplier, shift, nonnegative)
+    if nonnegative:
+        return np.minimum(scaled, 127, out=scaled).astype(np.int8)
     return np.clip(scaled, -128, 127, out=scaled).astype(np.int8)
 
 

@@ -60,18 +60,47 @@ def sdp_operand_bytes(channels: int, precision: Precision) -> int:
 
 
 def pack_feature(tensor: np.ndarray, atom_channels: int, precision: Precision) -> bytes:
-    """Pack a CHW tensor into NVDLA feature format bytes."""
-    if tensor.ndim != 3:
+    """Pack a CHW tensor into NVDLA feature format bytes.
+
+    A stack of CHW tensors (leading axes before C) packs cube after
+    cube, in C order of the leading axes: all cubes have one size.
+    """
+    if tensor.ndim < 3:
         raise ConfigurationError(f"feature tensors are CHW, got shape {tensor.shape}")
     dtype = dtype_for(precision)
-    tensor = np.ascontiguousarray(tensor, dtype=dtype)
-    c, h, w = tensor.shape
+    *lead, c, h, w = tensor.shape
     surfaces = ceil_div(c, atom_channels)
-    padded = np.zeros((surfaces * atom_channels, h, w), dtype=dtype)
-    padded[:c] = tensor
-    # [S*atom, H, W] -> [S, atom, H, W] -> [S, H, W, atom]
-    packed = padded.reshape(surfaces, atom_channels, h, w).transpose(0, 2, 3, 1)
-    return np.ascontiguousarray(packed).tobytes()
+    if c == surfaces * atom_channels:
+        padded = tensor.astype(dtype, copy=False)
+    else:
+        padded = np.zeros((*lead, surfaces * atom_channels, h, w), dtype=dtype)
+        padded[..., :c, :, :] = tensor
+    # [.., S*atom, H, W] -> [.., S, atom, H, W] -> [.., S, H, W, atom]
+    packed = padded.reshape(*lead, surfaces, atom_channels, h, w)
+    return np.moveaxis(packed, -3, -1).tobytes()
+
+
+def unpack_features(
+    blob: bytes,
+    count: int,
+    shape: tuple[int, int, int],
+    atom_channels: int,
+    precision: Precision,
+) -> np.ndarray:
+    """``count`` packed surfaces of one shape, back to back in ``blob``,
+    as a (count, C, H, W) array; it may be a read-only view of ``blob``,
+    so cast or copy it to own it."""
+    c, h, w = shape
+    dtype = dtype_for(precision)
+    surfaces = ceil_div(c, atom_channels)
+    expected = count * feature_size_bytes(shape, atom_channels, precision)
+    if len(blob) < expected:
+        raise ConfigurationError(
+            f"feature blob too small: {len(blob)} bytes < expected {expected}"
+        )
+    packed = np.frombuffer(blob, dtype=dtype, count=expected // dtype.itemsize)
+    lanes = packed.reshape(count, surfaces, h, w, atom_channels).transpose(0, 1, 4, 2, 3)
+    return lanes.reshape(count, surfaces * atom_channels, h, w)[:, :c]
 
 
 def unpack_feature(
@@ -81,17 +110,7 @@ def unpack_feature(
     precision: Precision,
 ) -> np.ndarray:
     """Inverse of :func:`pack_feature`; returns a CHW array."""
-    c, h, w = shape
-    dtype = dtype_for(precision)
-    surfaces = ceil_div(c, atom_channels)
-    expected = feature_size_bytes(shape, atom_channels, precision)
-    if len(blob) < expected:
-        raise ConfigurationError(
-            f"feature blob too small: {len(blob)} bytes < expected {expected}"
-        )
-    packed = np.frombuffer(blob[:expected], dtype=dtype).reshape(surfaces, h, w, atom_channels)
-    padded = packed.transpose(0, 3, 1, 2).reshape(surfaces * atom_channels, h, w)
-    return padded[:c].copy()
+    return unpack_features(blob, 1, shape, atom_channels, precision)[0].copy()
 
 
 def feature_strides(

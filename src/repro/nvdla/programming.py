@@ -32,12 +32,14 @@ fixture-updating change.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigurationError, NvdlaError, RegisterError
 from repro.nvdla.cbuf import Cbuf
+from repro.nvdla.compute import BATCH_BYTES
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import SdpSource, f32_to_bits
 from repro.nvdla.layout import feature_strides
@@ -572,7 +574,7 @@ def lower_chain(chain: LayerChain, config: HardwareConfig) -> Descriptors:
 def execute_descriptors(
     launches: Sequence[Descriptors],
     config: HardwareConfig,
-    mcif: Mcif,
+    mcif: Mcif | Sequence[Mcif],
     weight_cache: dict | None = None,
 ) -> None:
     """Run launches' descriptors through the unit kernels (moves real bytes).
@@ -580,20 +582,34 @@ def execute_descriptors(
     ``launches`` is one launch, or a run of convolution launches of one
     shape (see :func:`repro.core.fastpath.batch_launches`), which the
     conv and SDP kernels execute as one call; every launch reads and
-    writes its own surfaces.
+    writes its own surfaces.  ``mcif`` is one memory, or one per
+    request of a serving batch (the fast tier's per-request DRAM
+    images): conv and SDP run the requests in one call per pass, split
+    only where a pass's accumulators would pass
+    :data:`~repro.nvdla.compute.BATCH_BYTES`; the other units run once
+    per request.
     """
-    if "conv" in launches[0]:
-        acc = conv_pipeline.execute(
-            [launch["conv"] for launch in launches], config, mcif, weight_cache=weight_cache
-        )
-        results = sdp_mod.execute([launch["sdp"] for launch in launches], config, mcif, acc)
-        if "pdp" in launches[0]:
-            for launch, result in zip(launches, results):
-                pdp_mod.execute(launch["pdp"], config, mcif, flying_input=result)
+    mcifs = [mcif] if isinstance(mcif, Mcif) else mcif
+    stages = launches[0].keys()
+    if "sdp" not in stages:
+        for launch in launches:
+            [(stage, descriptor)] = launch.items()
+            for request_mcif in mcifs:
+                _STAGE_MODULES[stage].execute(descriptor, config, request_mcif)
         return
-    for launch in launches:
-        [(stage, descriptor)] = launch.items()
-        if stage == "sdp":
-            sdp_mod.execute([descriptor], config, mcif)
-        else:
-            _STAGE_MODULES[stage].execute(descriptor, config, mcif)
+    # A pass runs as many requests as BATCH_BYTES of int64 accumulators hold.
+    cube = launches[0]["sdp"].output
+    per_pass = max(1, BATCH_BYTES // (8 * len(launches) * math.prod(cube.shape)))
+    for first in range(0, len(mcifs), per_pass):
+        requests = mcifs[first : first + per_pass]
+        acc = None
+        if "conv" in stages:
+            acc = conv_pipeline.execute(
+                [launch["conv"] for launch in launches], config, requests,
+                weight_cache=weight_cache,
+            )
+        results = sdp_mod.execute([launch["sdp"] for launch in launches], config, requests, acc)
+        if "pdp" in stages:
+            for launch, per_request in zip(launches, results):
+                for request_mcif, result in zip(requests, per_request):
+                    pdp_mod.execute(launch["pdp"], config, request_mcif, flying_input=result)

@@ -10,7 +10,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import TensorDesc
-from repro.nvdla.layout import unpack_feature
+from repro.nvdla.layout import pack_feature, unpack_features
 from repro.nvdla.mcif import Mcif
 from repro.nvdla.registers import (
     FIRST_DESCRIPTOR_OFFSET,
@@ -111,14 +111,34 @@ def tensor_register_names(prefix: str) -> list[str]:
 
 
 def read_surfaces(
-    mcif: Mcif, tensors: Sequence[TensorDesc], config: HardwareConfig, dtype
+    mcifs: Sequence[Mcif], tensors: Sequence[TensorDesc], config: HardwareConfig, dtype
 ) -> np.ndarray:
-    """Read and unpack one same-shape surface per launch, stacked along
-    a leading axis, in ``dtype``."""
+    """Read and unpack one same-shape surface per launch and request, in
+    ``dtype``: ``out[g, b]`` is launch ``g``'s surface in request ``b``'s
+    memory (``mcifs[b]``)."""
     first = tensors[0]
     atom = config.atom_channels(first.precision)
-    out = np.empty((len(tensors), *first.shape), dtype=dtype)
-    for cube, tensor in zip(out, tensors):
-        blob = mcif.read(tensor.address, tensor.packed_bytes(atom))
-        cube[...] = unpack_feature(blob, tensor.shape, atom, tensor.precision)
+    nbytes = first.packed_bytes(atom)
+    blob = b"".join([mcif.read(tensor.address, nbytes) for tensor in tensors for mcif in mcifs])
+    cubes = unpack_features(blob, len(tensors) * len(mcifs), first.shape, atom, first.precision)
+    out = np.empty((len(tensors), len(mcifs), *first.shape), dtype=dtype)
+    out.reshape(cubes.shape)[...] = cubes
     return out
+
+
+def write_surfaces(
+    mcifs: Sequence[Mcif],
+    tensors: Sequence[TensorDesc],
+    config: HardwareConfig,
+    cubes: np.ndarray,
+) -> None:
+    """Pack and write ``cubes[g, b]`` to launch ``g``'s surface in
+    request ``b``'s memory: the inverse of :func:`read_surfaces`."""
+    first = tensors[0]
+    blob = pack_feature(cubes, config.atom_channels(first.precision), first.precision)
+    size = len(blob) // (len(tensors) * len(mcifs))
+    offset = 0
+    for tensor in tensors:
+        for mcif in mcifs:
+            mcif.write(tensor.address, blob[offset : offset + size])
+            offset += size

@@ -69,16 +69,20 @@ def parse(units: dict[str, Unit], group: int, config: HardwareConfig) -> ConvDes
 def execute(
     descs: Sequence[ConvDescriptor],
     config: HardwareConfig,
-    mcif: Mcif,
+    mcifs: Sequence[Mcif],
     weight_cache: dict | None = None,
 ) -> np.ndarray:
     """Run convolutions of one geometry functionally as one kernel call.
 
     ``descs`` is one launch, or a run of launches that differ only in
     their surfaces and weights (the blocks of a depthwise layer).
-    Returns raw accumulators with one leading entry per launch: int64
-    for INT8 layers (hardware int32 accumulation saturates only at the
-    SDP converter) and float32 for FP16.
+    ``mcifs`` holds one memory per request of a serving batch: every
+    request runs every launch on its own input surface, with the
+    weights read once from the first request's memory (weights are
+    read-only and shared by all of them).  Returns raw accumulators
+    (launch, request, K, H, W): int64 for INT8 layers (hardware int32
+    accumulation saturates only at the SDP converter) and float32 for
+    FP16.
 
     ``weight_cache`` memoises the GEMM-ready kernel per run of weight
     blobs: the stacked kernels already cast to
@@ -91,14 +95,14 @@ def execute(
     """
     first = descs[0]
     atomic_c, atomic_k = config.atoms(first.precision)
-    x = read_surfaces(mcif, [desc.input for desc in descs], config, dtype_for(first.precision))
+    x = read_surfaces(mcifs, [desc.input for desc in descs], config, dtype_for(first.precision))
     cache_key = tuple((desc.weight_address, desc.weight_shape, desc.precision) for desc in descs)
     w = weight_cache.get(cache_key) if weight_cache is not None else None
     if w is None:
         weight_bytes = weight_size_bytes(first.weight_shape, atomic_c, atomic_k, first.precision)
         w = np.stack([
             unpack_weights(
-                mcif.read(desc.weight_address, weight_bytes),
+                mcifs[0].read(desc.weight_address, weight_bytes),
                 desc.weight_shape,
                 atomic_c,
                 atomic_k,

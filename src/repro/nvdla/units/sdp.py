@@ -25,7 +25,7 @@ from repro.nvdla.compute import (
 )
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.descriptors import EltwiseOp, SdpDescriptor, SdpSource, TensorDesc
-from repro.nvdla.layout import pack_feature, sdp_operand_bytes
+from repro.nvdla.layout import sdp_operand_bytes
 from repro.nvdla.mcif import Mcif
 from repro.nvdla.units.base import (
     Unit,
@@ -33,6 +33,7 @@ from repro.nvdla.units.base import (
     parse_tensor,
     read_surfaces,
     tensor_register_names,
+    write_surfaces,
 )
 
 RDMA_REGISTER_NAMES: list[str] = [
@@ -126,28 +127,31 @@ def parse(units: dict[str, Unit], group: int, config: HardwareConfig) -> SdpDesc
 
 
 def _per_launch(values: list[int]) -> np.ndarray:
-    """One register value per launch, broadcast over its cube."""
-    return np.array(values, dtype=np.int64).reshape(-1, 1, 1, 1)
+    """One register value per launch, broadcast over its requests' cubes."""
+    return np.array(values, dtype=np.int64).reshape(-1, 1, 1, 1, 1)
 
 
 def execute(
     descs: Sequence[SdpDescriptor],
     config: HardwareConfig,
-    mcif: Mcif,
+    mcifs: Sequence[Mcif],
     flying_input: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """Run the SDP chain of one or more launches; write each result cube.
 
     ``descs`` is one launch, or a run of launches with the same stages
     and cube shapes whose operands, converter values and surfaces
-    differ; all stages run once over a leading launch axis, and each
-    launch's result goes to the surface its own descriptor names.
+    differ.  ``mcifs`` holds one memory per request of a serving batch.
+    All stages run once over a (launch, request, C, H, W) cube, and
+    each result goes to the surface its launch's descriptor names, in
+    its request's memory.  Per-channel operands are read from the first
+    request's memory: they are read-only, so every request holds the
+    same bytes.
 
-    ``flying_input`` carries the convolution accumulators (one per
-    launch along the leading axis) when the op is fused (source =
-    FLYING).  When the *destination* is flying (``dst_flying``) nothing
-    is written: the results are returned for the downstream PDP stage
-    instead.
+    ``flying_input`` carries the convolution accumulators (launch,
+    request, K, H, W) when the op is fused (source = FLYING).  When the
+    *destination* is flying (``dst_flying``) nothing is written: the
+    results are returned for the downstream PDP stage instead.
     """
     desc = descs[0]  # stages and shapes are shared by every launch
     channels = desc.output.channels
@@ -165,7 +169,7 @@ def execute(
             raise ConfigurationError("memory-sourced SDP op has no input surface (D_SRC)")
         in_precision = desc.input.precision
         acc = read_surfaces(
-            mcif,
+            mcifs,
             [d.input for d in descs],
             config,
             np.int64 if in_precision is Precision.INT8 else np.float32,
@@ -181,10 +185,11 @@ def execute(
     operand_dtype = np.int32 if integer else np.float16
 
     def operands(addresses: list[int]) -> np.ndarray:
+        """(launch, 1, C): one operand row per launch, shared by requests."""
         return np.stack([
-            np.frombuffer(mcif.read(address, operand_bytes), dtype=operand_dtype)[:channels]
+            np.frombuffer(mcifs[0].read(address, operand_bytes), dtype=operand_dtype)[:channels]
             for address in addresses
-        ])
+        ])[:, None, :]
 
     if desc.bias_address is not None:
         acc = apply_bias(acc, operands([d.bias_address for d in descs]))
@@ -196,7 +201,7 @@ def execute(
     if desc.eltwise is not EltwiseOp.NONE:
         if desc.eltwise_input is None:  # unreachable, see above
             raise ConfigurationError("SDP eltwise stage has no operand surface (D_EW)")
-        operand = read_surfaces(mcif, [d.eltwise_input for d in descs], config, acc.dtype)
+        operand = read_surfaces(mcifs, [d.eltwise_input for d in descs], config, acc.dtype)
         if integer:
             # ERDMA converter: operand -> accumulator domain.
             operand = scale_round(
@@ -210,18 +215,18 @@ def execute(
     multiplier = _per_launch([d.cvt_multiplier for d in descs])
     shift = _per_launch([d.cvt_shift for d in descs])
     if desc.out_precision is Precision.INT8:
-        result = requantize_int8(acc, multiplier, shift)
+        # After ReLU no value is negative: the converter's sign
+        # correction and its low clip cannot fire.
+        result = requantize_int8(acc, multiplier, shift, nonnegative=desc.relu)
     else:
         result = convert_fp16(acc, multiplier, shift)
 
     expected_shape = desc.output.shape
-    if result.shape[1:] != expected_shape:
+    if result.shape[2:] != expected_shape:
         raise ConfigurationError(
-            f"SDP result shape {result.shape[1:]} != output descriptor {expected_shape}"
+            f"SDP result shape {result.shape[2:]} != output descriptor {expected_shape}"
         )
     if desc.dst_flying:
         return result
-    atom_out = config.atom_channels(desc.out_precision)
-    for d, cube in zip(descs, result):
-        mcif.write(d.output.address, pack_feature(cube, atom_out, d.out_precision))
+    write_surfaces(mcifs, [d.output for d in descs], config, result)
     return None

@@ -40,7 +40,7 @@ class DeploymentMetrics:
 
     requests: int = 0
     failures: int = 0
-    wall_seconds: float = 0.0
+    wall_seconds: float = 0.0  # busy time: each worker call once
     wall_latencies: list[float] = field(default_factory=list)
     cycle_latencies: list[float] = field(default_factory=list)
 
@@ -81,7 +81,7 @@ class ServiceMetrics:
     bundle_compiles: int = field(default=0, init=False)
     workers_created: int = field(default=0, init=False)
     workers_reused: int = field(default=0, init=False)
-    # busy time inside workers
+    # busy time inside workers, each worker call once
     wall_seconds_total: float = field(default=0.0, init=False)
     # end-to-end serve() time
     elapsed_seconds: float = field(default=0.0, init=False)
@@ -91,7 +91,8 @@ class ServiceMetrics:
     cycle_latencies: list[float] = field(default_factory=list, init=False)
     per_deployment: dict[str, DeploymentMetrics] = field(default_factory=dict, init=False)
     # Worker-process slot → its counters (runs, busy_seconds, batches,
-    # restarts), aggregated by the serving plane after each drain.  The
+    # restarts, workers_created, workers_reused), aggregated by the
+    # serving plane after each drain.  The
     # single-process service leaves this empty.
     per_process: dict[int, dict] = field(default_factory=dict, init=False)
 
@@ -129,20 +130,34 @@ class ServiceMetrics:
         return registry
 
     def record(
-        self, wall_seconds: float, cycles: int, ok: bool, deployment: str | None = None
+        self,
+        wall_seconds: float,
+        cycles: int,
+        ok: bool,
+        deployment: str | None = None,
+        busy_seconds: float | None = None,
     ) -> None:
+        """Count one served request.
+
+        ``wall_seconds`` is the request's latency sample: the host time
+        of the worker call that served it.  ``busy_seconds`` (default:
+        ``wall_seconds``) is its share of worker busy time, which the
+        busy totals add up; a call that served a whole batch is charged
+        once (see :mod:`repro.serve.executor`).
+        """
+        busy = wall_seconds if busy_seconds is None else busy_seconds
         self.requests += 1
         if not ok:
             self.failures += 1
         self.wall_latencies.append(wall_seconds)
         self.cycle_latencies.append(float(cycles))
-        self.wall_seconds_total += wall_seconds
+        self.wall_seconds_total += busy
         if deployment is not None:
             slice_ = self.per_deployment.setdefault(deployment, DeploymentMetrics())
             slice_.requests += 1
             if not ok:
                 slice_.failures += 1
-            slice_.wall_seconds += wall_seconds
+            slice_.wall_seconds += busy
             slice_.wall_latencies.append(wall_seconds)
             slice_.cycle_latencies.append(float(cycles))
 
@@ -249,6 +264,7 @@ class ServiceMetrics:
                 f"  process {slot}: {stats.get('runs', 0)} runs in "
                 f"{stats.get('batches', 0)} batches, "
                 f"busy {stats.get('busy_seconds', 0.0):.2f} s, "
-                f"{stats.get('restarts', 0)} restarts"
+                f"{stats.get('restarts', 0)} restarts, "
+                f"{stats.get('workers_created', 0)} workers created"
             )
         return "\n".join(lines)

@@ -186,6 +186,7 @@ class ServingPlane:
             result.cycles,
             result.ok,
             deployment=deployment.describe(),
+            busy_seconds=result.busy_seconds,
         )
         if self.tracer.enabled:
             self.tracer.ingest(result.spans)
@@ -232,6 +233,12 @@ class ServingPlane:
         self.metrics.elapsed_seconds += time.perf_counter() - began
         for slot, stats in self.pool.stats().items():
             self.metrics.record_process(slot, stats.to_dict())
+        self.metrics.workers_created = sum(
+            stats["workers_created"] for stats in self.metrics.per_process.values()
+        )
+        self.metrics.workers_reused = sum(
+            stats["workers_reused"] for stats in self.metrics.per_process.values()
+        )
         return sorted(responses, key=lambda r: r.request_id)
 
     async def _serve_async(

@@ -84,7 +84,8 @@ class FastPathRunResult:
     output: np.ndarray | None
     cycles: int
     sim_seconds: float
-    wall_seconds: float  # host time inside the worker's run()
+    wall_seconds: float  # host time of the worker call that served it
+    busy_seconds: float  # its share of busy time (repro.serve.executor)
     worker_id: int = 0  # in-process worker id within its process
     # Finished span dicts the worker process recorded for the whole
     # batch ride on its last result (empty when tracing is off); the
@@ -136,14 +137,15 @@ def _execute_shipped(
     results = [
         FastPathRunResult(
             request_id=request.request_id,
-            ok=result.ok,
-            output=result.output,
-            cycles=result.cycles,
-            sim_seconds=result.seconds,
-            wall_seconds=wall,
+            ok=run.result.ok,
+            output=run.result.output,
+            cycles=run.result.cycles,
+            sim_seconds=run.result.seconds,
+            wall_seconds=run.wall_seconds,
+            busy_seconds=run.busy_seconds,
             worker_id=executed.worker.worker_id,
         )
-        for request, (result, wall) in zip(requests, executed.runs)
+        for request, run in zip(requests, executed.runs)
     ]
     if tracer.enabled:
         results[-1] = replace(results[-1], spans=tuple(tracer.drain()))
@@ -173,13 +175,17 @@ def _worker_main(
         if message is None:
             return
         dispatch, batch_id, requests = message
+        created, reused = pool.created, pool.reused
         try:
             results = _execute_shipped(cache, pool, batch_id, requests, tracer)
         except Exception as exc:  # ship the failure, keep serving
             tracer.drain()  # half-built spans of a failed batch
             outbox.put(("error", dispatch, f"{type(exc).__name__}: {exc}"))
         else:
-            outbox.put(("done", dispatch, results))
+            # The batch's worker-pool activity rides along with its results.
+            outbox.put(
+                ("done", dispatch, (results, pool.created - created, pool.reused - reused))
+            )
 
 
 # ----------------------------------------------------------------------
@@ -192,9 +198,12 @@ class ProcessStats:
     """Parent-side accounting for one worker process slot."""
 
     runs: int = 0
-    busy_seconds: float = 0.0
+    busy_seconds: float = 0.0  # each worker call once
     batches: int = 0
     restarts: int = 0
+    # The process's WorkerPool.created / .reused, summed over its lives.
+    workers_created: int = 0
+    workers_reused: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -202,6 +211,8 @@ class ProcessStats:
             "busy_seconds": self.busy_seconds,
             "batches": self.batches,
             "restarts": self.restarts,
+            "workers_created": self.workers_created,
+            "workers_reused": self.workers_reused,
         }
 
 
@@ -387,12 +398,13 @@ class ProcessWorkerPool:
                         raise ReproError(
                             f"worker process {handle.slot} failed a batch: {payload}"
                         )
+                    results, created, reused = payload
                     handle.stats.batches += 1
-                    handle.stats.runs += len(payload)
-                    handle.stats.busy_seconds += sum(
-                        r.wall_seconds for r in payload
-                    )
-                    return payload
+                    handle.stats.runs += len(results)
+                    handle.stats.busy_seconds += sum(r.busy_seconds for r in results)
+                    handle.stats.workers_created += created
+                    handle.stats.workers_reused += reused
+                    return results
             except WorkerProcessDied as died:
                 last_death = died
         raise ReproError(

@@ -123,9 +123,11 @@ class InferenceService:
         self.metrics.record_resolution(executed.source)
         cache_hit = executed.source == "memory"
         responses: list[InferenceResponse] = []
-        for request, (result, wall) in zip(batch.requests, executed.runs):
+        for request, run in zip(batch.requests, executed.runs):
+            result, wall = run.result, run.wall_seconds
             self.metrics.record(
-                wall, result.cycles, result.ok, deployment=deployment.describe()
+                wall, result.cycles, result.ok, deployment=deployment.describe(),
+                busy_seconds=run.busy_seconds,
             )
             responses.append(
                 InferenceResponse(

@@ -9,7 +9,8 @@ Two worker tiers share one interface (``run(bundle, input_image)`` →
 - :class:`FastPathWorker` owns one
   :class:`~repro.core.fastpath.FastPathExecutor` — no ISS, no bus
   transactions, outputs bit-identical to the SoC tier and cycles
-  equal to it (the bundle's recorded cycle profile).
+  equal to it (the bundle's recorded cycle profile); its ``run`` also
+  takes a batch of inputs and serves it in one pass.
 
 Both tiers return an output for every run that has an input
 (:meth:`~repro.baremetal.pipeline.BaremetalBundle.has_input`) and
@@ -61,8 +62,8 @@ def pack_input_image(bundle: BaremetalBundle, image: np.ndarray) -> BinImage:
 
 @dataclass
 class WorkerStats:
-    runs: int = 0
-    busy_seconds: float = 0.0
+    runs: int = 0  # inferences served
+    busy_seconds: float = 0.0  # host time inside run(), each call once
 
 
 class SocWorker:
@@ -160,8 +161,14 @@ class FastPathWorker:
     def run(
         self, bundle: BaremetalBundle, input_image: np.ndarray | None = None
     ) -> SocRunResult:
+        """One executor run: ``input_image`` may be a batch of inputs
+        (see :meth:`~repro.core.fastpath.FastPathExecutor.run`), and
+        ``stats.runs`` counts each of them."""
         result = self.executor.run(bundle, input_image=input_image)
-        self.stats.runs += 1
+        batched = input_image is not None and (
+            input_image.ndim > len(bundle.loadable.input_tensor.shape)
+        )
+        self.stats.runs += len(input_image) if batched else 1
         return result
 
 

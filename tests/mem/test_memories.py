@@ -80,6 +80,29 @@ def test_clear_resets_content():
     assert memory.read_u32(0) == 0
 
 
+def test_overlay_copies_on_write_and_never_writes_through():
+    """An overlay reads its base until it writes a page; the first write
+    copies the whole base page, and the base never changes."""
+    page = 1 << 16
+    base = SparseMemory(4 * page)
+    base.write(page - 4, b"ABCDEFGH")  # straddles pages 0 and 1
+    base.write(3 * page, b"tail")
+    first, second = SparseMemory(base.size, base=base), SparseMemory(base.size, base=base)
+    assert first.read(page - 4, 8) == b"ABCDEFGH"
+    first.write(page + 2, b"xy")  # copies page 1 only
+    assert first.read(page - 4, 8) == b"ABCDEFxy"
+    assert first.read(3 * page, 4) == b"tail"  # still the base's page
+    assert first.resident_bytes == page
+    assert base.read(page - 4, 8) == second.read(page - 4, 8) == b"ABCDEFGH"
+    second.write(2 * page, b"new page")  # not in the base: fill, then data
+    assert second.read(2 * page, 10) == b"new page\x00\x00"
+    assert base.read(2 * page, 8) == bytes(8) and base.resident_bytes == 3 * page
+    first.clear()
+    assert first.read(page - 4, 8) == b"ABCDEFGH"  # reads its base again
+    with pytest.raises(MemoryError_):
+        SparseMemory(base.size // 2, base=base)
+
+
 @given(st.binary(min_size=1, max_size=1024), st.integers(0, 1 << 17))
 def test_sparse_roundtrip_property(blob, address):
     memory = SparseMemory(1 << 18)

@@ -306,3 +306,83 @@ def test_requantize_pinned_to_formula(multiplier, shift):
 def test_requantize_saturates_both_ends():
     acc = np.array([[[-(1 << 40), -129, -128, 127, 128, 1 << 40]]], dtype=np.int64)
     assert list(requantize_int8(acc, 1, 0).flatten()) == [-128, -128, -128, 127, 127, 127]
+
+
+def _converter_values(shifts) -> list[int]:
+    """Ties, both sides of every rounding step and both saturation
+    ends, for each shift in ``shifts``."""
+    values = {0, 1, -1, 1 << 40, -(1 << 40)}
+    for shift in shifts:
+        half = (1 << shift) >> 1
+        unit = 1 << shift
+        values.update({half, -half})
+        for q in (0, 1, 2, 5, 126, 127, 128, 129, 1000):
+            for delta in (-half - 1, -half, -half + 1, -1, 0, 1, half - 1, half, half + 1):
+                values.update({q * unit + delta, -(q * unit + delta)})
+    return sorted(values)
+
+
+@pytest.mark.parametrize("relu_only", [False, True], ids=["signed", "relu-only"])
+def test_requantize_broadcasts_per_launch_values_over_requests(relu_only):
+    """A (launch, request, K, H, W) accumulator with one multiplier and
+    shift per launch, shaped (G, 1, 1, 1, 1): every request's cube is
+    converted with its launch's values, as the pinned formula does.
+    ReLU-only accumulators (no negative value) may take the
+    ``nonnegative`` branch and must give the same bytes."""
+    launches = [(1, 0), (3, 1), (255, 7), ((1 << 16) - 1, 16), (1, 31), (7, 31)]
+    values = np.array(_converter_values(shift for _, shift in launches), dtype=np.int64)
+    if relu_only:
+        values = values[values >= 0]
+    rng = np.random.default_rng(27)
+    requests = 3
+    acc = np.stack([
+        np.stack([rng.permutation(values).reshape(1, 1, -1) for _ in range(requests)])
+        for _ in launches
+    ])
+    assert acc.shape == (len(launches), requests, 1, 1, len(values))
+    multiplier = np.array([m for m, _ in launches], dtype=np.int64).reshape(-1, 1, 1, 1, 1)
+    shift = np.array([s for _, s in launches], dtype=np.int64).reshape(-1, 1, 1, 1, 1)
+    expected = np.stack([
+        np.stack([old_requantize_int8(cube, m, s) for cube in per_request])
+        for (m, s), per_request in zip(launches, acc)
+    ])
+    assert np.array_equal(requantize_int8(acc.copy(), multiplier, shift), expected)
+    if relu_only:
+        out = requantize_int8(acc.copy(), multiplier, shift, nonnegative=True)
+        assert np.array_equal(out, expected)
+        assert expected.max() == 127 and expected.min() == 0  # the high end saturates
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-gemm", "gemm-per-image"])
+def test_batched_conv_equals_one_call_per_image(rng, monkeypatch, budget):
+    """A batch axis before C convolves each image with its group's
+    weights; splitting the im2col matrix by images (the BATCH_BYTES
+    bound) changes nothing."""
+    from repro.nvdla import compute
+
+    if budget is not None:
+        monkeypatch.setattr(compute, "BATCH_BYTES", budget)
+    x = rng.integers(-128, 128, size=(3, 4, 8, 7, 7), dtype=np.int8)
+    w = rng.integers(-128, 128, size=(3, 8, 8, 3, 3), dtype=np.int8)
+    out = conv2d_direct(x, w, (2, 1), (1, 0, 1, 2))
+    assert out.shape[:2] == (3, 4)
+    for g in range(3):
+        for b in range(4):
+            single = conv2d_direct(x[g, b], w[g], (2, 1), (1, 0, 1, 2))
+            assert np.array_equal(out[g, b], single)
+    # Without a group axis: BCHW input, KCRS weights.
+    ungrouped = conv2d_direct(x[0], w[0], (2, 1), (1, 0, 1, 2))
+    assert np.array_equal(ungrouped, out[0])
+    with pytest.raises(ConfigurationError):
+        conv2d_direct(x[0, 0, 0], w[0], (1, 1), (0, 0, 0, 0))
+
+
+def test_batched_conv_exact_across_the_float32_chunk_boundary():
+    """C*R*S = 4608 terms of -128 x -128 in a batch: the chunked int64
+    path runs per image group exactly as in a single call."""
+    x = np.full((2, 512, 4, 4), -128, dtype=np.int8)
+    x[1] = 127
+    w = np.full((2, 512, 3, 3), -128, dtype=np.int8)
+    out = conv2d_direct(x, w, (1, 1), (0, 0, 0, 0))
+    for b in range(2):
+        assert np.array_equal(out[b], int64_conv(x[b], w))

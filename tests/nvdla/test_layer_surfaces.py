@@ -68,3 +68,41 @@ def test_every_written_surface_matches_cycle_accurate(model, min_batch):
             )
             surfaces += 1
     assert surfaces == len(launches)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        pytest.param("resnet18", id="resnet18"),
+        pytest.param("mobilenet", marks=pytest.mark.slow, id="mobilenet"),
+    ],
+)
+def test_every_written_surface_matches_cycle_accurate_in_each_batch_slot(model):
+    """The same check for requests k > 0 of a batch: each request runs
+    on its own copy-on-write DRAM image, and every surface it writes
+    must equal the cycle-accurate run of its own input."""
+    net = ZOO[model]()
+    bundle = generate_baremetal(net, NV_SMALL)
+    rng = np.random.default_rng(20261020)
+    images = np.stack([make_input_for(net, rng) for _ in range(3)])
+    launches = [op.descriptors for op in lower_loadable(bundle.loadable, NV_SMALL)]
+
+    executor = FastPathExecutor(NV_SMALL)
+    batch = executor.run(bundle, input_image=images)
+    worker = SocWorker(0, DeploymentSpec(model))
+    for slot in (1, 2):
+        reference = worker.run(bundle, input_image=images[slot])
+        assert reference.ok
+        assert np.array_equal(batch.output[slot], reference.output)
+        soc_dram = worker.soc.dram.storage
+        port = executor.mcifs[slot].port
+        for index, launch in enumerate(launches):
+            for stream in dma_streams(launch, NV_SMALL):
+                if stream.direction != WRITE:
+                    continue
+                assert port.read(stream.address, stream.nbytes) == soc_dram.read(
+                    stream.address - DEFAULT_MAP.dram_base, stream.nbytes
+                ), (
+                    f"{model}: slot {slot}, launch {index} {stream.unit} surface at "
+                    f"0x{stream.address:08x} differs from the cycle-accurate run"
+                )

@@ -108,3 +108,30 @@ def test_gap_count_must_match_workload(cache):
     with ServingPlane(processes=1, cache=cache) as plane:
         with pytest.raises(ReproError, match="gaps"):
             plane.serve([plane.request(LENET)], gaps=[0.0, 0.0])
+
+
+def test_worker_counters_reach_the_plane_metrics(cache):
+    """A process-parallel fast run reports the workers its processes
+    created and reused (each batch takes one), summed from the
+    per-process lines; busy time counts each shared batch call once."""
+    fast = DeploymentSpec("lenet5", execution_mode="fast")
+    with ServingPlane(processes=2, input_seed=7, cache=cache, max_batch_size=2) as plane:
+        responses = plane.serve([plane.request(fast) for _ in range(6)])
+    assert all(r.ok for r in responses)
+    metrics = plane.metrics
+    per_process = list(metrics.per_process.values())
+    assert metrics.workers_created >= 1
+    assert metrics.workers_created == sum(s["workers_created"] for s in per_process)
+    assert metrics.workers_reused == sum(s["workers_reused"] for s in per_process)
+    assert metrics.workers_created + metrics.workers_reused == metrics.batches
+    assert metrics.wall_seconds_total == pytest.approx(
+        sum(s["busy_seconds"] for s in per_process)
+    )
+    text = metrics.render()
+    assert f"workers: {metrics.workers_created} created" in text
+    created_lines = [
+        int(line.rsplit(", ", 1)[1].split()[0])
+        for line in text.splitlines()
+        if line.lstrip().startswith("process ")
+    ]
+    assert sum(created_lines) == metrics.workers_created

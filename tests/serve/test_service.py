@@ -116,3 +116,30 @@ def test_synthesised_inputs_independent_of_batch_composition():
     for small, big in zip(by_batch_size[1], by_batch_size[4]):
         assert np.array_equal(small.output, big.output)
         assert small.cycles == big.cycles
+
+
+def test_fast_batch_is_one_call_with_busy_time_counted_once():
+    """A fast-tier batch runs as one executor call: every request's
+    wall time is that shared call, the busy counters add it once, the
+    worker counts each request, and the outputs are those of one
+    request per batch."""
+    cache = shared_cache()
+    fast = DeploymentSpec("lenet5", execution_mode="fast")
+    batched = InferenceService(cache=cache, max_batch_size=4, input_seed=11)
+    one_by_one = InferenceService(cache=cache, max_batch_size=1, input_seed=11)
+    for service in (batched, one_by_one):
+        for _ in range(4):
+            service.request(fast)
+    responses = batched.run_pending()
+    reference = one_by_one.run_pending()
+    for got, expected in zip(responses, reference):
+        assert got.request_id == expected.request_id
+        assert np.array_equal(got.output, expected.output)
+        assert got.cycles == expected.cycles
+    [worker] = batched.pool.all_workers()
+    assert worker.stats.runs == 4
+    [wall] = {r.wall_seconds for r in responses}
+    assert batched.metrics.wall_seconds_total == worker.stats.busy_seconds == wall
+    [slice_] = batched.metrics.per_deployment.values()
+    assert slice_.wall_seconds == wall and slice_.wall_latencies == [wall] * 4
+    assert batched.metrics.batches == 1 and one_by_one.metrics.batches == 4
