@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -46,6 +47,8 @@ from repro.serve import (
 )
 
 WORKLOAD_SEED = 2025
+#: Warm passes the cache-speedup gate takes the median of.
+WARM_PASSES = 3
 
 
 def _mixed_workload(models, config_name, precision, requests, rng):
@@ -114,9 +117,12 @@ def test_serving_throughput_nv_small(benchmark, report):
     service.run_pending()
     build_seconds = time.perf_counter() - build_began
 
-    warm_seconds, warm_outputs, responses = single_shot(
-        benchmark, lambda: _run_served(warm_workload, service)
+    # One warm pass reads anywhere from 4x to 5x on a shared host, so
+    # the gate takes the median of three passes over the same workload.
+    passes = single_shot(
+        benchmark, lambda: [_run_served(warm_workload, service) for _ in range(WARM_PASSES)]
     )
+    warm_seconds = statistics.median(seconds for seconds, _, _ in passes)
     warm_rps = len(warm_workload) / warm_seconds
     speedup = warm_rps / cold_rps
 
@@ -128,7 +134,8 @@ def test_serving_throughput_nv_small(benchmark, report):
         f"  cold path: {len(cold_workload)} requests in {cold_seconds:.2f} s "
         f"= {cold_rps:.2f} req/s\n"
         f"  served:    {len(warm_workload)} requests in {warm_seconds:.2f} s "
-        f"= {warm_rps:.2f} req/s  (one-time builds: {build_seconds:.2f} s)\n"
+        f"= {warm_rps:.2f} req/s  (median of {WARM_PASSES} passes; "
+        f"one-time builds: {build_seconds:.2f} s)\n"
         f"  speedup:   {speedup:.1f}x\n"
         f"  cache hit rate {summary['cache_hit_rate'] * 100:.0f}%  "
         f"wall p99 {summary['wall']['p99'] * 1e3:.1f} ms\n\n"
@@ -138,14 +145,15 @@ def test_serving_throughput_nv_small(benchmark, report):
     # Acceptance: >= 5x throughput on repeated same-deployment requests.
     assert speedup >= 5.0, f"cache-hit path only {speedup:.1f}x faster"
     # All repeated requests were cache hits on reused workers.
-    assert all(r.cache_hit for r in responses)
+    assert all(r.cache_hit for _, _, responses in passes for r in responses)
     assert summary["bundle_misses"] == len(models)
     assert summary["failures"] == 0
     assert summary["wall"]["count"] == summary["requests"]
-    # Bit-identical to the cold path, request by request.
-    for cold_out, warm_out in zip(cold_outputs, warm_outputs):
-        assert cold_out is not None and warm_out is not None
-        assert np.array_equal(cold_out, warm_out)
+    # Bit-identical to the cold path, request by request, in every pass.
+    for _, warm_outputs, _ in passes:
+        for cold_out, warm_out in zip(cold_outputs, warm_outputs):
+            assert cold_out is not None and warm_out is not None
+            assert np.array_equal(cold_out, warm_out)
 
 
 def test_fastpath_serving_throughput(benchmark, report):

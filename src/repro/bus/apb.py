@@ -48,7 +48,7 @@ class ApbBus(BusPort):
         for beat in range(xfer.burst_len):
             address = xfer.address + beat * xfer.size
             if xfer.access is AccessType.WRITE:
-                assert xfer.data is not None
+                # Transfer.__post_init__ rejects a write without a payload.
                 payload = xfer.data[beat * xfer.size : (beat + 1) * xfer.size]
                 beat_xfer = Transfer(
                     address=address,

@@ -172,7 +172,7 @@ class LoopbackPort(BusPort):
             raise AddressDecodeError(f"loopback access beyond 0x{len(self._store):x}", xfer.address)
         cycles = max(1, xfer.burst_len)  # ideal slave: one cycle per beat
         if xfer.access is AccessType.WRITE:
-            assert xfer.data is not None
+            # Transfer.__post_init__ rejects a write without a payload.
             self._store[xfer.address : end] = xfer.data
             return Reply(cycles=cycles)
         return Reply(data=bytes(self._store[xfer.address : end]), cycles=cycles)

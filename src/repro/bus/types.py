@@ -11,6 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 from repro.errors import AlignmentError, BusError
 
@@ -103,6 +104,22 @@ class Reply:
         return int.from_bytes(self.data, "little")
 
 
+class RegisterRoute(NamedTuple):
+    """A port's register window resolved to direct calls.
+
+    An aligned 32-bit access inside ``[base, limit]`` costs ``cycles``
+    and has exactly the effect of ``read(address - base)`` or
+    ``write(address - base, value)``; the port's own :meth:`BusPort.read`
+    and :meth:`BusPort.write` give the same result the long way.
+    """
+
+    base: int
+    limit: int  # last byte of the window
+    read: Callable[[int], int]
+    write: Callable[[int, int], None]
+    cycles: int
+
+
 class BusPort(ABC):
     """Anything that can accept bus transfers.
 
@@ -110,6 +127,10 @@ class BusPort(ABC):
     implement this single-method interface, which makes the fabric
     freely composable: a bridge is a port that wraps another port.
     """
+
+    #: Set by a port that resolved a register window (see
+    #: :class:`RegisterRoute`); the CPU then bypasses the port for it.
+    register_route: RegisterRoute | None = None
 
     @abstractmethod
     def transfer(self, xfer: Transfer) -> Reply:

@@ -1,10 +1,13 @@
 """The bare-metal run loop with poll fast-forwarding.
 
-Executes the generated program on the ISS cycle-accountably.  When the
-CPU settles into a register poll loop (detected by the CPU's poll
-tracker: identical load, address and value repeating), simulated time
-jumps to the next scheduled NVDLA event instead of spinning through
-millions of identical iterations.  Skipped cycles still count — the
+Executes the generated program on the ISS cycle-accountably: the CPU's
+one interpreter loop (:meth:`~repro.riscv.cpu.Cpu.execute`) runs the
+instructions and advances the shared clock, and returns here only on
+halt, on a spent instruction budget, or when the CPU settles into a
+register poll loop (detected by the CPU's poll tracker: identical
+load, address and value repeating).  Then simulated time jumps to the
+next scheduled NVDLA event instead of spinning through millions of
+identical iterations.  Skipped cycles still count — the
 reported latency is what the RTL system would measure — but wall-clock
 simulation time collapses from hours to seconds for the big models.
 """
@@ -48,9 +51,10 @@ class BaremetalExecutor:
     """Couples a CPU and the shared clock for a full program run."""
 
     POLL_STREAK_THRESHOLD = 8
-    #: Stalled poll iterations tolerated with no pending NVDLA event
-    #: before declaring a deadlock.  Generous enough that a generated
-    #: program with a modest poll budget reaches its own FAIL path.
+    #: Stalled poll iterations (loads at or past the streak threshold)
+    #: tolerated with no pending NVDLA event before declaring a
+    #: deadlock.  Generous enough that a generated program with a
+    #: modest poll budget reaches its own FAIL path.
     POLL_DEADLOCK_GRACE = 20_000
 
     def __init__(self, cpu: Cpu, clock: Clock) -> None:
@@ -60,17 +64,19 @@ class BaremetalExecutor:
     def run(self, max_instructions: int = 200_000_000) -> RunStats:
         cpu = self.cpu
         clock = self.clock
+        threshold = self.POLL_STREAK_THRESHOLD
         stats = RunStats()
         stalled_polls = 0
         while not cpu.halted:
-            if cpu.instret >= max_instructions:
+            budget = max_instructions - cpu.instret
+            if budget <= 0:
                 raise CpuFault(
                     f"program exceeded {max_instructions} instructions", pc=cpu.pc
                 )
-            cost = cpu.step()
-            clock.advance(cost)
-            stats.active_cycles += cost
-            if cpu.poll.streak >= self.POLL_STREAK_THRESHOLD:
+            before = cpu.cycles
+            cpu.execute(budget, clock, threshold)
+            stats.active_cycles += cpu.cycles - before
+            if cpu.poll.streak >= threshold:
                 before = clock.now
                 if clock.fast_forward_to_next_event():
                     skipped = clock.now - before

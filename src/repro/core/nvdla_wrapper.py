@@ -49,7 +49,7 @@ class CsbPort(BusPort):
             raise BusError(CSB_WIDTH_ERROR, xfer.address)
         engine = self._engine
         if xfer.access is AccessType.WRITE:
-            assert xfer.data is not None
+            # Transfer.__post_init__ rejects a write without a payload.
             engine.csb_write(xfer.address, int.from_bytes(xfer.data, "little"))
             return Reply(cycles=self.CSB_CYCLES)
         value = engine.csb_read(xfer.address)

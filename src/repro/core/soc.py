@@ -6,7 +6,10 @@ Wires together:
   program memory, data into the system bus),
 - the system bus — an AHB segment feeding the address decoder with the
   two slave windows (NVDLA registers, DRAM), each resolved once to a
-  direct route (:class:`SystemBus`),
+  direct route (:class:`SystemBus`).  The register window is also
+  published as a :class:`~repro.bus.types.RegisterRoute`, so the core's
+  interpreter loop sends aligned 32-bit register accesses straight to
+  the engine's CSB port,
 - the NVDLA wrapper (bridges + width converter + engine),
 - the DRAM arbiter in front of the 512 MB data memory.
 
@@ -32,7 +35,7 @@ from repro.baremetal.codegen import (
 from repro.baremetal.pipeline import BaremetalBundle
 from repro.bus.ahb import AhbLiteBus
 from repro.bus.bridges import AhbToAxiBridge
-from repro.bus.types import AccessType, BusPort, Reply, Transfer, check_beat
+from repro.bus.types import AccessType, BusPort, RegisterRoute, Reply, Transfer, check_beat
 from repro.clock import Clock
 from repro.core.address_map import AddressMap, DEFAULT_MAP, PROGRAM_MEMORY_SIZE
 from repro.core.arbiter import DramArbiter
@@ -82,8 +85,14 @@ class SystemBus(BusPort):
     The decoder's checks stay: beat size and alignment, straddling and
     unmapped addresses, and the CSB's single-32-bit rule.  The 32-bit
     core issues 1-, 2- and 4-byte single beats only.
-    ``tests/core/test_system_bus.py`` pins every route to the
-    hop-by-hop walk through the ``repro.bus`` layer models.
+
+    :attr:`register_route` publishes the register window (its bounds,
+    the engine's ``csb_read``/``csb_write`` and :attr:`register_cycles`)
+    so the CPU skips this port for aligned 32-bit register accesses;
+    every other access, and every fault, comes through :meth:`read`
+    and :meth:`write`.  ``tests/core/test_system_bus.py`` pins every
+    route, and whole bundle runs on it, to the hop-by-hop walk through
+    the ``repro.bus`` layer models.
     """
 
     BEAT_SIZES = (1, 2, 4)
@@ -99,6 +108,13 @@ class SystemBus(BusPort):
         self._windows = (
             ("nvdla", address_map.nvdla_base, address_map.nvdla_limit),
             ("dram", address_map.dram_base, address_map.dram_limit),
+        )
+        self.register_route = RegisterRoute(
+            address_map.nvdla_base,
+            address_map.nvdla_limit,
+            self._engine.csb_read,
+            self._engine.csb_write,
+            self.register_cycles,
         )
 
     def _decode(self, address: int, size: int) -> tuple[int, bool]:
@@ -142,7 +158,7 @@ class SystemBus(BusPort):
         if xfer.burst_len != 1:
             raise BusError("the core's data port issues single beats only", xfer.address)
         if xfer.access is AccessType.WRITE:
-            assert xfer.data is not None
+            # Transfer.__post_init__ rejects a write without a payload.
             value = int.from_bytes(xfer.data, "little")
             return self.write(xfer.address, value, xfer.size, xfer.master)
         return self.read(xfer.address, xfer.size, xfer.master)

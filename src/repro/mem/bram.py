@@ -31,7 +31,7 @@ class Bram(BusPort):
         if xfer.access is AccessType.WRITE:
             if self.read_only:
                 raise MemoryError_("program memory is read-only at run time")
-            assert xfer.data is not None
+            # Transfer.__post_init__ rejects a write without a payload.
             self.storage.write(xfer.address, xfer.data)
             return Reply(cycles=self.ACCESS_CYCLES)
         data = self.storage.read(xfer.address, xfer.total_bytes)

@@ -108,7 +108,7 @@ class Dram(BusPort):
         self.stats.beats += beats
         self.stats.busy_cycles += cycles
         if xfer.access is AccessType.WRITE:
-            assert xfer.data is not None
+            # Transfer.__post_init__ rejects a write without a payload.
             self.storage.write(xfer.address, xfer.data)
             self.stats.bytes_written += xfer.total_bytes
             return Reply(cycles=cycles)

@@ -3,9 +3,18 @@
 The CPU has Harvard-style ports like the paper's µRISC-V: an
 instruction port (AHB-Lite to BRAM program memory) and a data port
 (AHB-Lite into the system bus, where the decoder splits NVDLA register
-space from DRAM).  Each :meth:`Cpu.step` executes one instruction
-functionally and returns its cycle cost from the
-:class:`~repro.riscv.pipeline.PipelineModel` plus bus wait states.
+space from DRAM).
+
+One interpreter loop, :meth:`Cpu.execute`, runs every instruction:
+:meth:`Cpu.step`, :meth:`Cpu.run` and the SoC's
+:class:`~repro.core.executor.BaremetalExecutor` all call it.  Per
+instruction it executes the operation, prices it with
+:meth:`~repro.riscv.pipeline.PipelineModel.charge` (the one cycle
+formula: pipeline cost plus bus wait states) and, when given the SoC
+clock, advances it.  Loads and stores go through the data port, except
+that an aligned 32-bit access inside the port's resolved
+:class:`~repro.bus.types.RegisterRoute` (the SoC's NVDLA register
+window) calls the engine's CSB port directly at the same price.
 
 Instructions are decoded once per program address.  The first time a
 pc executes, the core fetches its word and builds a table entry: the
@@ -29,7 +38,7 @@ poll iterations (cycle accounting is unchanged; see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.bus.types import AccessType, BusPort, Transfer
 from repro.errors import CpuFault
@@ -37,11 +46,15 @@ from repro.riscv.isa import CSR_ADDRESSES, Decoded, Format, decode, to_s32, to_u
 from repro.riscv.pipeline import PipelineModel, StaticCost
 from repro.riscv.program import Program
 
+if TYPE_CHECKING:
+    from repro.clock import Clock
+
 # Semihosting ecall numbers (RISC-V Linux-like ABI subset).
 ECALL_EXIT = 93
 ECALL_PUTCHAR = 64
 
 _MASK = 0xFFFFFFFF
+_NO_POLL_STOP = 1 << 63  # a poll streak no run reaches
 
 
 @dataclass
@@ -169,93 +182,154 @@ class Cpu:
     # Execution.
     # ------------------------------------------------------------------
 
+    def execute(
+        self,
+        budget: int,
+        clock: Clock | None = None,
+        poll_threshold: int | None = None,
+    ) -> None:
+        """Run up to ``budget`` instructions.
+
+        The core's one interpreter loop.  It stops after the instruction
+        that halts the core, after ``budget`` instructions, or — given
+        ``poll_threshold`` — after a load that lifts the poll streak to
+        the threshold or above.  Given ``clock``, each instruction's
+        bus access happens at the clock's pre-instruction time and its
+        cycles advance the clock afterwards; :meth:`Clock.advance_to`
+        runs only when an event is due, so callbacks fire at their
+        exact cycle.  ``pc``, ``cycles`` and ``instret`` are current
+        whenever CSR, ecall or fault code reads them and on return.
+        """
+        if self.halted or budget <= 0:
+            return
+        table = self._table
+        regs = self.regs
+        charge = self.pipeline.charge
+        dbus = self.dbus
+        poll = self.poll
+        threshold = poll_threshold if poll_threshold is not None else _NO_POLL_STOP
+        route = dbus.register_route
+        if route is None:  # an empty window: every access takes the port
+            reg_base, reg_last, reg_read, reg_write, reg_wait = 1, 0, None, None, 0
+        else:
+            reg_base, reg_last = route.base, route.limit - 3
+            reg_read, reg_write = route.read, route.write
+            reg_wait = max(0, route.cycles - 1)
+        pc = self.pc
+        cycles = self.cycles
+        instret = self.instret
+        executed = 0
+        try:
+            while executed < budget:
+                entry = table.get(pc)
+                if entry is None:
+                    entry = self._decode_at(pc)
+                # Data waits add to the fetch wait.
+                kind, op, rd, rs1, rs2, imm, cost, bus_wait = entry
+                next_pc = (pc + 4) & _MASK
+                taken = False
+
+                if kind == _ALU_I:
+                    if rd:
+                        regs[rd] = op(regs[rs1], imm) & _MASK
+                elif kind == _CONST:
+                    if rd:
+                        regs[rd] = imm
+                elif kind == _STORE:
+                    address = (regs[rs1] + imm) & _MASK
+                    try:
+                        if reg_base <= address <= reg_last and op == 4 and not address & 3:
+                            reg_write(address - reg_base, regs[rs2])
+                            bus_wait += reg_wait
+                        else:
+                            value = regs[rs2] & ((1 << (op << 3)) - 1)
+                            reply = dbus.write(address, value, op, master="cpu")
+                            if reply.cycles > 1:
+                                bus_wait += reply.cycles - 1
+                    except Exception as exc:
+                        raise CpuFault(f"store fault at 0x{address:08x}: {exc}", pc=pc) from exc
+                    if poll.pc != -1:  # not already reset
+                        poll.reset()
+                elif kind == _LOAD or kind == _LOAD_SIGNED:
+                    address = (regs[rs1] + imm) & _MASK
+                    try:
+                        if reg_base <= address <= reg_last and op == 4 and not address & 3:
+                            value = reg_read(address - reg_base)
+                            bus_wait += reg_wait
+                        else:
+                            reply = dbus.read(address, op, master="cpu")
+                            value = reply.value()
+                            if reply.cycles > 1:
+                                bus_wait += reply.cycles - 1
+                    except Exception as exc:
+                        raise CpuFault(f"load fault at 0x{address:08x}: {exc}", pc=pc) from exc
+                    if kind == _LOAD_SIGNED:
+                        half = 1 << ((op << 3) - 1)
+                        value = (((value & ((half << 1) - 1)) ^ half) - half) & _MASK
+                    if rd:
+                        regs[rd] = value & _MASK
+                    poll.observe_load(pc, address, value)
+                    if poll.streak >= threshold:
+                        budget = executed + 1
+                elif kind == _BRANCH:
+                    if op(regs[rs1], regs[rs2]):
+                        next_pc = (pc + imm) & _MASK
+                        taken = True
+                elif kind == _ALU_R:
+                    if rd:
+                        regs[rd] = op(regs[rs1], regs[rs2]) & _MASK
+                elif kind == _JAL:
+                    if rd:
+                        regs[rd] = next_pc
+                    next_pc = (pc + imm) & _MASK
+                    taken = True
+                elif kind == _JALR:
+                    target = (regs[rs1] + imm) & 0xFFFFFFFE
+                    if rd:
+                        regs[rd] = next_pc
+                    next_pc = target
+                    taken = True
+                elif kind == _AUIPC:
+                    if rd:
+                        regs[rd] = (pc + imm) & _MASK
+                elif kind == _CSR:
+                    self.cycles, self.instret = cycles, instret
+                    self._execute_csr(op)
+                elif kind == _ECALL:
+                    self.pc = pc
+                    self._execute_ecall()
+                    if self.halted:
+                        budget = executed + 1
+                elif kind == _EBREAK:
+                    self.halted = True
+                    if self.exit_code is None:
+                        self.exit_code = 0
+                    budget = executed + 1
+                # _NOP (fence): nothing to do.
+
+                spent = charge(cost, taken, bus_wait)
+                cycles += spent
+                instret += 1
+                executed += 1
+                pc = next_pc
+                if clock is not None:
+                    now = clock.now + spent
+                    if now >= clock.due:
+                        clock.advance_to(now)
+                    else:
+                        clock.now = now
+        finally:
+            self.pc, self.cycles, self.instret = pc, cycles, instret
+
     def step(self) -> int:
         """Execute one instruction; return its cycle cost."""
-        if self.halted:
-            return 0
-        pc = self.pc
-        entry = self._table.get(pc)
-        if entry is None:
-            entry = self._decode_at(pc)
-        kind, op, rd, rs1, rs2, imm, cost, bus_wait = entry  # data waits add to the fetch wait
-        regs = self.regs
-        next_pc = (pc + 4) & _MASK
-        taken = False
-
-        if kind == _ALU_I:
-            if rd:
-                regs[rd] = op(regs[rs1], imm) & _MASK
-        elif kind == _CONST:
-            if rd:
-                regs[rd] = imm
-        elif kind == _STORE:
-            address = (regs[rs1] + imm) & _MASK
-            value = regs[rs2] & ((1 << (op << 3)) - 1)
-            try:
-                reply = self.dbus.write(address, value, op, master="cpu")
-            except Exception as exc:
-                raise CpuFault(f"store fault at 0x{address:08x}: {exc}", pc=pc) from exc
-            if reply.cycles > 1:
-                bus_wait += reply.cycles - 1
-            self.poll.reset()
-        elif kind == _LOAD or kind == _LOAD_SIGNED:
-            address = (regs[rs1] + imm) & _MASK
-            try:
-                reply = self.dbus.read(address, op, master="cpu")
-            except Exception as exc:
-                raise CpuFault(f"load fault at 0x{address:08x}: {exc}", pc=pc) from exc
-            value = reply.value()
-            if kind == _LOAD_SIGNED:
-                half = 1 << ((op << 3) - 1)
-                value = (((value & ((half << 1) - 1)) ^ half) - half) & _MASK
-            if reply.cycles > 1:
-                bus_wait += reply.cycles - 1
-            if rd:
-                regs[rd] = value & _MASK
-            self.poll.observe_load(pc, address, value)
-        elif kind == _BRANCH:
-            if op(regs[rs1], regs[rs2]):
-                next_pc = (pc + imm) & _MASK
-                taken = True
-        elif kind == _ALU_R:
-            if rd:
-                regs[rd] = op(regs[rs1], regs[rs2]) & _MASK
-        elif kind == _JAL:
-            if rd:
-                regs[rd] = next_pc
-            next_pc = (pc + imm) & _MASK
-            taken = True
-        elif kind == _JALR:
-            target = (regs[rs1] + imm) & 0xFFFFFFFE
-            if rd:
-                regs[rd] = next_pc
-            next_pc = target
-            taken = True
-        elif kind == _AUIPC:
-            if rd:
-                regs[rd] = (pc + imm) & _MASK
-        elif kind == _CSR:
-            self._execute_csr(op)
-        elif kind == _ECALL:
-            self._execute_ecall()
-        elif kind == _EBREAK:
-            self.halted = True
-            if self.exit_code is None:
-                self.exit_code = 0
-        # _NOP (fence): nothing to do.
-
-        cycles = self.pipeline.charge(cost, taken, bus_wait)
-        self.cycles += cycles
-        self.instret += 1
-        self.pc = next_pc
-        return cycles
+        before = self.cycles
+        self.execute(1)
+        return self.cycles - before
 
     def run(self, max_instructions: int = 10_000_000) -> CpuState:
         """Run until halt or the instruction budget is exhausted."""
-        executed = 0
-        while not self.halted and executed < max_instructions:
-            self.step()
-            executed += 1
+        self.execute(max_instructions)
         if not self.halted:
             raise CpuFault(f"program did not halt within {max_instructions} instructions", pc=self.pc)
         return self.state()

@@ -115,21 +115,21 @@ class PipelineModel:
             (fetch plus data, from the bus :class:`~repro.bus.types.Reply`).
         """
         stats = self.stats
-        cycles = cost.cycles
+        cycles, muldiv_extra, flush_penalty, sources, load_rd, klass = cost
 
         # Load-use: the previous instruction was a load whose result
         # this instruction consumes before it reaches WB.
         pending = self._pending_load_rd
-        if pending and pending in cost.sources:
+        if pending and pending in sources:
             cycles += self.load_use_penalty
             stats.load_use_stalls += 1
-        self._pending_load_rd = cost.load_rd
+        self._pending_load_rd = load_rd
 
-        if cost.muldiv_extra:
-            stats.muldiv_stalls += cost.muldiv_extra
+        if muldiv_extra:
+            stats.muldiv_stalls += muldiv_extra
 
-        if taken and cost.flush_penalty is not None:
-            cycles += cost.flush_penalty
+        if taken and flush_penalty is not None:
+            cycles += flush_penalty
             stats.control_flushes += 1
 
         if bus_wait > 0:
@@ -139,7 +139,7 @@ class PipelineModel:
         stats.instructions += 1
         stats.cycles += cycles
         by_class = stats.by_class
-        by_class[cost.klass] = by_class.get(cost.klass, 0) + 1
+        by_class[klass] = by_class.get(klass, 0) + 1
         return cycles
 
     def instruction_cycles(

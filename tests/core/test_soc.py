@@ -329,3 +329,30 @@ def test_preload_timing_scales_with_size(lenet_bundle):
     small = system.zynq.preload([(DRAM_BASE, b"\x00" * 1024)])
     large = system.zynq.preload([(DRAM_BASE, b"\x00" * (64 * 1024))])
     assert large.zynq_cycles > small.zynq_cycles
+
+
+# ----------------------------------------------------------------------
+# Executor limits.
+# ----------------------------------------------------------------------
+
+
+def test_poll_with_no_pending_event_is_a_deadlock(soc):
+    """Polling a register nothing will change: the executor declares a
+    deadlock after its grace of stalled poll iterations."""
+    soc.load_program(assemble("poll:\n lw t1, 0(zero)\n j poll\n"))
+    with pytest.raises(CpuFault, match="never complete.*0x00000000"):
+        soc.executor.run()
+    # The streak reaches the threshold on load threshold + 1; each load
+    # from there is one stalled iteration, and the one past the grace
+    # raises.  Every load but that one is followed by its jump.
+    loads = soc.executor.POLL_STREAK_THRESHOLD + 1 + soc.executor.POLL_DEADLOCK_GRACE
+    assert soc.cpu.instret == 2 * loads - 1
+    assert soc.clock.now == soc.cpu.cycles
+
+
+def test_instruction_budget_is_enforced(soc):
+    soc.load_program(assemble("loop:\n addi t0, t0, 1\n j loop\n"))
+    with pytest.raises(CpuFault, match="exceeded 1001 instructions"):
+        soc.executor.run(max_instructions=1001)
+    assert soc.cpu.instret == 1001
+    assert soc.clock.now == soc.cpu.cycles

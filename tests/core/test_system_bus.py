@@ -8,12 +8,17 @@ decoder → AHB→APB bridge → APB → APB→CSB adapter → CSB, and AHB-Lite
 decoder → AHB→AXI bridge → arbiter — on twin SoCs: same value, same
 cycles, same exception (type, message, address), and the same side
 effects on unit registers, DRAM bytes, DRAM row state and arbiter
-statistics.
+statistics.  The port also publishes its register window as a
+:class:`~repro.bus.types.RegisterRoute`, which the CPU's interpreter
+loop calls directly; whole bundle runs on that route must equal runs
+through the layered walk, which has no route.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -27,6 +32,7 @@ from repro.core.nvdla_wrapper import CsbPort
 from repro.errors import CpuFault, ReproError
 from repro.nvdla import NV_SMALL
 from repro.riscv import assemble
+from repro.serve.cache import BundleCache
 
 SIZES = (1, 2, 4)
 
@@ -184,3 +190,47 @@ def test_cpu_sees_identical_runs_and_faults(source):
     resolved, layered = _twins()
     layered.cpu.dbus = layered_system_bus(layered)
     assert _run(resolved, source) == _run(layered, source)
+
+
+def _records_digest(records) -> str:
+    """SHA-256 over the op records, as ``tests/nvdla/test_iss_golden.py``
+    computes it."""
+    view = [
+        [r.index, r.kind, r.sink, r.group, r.start_cycle, r.end_cycle,
+         r.timing.as_dict(), r.detail]
+        for r in records
+    ]
+    return hashlib.sha256(json.dumps(view, sort_keys=True, default=repr).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def cache():
+    return BundleCache()
+
+
+@pytest.mark.parametrize("model", ["lenet5", "resnet18"])
+def test_bundle_runs_match_layer_walk(model, cache):
+    """A whole inference on the resolved register route equals the same
+    inference through the layered AHB→APB→CSB walk: run statistics,
+    pipeline statistics, op records, registers and output bytes."""
+    bundle = cache.bundle_for(model, "nv_small")
+    resolved, layered = _twins()
+    layered.cpu.dbus = layered_system_bus(layered)
+    assert resolved.cpu.dbus.register_route is not None
+    assert layered.cpu.dbus.register_route is None
+    runs = []
+    for soc in (resolved, layered):
+        soc.load_bundle(bundle)
+        result = soc.run_inference(bundle)
+        assert result.ok and result.output is not None
+        runs.append(
+            (
+                result.stats,
+                dataclasses.asdict(soc.cpu.pipeline.stats),
+                _records_digest(result.op_records),
+                soc.cpu.state(),
+                result.output.tobytes(),
+                dataclasses.asdict(soc.dram.stats),
+            )
+        )
+    assert runs[0] == runs[1]

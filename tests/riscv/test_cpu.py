@@ -297,6 +297,55 @@ def test_illegal_word_faults_only_when_executed():
     assert excinfo.value.pc == illegal_pc
 
 
+#: Memory traffic, a load-use stall, multi-cycle EX, taken and untaken
+#: branches, counters read mid-program and an illegal word that faults
+#: only if executed.
+STEP_PROGRAM = """
+    li a0, 3
+    li t0, 0x100
+    sw a0, 0(t0)
+    lw a1, 0(t0)
+    add a2, a1, a1
+counters:
+    csrr s0, mcycle
+    csrr s1, minstret
+    mul a3, a2, a2
+    bnez zero, skip
+    beqz zero, skip
+    .word 0xFFFFFFFF
+skip:
+    div a4, a3, a0
+    csrr s2, mcycle
+    li a7, 93
+    ecall
+"""
+
+
+def test_stepping_equals_run():
+    """:meth:`Cpu.step` and :meth:`Cpu.run` share one interpreter loop:
+    a program driven one step at a time ends in the run's exact state,
+    counters read mid-program included."""
+    program = assemble(STEP_PROGRAM)
+    stepped = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    stepped.load_program(program)
+    before = {}  # pc -> (instret, cycles) before its first execution
+    while not stepped.halted:
+        before.setdefault(stepped.pc, (stepped.instret, stepped.cycles))
+        stepped.step()
+    assert stepped.step() == 0  # a halted core does nothing
+    ran = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    ran.load_program(program)
+    ran.run()
+    assert stepped.state() == ran.state()
+    assert stepped.pipeline.stats == ran.pipeline.stats
+    assert ran.cycles == ran.pipeline.stats.cycles
+    instret, cycles = before[program.symbols["counters"]]
+    assert ran.regs[8] == cycles > 0  # s0 = mcycle before the csrr
+    assert ran.regs[9] == instret + 1  # s1 = minstret, one csrr later
+    assert ran.regs[18] > ran.regs[8]
+    assert ran.regs[14] == 12 and ran.exit_code == 3
+
+
 def test_poll_tracker_detects_streak():
     cpu = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
     cpu.load_program(
