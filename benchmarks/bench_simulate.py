@@ -1,25 +1,33 @@
-"""Warm cycle-accurate runs — median wall ms per run, split by layer.
+"""Warm and cold cycle-accurate runs — median wall ms per run, split by layer.
 
-One op is one warm run of a bundle's bare-metal program on a reused
+A warm op is one run of a bundle's bare-metal program on a reused
 :class:`~repro.core.Soc`, the way a serving worker replays it: reset,
 rewrite every preload image but the (read-only) weights, run to the
 status word, read the output back.  The bundle was loaded and run once
-untimed, so the CPU's decode table is warm.  Four workloads: lenet5 and
-resnet18 on nv_small, each on a functional and a timing-only SoC; they
-take turns run by run.
+untimed, so the program stays decoded in the CPU.  Warm workloads:
+lenet5 and resnet18 on nv_small, each on a functional and a
+timing-only SoC, plus mobilenet timing-only outside ``--smoke``.
+
+A cold op is what every cycle-profile recording and Table II/III row
+pays: a fresh timing-only SoC, the program loaded (and decoded) alone,
+one run (:func:`repro.core.fastpath.record_profile`).  Cold workloads:
+lenet5 and resnet18, plus mobilenet outside ``--smoke``.  All
+workloads take turns run by run.
 
 Each run's wall time is split three ways by timers wrapped around the
 engine's entry points where the engine looks them up:
 
 - ``interpreter``: everything else — the ISS loop, the register route
   into the engine, launch checks, and the run's reset, preload and
-  output readback;
+  output readback (cold runs: the SoC build and program load);
 - ``lowering+timing``: ``engine.lower_group`` and ``engine.op_timing``;
 - ``kernels``: ``engine.execute_descriptors`` (functional SoCs only).
 
 Each part is reported as median ms per run and as µs per kilo-instruction.
 Every run must reproduce the first run's cycles, instruction count and
-output bytes, or the script fails; there is no timing bound.
+output bytes, and every cold workload's cycles and instruction count
+must equal its model's warm runs, or the script fails; there is no
+timing bound.
 
 Usage (one row per code version; rows with other labels are kept)::
 
@@ -35,12 +43,16 @@ import time
 from pathlib import Path
 
 CONFIG = "nv_small"
-WORKLOADS = (
+#: (model, SoC fidelity) of the warm workloads.
+WARM = (
     ("lenet5", "functional"),
     ("lenet5", "timing"),
     ("resnet18", "functional"),
     ("resnet18", "timing"),
 )
+COLD = ("lenet5", "resnet18")
+#: Added outside ``--smoke``: the largest program of the zoo.
+FULL_ONLY = "mobilenet"
 
 #: (part, attribute of ``repro.nvdla.engine``) — the engine calls these
 #: by the names it imported.
@@ -67,30 +79,47 @@ def _install_timers(elapsed: dict[str, float]) -> None:
         setattr(engine, attribute, timed)
 
 
-def _warm_run(soc, bundle):
-    soc.reset_for_run(scrub_dram=False)
-    for image in bundle.images.preload:
-        if image.name != "weights.bin":
-            soc.preload_dram(image.load_address, image.data)
-    return soc.run_inference(bundle)
-
-
 def _outcome(result) -> tuple:
     output = None if result.output is None else result.output.tobytes()
     return (result.ok, result.cycles, result.stats.instructions, output)
 
 
+def _warm(bundle, fidelity: str):
+    """A warm SoC holding ``bundle``, and its run as an outcome."""
+    from repro.core import Soc
+    from repro.nvdla.config import get_config
+
+    soc = Soc(get_config(CONFIG), fidelity=fidelity)
+    soc.load_bundle(bundle)
+
+    def run() -> tuple:
+        soc.reset_for_run(scrub_dram=False)
+        for image in bundle.images.preload:
+            if image.name != "weights.bin":
+                soc.preload_dram(image.load_address, image.data)
+        return _outcome(soc.run_inference(bundle))
+
+    return run
+
+
+def _cold(bundle):
+    """A fresh timing-only SoC per run, loaded with the program alone."""
+    from repro.core.fastpath import record_profile
+    from repro.nvdla.config import get_config
+
+    def run() -> tuple:
+        stats = record_profile(bundle, get_config(CONFIG)).stats  # raises unless DONE
+        return (True, stats.cycles, stats.instructions, None)
+
+    return run
+
+
 class _Workload:
-    """One warm SoC and the samples of its timed runs."""
+    """One repeated run and the samples of its timed repeats."""
 
-    def __init__(self, bundle, fidelity: str) -> None:
-        from repro.core import Soc
-        from repro.nvdla.config import get_config
-
-        self.bundle = bundle
-        self.soc = Soc(get_config(CONFIG), fidelity=fidelity)
-        self.soc.load_bundle(bundle)
-        self.first = _outcome(self.soc.run_inference(bundle))
+    def __init__(self, run) -> None:
+        self.run = run
+        self.first = run()
         if not self.first[0]:
             raise RuntimeError("the bundle's program did not reach DONE")
         self.totals: list[float] = []
@@ -100,11 +129,11 @@ class _Workload:
         for part in elapsed:
             elapsed[part] = 0.0
         start = time.perf_counter()
-        result = _warm_run(self.soc, self.bundle)
+        outcome = self.run()
         total = time.perf_counter() - start
-        if _outcome(result) != self.first:
+        if outcome != self.first:
             raise RuntimeError(
-                f"warm run disagrees with the first run: cycles {result.cycles} "
+                f"run disagrees with the first run: cycles {outcome[1]} "
                 f"vs {self.first[1]}, or the output bytes differ"
             )
         self.totals.append(total)
@@ -127,19 +156,31 @@ class _Workload:
         }
 
 
-def run_all(repeats: int) -> dict:
-    """``repeats`` timed warm runs per workload after one untimed
-    load-and-run each.  The workloads take turns run by run, so a
-    slow spell on a shared host spreads over all of them."""
+def run_all(repeats: int, smoke: bool) -> dict:
+    """``repeats`` timed runs per workload after one untimed run each.
+    The workloads take turns run by run, so a slow spell on a shared
+    host spreads over all of them."""
     from repro.serve import BundleCache
 
     elapsed = {"lowering+timing": 0.0, "kernels": 0.0}
     _install_timers(elapsed)
     cache = BundleCache()
+    warm, cold = list(WARM), list(COLD)
+    if not smoke:
+        warm.append((FULL_ONLY, "timing"))
+        cold.append(FULL_ONLY)
     workloads = {
-        f"{model}/{fidelity}": _Workload(cache.bundle_for(model, CONFIG), fidelity)
-        for model, fidelity in WORKLOADS
+        f"{model}/{fidelity}": _Workload(_warm(cache.bundle_for(model, CONFIG), fidelity))
+        for model, fidelity in warm
     }
+    for model in cold:
+        workload = _Workload(_cold(cache.bundle_for(model, CONFIG)))
+        if workload.first[1:3] != workloads[f"{model}/timing"].first[1:3]:
+            raise RuntimeError(
+                f"cold {model} run gives (cycles, instructions) {workload.first[1:3]}, "
+                f"warm runs {workloads[f'{model}/timing'].first[1:3]}"
+            )
+        workloads[f"{model}/cold"] = workload
     for _ in range(repeats):
         for workload in workloads.values():
             workload.timed_run(elapsed)
@@ -158,7 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     repeats = 10 if args.smoke else 40
-    row = {"label": args.label, "repeats": repeats, "workloads": run_all(repeats)}
+    row = {"label": args.label, "repeats": repeats, "workloads": run_all(repeats, args.smoke)}
     for name, result in row["workloads"].items():
         parts = "  ".join(
             f"{part} {ms:.2f} ms ({result['parts_us_per_kinstr'][part]:.0f} us/kinstr)"
@@ -171,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
         rows = json.loads(path.read_text())["results"]["rows"] if path.exists() else []
         rows = [r for r in rows if r["label"] != args.label] + [row]
         payload = bench_envelope(
-            "bench_simulate.warm_runs",
+            "bench_simulate.runs",
             {"smoke": args.smoke, "config": CONFIG, "repeats": repeats},
             {"config": CONFIG, "rows": rows},
         )

@@ -13,7 +13,7 @@ verification to be fatal, mirroring how the bundle store surfaces
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from repro.errors import StaticAnalysisError
@@ -181,8 +181,3 @@ class AnalysisReport:
                 continue
             lines.append(f"  {diag.render()}")
         return "\n".join(lines)
-
-
-def relabel(diag: Diagnostic, **overrides) -> Diagnostic:
-    """A copy of ``diag`` with some location fields replaced."""
-    return dc_replace(diag, **overrides)

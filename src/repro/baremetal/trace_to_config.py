@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.baremetal.config_file import ConfigCommand
 from repro.nvdla.csb import UNIT_BASES
 from repro.nvdla.units.glb import INTR_STATUS
-from repro.vp.trace_log import TraceLog, parse_trace
+from repro.vp.trace_log import TraceLog
 
 _GLB_INTR_STATUS_ADDR = UNIT_BASES["GLB"] + INTR_STATUS
 
@@ -34,8 +34,3 @@ def trace_to_config(trace: TraceLog) -> list[ConfigCommand]:
             mask = 0xFFFFFFFF
         commands.append(ConfigCommand("read_reg", address, value, mask))
     return commands
-
-
-def trace_text_to_config(text: str) -> list[ConfigCommand]:
-    """Convenience: parse raw VP log text and convert it."""
-    return trace_to_config(parse_trace(text))

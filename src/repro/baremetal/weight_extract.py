@@ -38,9 +38,6 @@ class MemorySegment:
     def end(self) -> int:
         return self.address + len(self.data)
 
-    def to_bin(self) -> bytes:
-        return self.data
-
 
 def extract_initial_memory(trace: TraceLog) -> list[MemorySegment]:
     """Reconstruct initial DRAM state from the DBB transaction order.

@@ -238,17 +238,19 @@ def _build_workload(args: argparse.Namespace):
 
 def _arrival_gaps(args: argparse.Namespace, count: int) -> list[float] | None:
     """Inter-arrival delays for the plane's streaming intake."""
+    from itertools import islice
+
     import numpy as np
+
+    from repro.cluster.workload import make_arrivals
 
     arrival = getattr(args, "arrival", "none")
     if arrival == "none" or count == 0:
         return None
     if args.rps <= 0:
         raise SystemExit("--rps must be positive for paced arrivals")
-    if arrival == "constant":
-        return [1.0 / args.rps] * count
     rng = np.random.default_rng((args.seed, 0xA221))  # arrivals stream
-    return list(rng.exponential(1.0 / args.rps, size=count))
+    return list(islice(make_arrivals(arrival, args.rps).gaps(rng), count))
 
 
 def _serve_tracer(args: argparse.Namespace):

@@ -80,10 +80,6 @@ class PoissonArrivals:
         while True:
             yield float(rng.exponential(scale))
 
-    @property
-    def mean_rps(self) -> float:
-        return self.rate_rps
-
 
 @dataclass(frozen=True)
 class BurstyArrivals:

@@ -108,7 +108,8 @@ def allocate_memory(
     refs_by_blob: dict[str, list[TensorRef]] = {}
     first_def: dict[str, int] = {}
     last_use: dict[str, int] = {}
-    assert schedule.input_tensor is not None and schedule.output_tensor is not None
+    if schedule.input_tensor is None or schedule.output_tensor is None:
+        raise CompilerError("schedule has no network input or output tensor to allocate")
 
     def note(ref: TensorRef, index: int, is_def: bool) -> None:
         refs_by_blob.setdefault(ref.blob, []).append(ref)

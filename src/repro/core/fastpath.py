@@ -306,11 +306,6 @@ class FastPathExecutor:
         self._states: "OrderedDict[int, _BundleState]" = OrderedDict()
         self.resident_stats = ResidentStats()
 
-    @property
-    def resident_count(self) -> int:
-        """Bundles currently holding resident serving state."""
-        return len(self._states)
-
     def estimate(self, bundle: BaremetalBundle) -> CycleProfile:
         """The bundle's cycle profile, recorded now if it is missing."""
         self._check_config(bundle)

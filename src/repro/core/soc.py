@@ -3,7 +3,10 @@
 Wires together:
 
 - the µRISC-V core (Harvard AHB-Lite ports: instructions from BRAM
-  program memory, data into the system bus),
+  program memory, data into the system bus).  The program is decoded
+  into the core at load and every fetch is priced by the core's
+  composed :data:`~repro.riscv.cpu.FETCH_CYCLES`, so program memory is
+  only a capacity (:data:`~repro.core.address_map.PROGRAM_MEMORY_SIZE`),
 - the system bus — an AHB segment feeding the address decoder with the
   two slave windows (NVDLA registers, DRAM), each resolved once to a
   direct route (:class:`SystemBus`).  The register window is also
@@ -41,8 +44,7 @@ from repro.core.address_map import AddressMap, DEFAULT_MAP, PROGRAM_MEMORY_SIZE
 from repro.core.arbiter import DramArbiter
 from repro.core.executor import BaremetalExecutor, RunStats
 from repro.core.nvdla_wrapper import CSB_WIDTH_ERROR, REGISTER_PATH_CYCLES, NvdlaWrapper
-from repro.errors import AddressDecodeError, BusError, ReproError
-from repro.mem.bram import Bram
+from repro.errors import AddressDecodeError, BusError, MemoryError_
 from repro.mem.dram import Dram, DramTiming
 from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision
 from repro.nvdla.layout import unpack_feature
@@ -195,10 +197,8 @@ class Soc:
             fidelity=fidelity,
             memory_bus_width_bits=memory_bus_width_bits,
         )
-        self.program_memory = Bram(size=PROGRAM_MEMORY_SIZE)
         self.system_bus = SystemBus(address_map, self.wrapper, self.arbiter)
-        self.ibus = AhbLiteBus(self.program_memory)
-        self.cpu = Cpu(ibus=self.ibus, dbus=self.system_bus)
+        self.cpu = Cpu(self.system_bus)
         self.executor = BaremetalExecutor(self.cpu, self.clock)
 
     # ------------------------------------------------------------------
@@ -215,8 +215,8 @@ class Soc:
         cleared too, which makes a reused SoC bit-identical to a
         freshly constructed one; callers that are about to reload the
         same preload images may skip the scrub to save the rewrite.
-        Program memory, and with it the CPU's decode table, is left
-        alone: only :meth:`load_program` changes it.
+        The loaded program, decoded in the CPU, is left alone: only
+        :meth:`load_program` changes it.
         """
         self.clock.reset()
         self.wrapper.engine.reset()
@@ -232,19 +232,23 @@ class Soc:
             self.dram.storage.write(0, bytes(STATUS_CYCLES_HI + 4))
 
     def load_program(self, program: Program) -> None:
-        """Load ``program`` into program memory and reset the CPU to it.
+        """Load ``program`` into the CPU and reset the CPU to its entry.
 
-        Only the program side is reset: the CPU (registers, pc, decode
-        table).  The clock, the engine, the statistics and the DRAM
-        contents and open rows keep the state of any earlier run, so
-        on a used SoC the next run's cycle count would include that
-        run.  Callers reusing a SoC must call :meth:`reset_for_run`
-        first; the pair then runs exactly as a fresh SoC does.
+        Raises :class:`~repro.errors.MemoryError_` if the program does
+        not fit program memory.  Only the program side is reset: the
+        CPU (registers, pc, decode table).  The clock, the engine, the
+        statistics and the DRAM contents and open rows keep the state
+        of any earlier run, so on a used SoC the next run's cycle count
+        would include that run.  Callers reusing a SoC must call
+        :meth:`reset_for_run` first; the pair then runs exactly as a
+        fresh SoC does.
         """
-        self.program_memory.load_image(program.to_bytes(), base=program.base)
-        self.cpu.invalidate_decode_table()
-        self.cpu.reset_pc = program.entry or program.base
-        self.cpu.reset()
+        if program.base < 0 or program.end > PROGRAM_MEMORY_SIZE:
+            raise MemoryError_(
+                f"program [0x{program.base:x}, 0x{program.end:x}) outside program "
+                f"memory of size 0x{PROGRAM_MEMORY_SIZE:x}"
+            )
+        self.cpu.load_program(program)
 
     def preload_dram(self, address: int, data: bytes) -> None:
         """Testbench-style preload (Fig. 4's Zynq path models timing)."""
@@ -352,10 +356,3 @@ def read_output_tensor(
         return tensor.astype(np.float32) * ref.scale
     return tensor.astype(np.float32)
 
-
-def verify_against_reference(result: SocRunResult, expected: np.ndarray, rtol: float = 0.1) -> bool:
-    """Convenience check used by tests and examples."""
-    if result.output is None:
-        raise ReproError("run produced no output tensor")
-    scale = float(np.abs(expected).max()) or 1.0
-    return bool(np.abs(result.output - expected).max() <= rtol * scale)

@@ -12,6 +12,7 @@ widths, address windows, clock frequencies.
 from __future__ import annotations
 
 from repro.baremetal.pipeline import BaremetalBundle
+from repro.core.address_map import PROGRAM_MEMORY_SIZE
 from repro.core.soc import Soc
 from repro.core.system_builder import TestSystem
 from repro.vp.platform import VirtualPlatform
@@ -90,7 +91,7 @@ def render_fig2_soc(soc: Soc) -> str:
         | 1-cycle                 +----+-------------------------+--+
  +------+---------+                    | AHB                     | AHB
  | program memory |                    v                         v
- | BRAM {soc.program_memory.size // 1024:>4} KiB  |      +-------------------+     +-------------+
+ | BRAM {PROGRAM_MEMORY_SIZE // 1024:>4} KiB  |      +-------------------+     +-------------+
  +----------------+      | NVDLA wrapper     |     | AHB->AXI    |
                           |  AHB->APB bridge  |     | bridge      |
                           |  APB->CSB adapter |     +------+------+

@@ -45,9 +45,6 @@ class UtilizationReport:
             lines.append(f"{name:<26}" + "".join(cells))
         return "\n".join(lines)
 
-    def utilization_row(self, row: str) -> dict[str, float]:
-        return self.device.headroom(self.rows[row])
-
 
 def build_table1_report(
     config: HardwareConfig = NV_SMALL, device: Device = ZCU102

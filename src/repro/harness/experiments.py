@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.baremetal.pipeline import BaremetalBundle
-from repro.baseline.esp_platform import ESP_PUBLISHED_MS, EspPlatform
+from repro.baseline.esp_platform import EspPlatform
 from repro.core import Soc, TestSystem
 from repro.core.fastpath import record_profile
 from repro.diagrams import (
@@ -288,8 +288,3 @@ def run_ablation_frequency(model: str = "lenet5") -> list[AblationPoint]:
         stats = record_profile(bundle, NV_SMALL, frequency_hz=mhz * 1e6).stats
         points.append(AblationPoint(f"{mhz} MHz", float(mhz), stats.cycles, stats.seconds * 1e3))
     return points
-
-
-def esp_reference_points() -> dict[str, float]:
-    """The published ESP milliseconds, for assertions."""
-    return dict(ESP_PUBLISHED_MS)

@@ -76,10 +76,6 @@ def parse_precision(value: int, unit: str) -> Precision:
     raise ConfigurationError(f"{unit}: unknown precision code {value}")
 
 
-def precision_code(precision: Precision) -> int:
-    return 0 if precision is Precision.INT8 else 1
-
-
 def parse_tensor(unit: Unit, group: int, prefix: str, precision: Precision) -> TensorDesc:
     """Build a :class:`TensorDesc` from ``<prefix>_*`` registers.
 

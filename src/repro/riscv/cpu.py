@@ -3,7 +3,11 @@
 The CPU has Harvard-style ports like the paper's µRISC-V: an
 instruction port (AHB-Lite to BRAM program memory) and a data port
 (AHB-Lite into the system bus, where the decoder splits NVDLA register
-space from DRAM).
+space from DRAM).  Nothing but the core reads program memory, and its
+price is static, so the instruction port is not simulated: every fetch
+costs :data:`FETCH_CYCLES`, composed once from the AHB-Lite address
+phase and the BRAM access (``tests/core/test_system_bus.py`` pins it
+to the hop-by-hop ``AhbLiteBus(Bram())`` reply).
 
 One interpreter loop, :meth:`Cpu.execute`, runs every instruction:
 :meth:`Cpu.step`, :meth:`Cpu.run` and the SoC's
@@ -16,16 +20,15 @@ that an aligned 32-bit access inside the port's resolved
 :class:`~repro.bus.types.RegisterRoute` (the SoC's NVDLA register
 window) calls the engine's CSB port directly at the same price.
 
-Instructions are decoded once per program address.  The first time a
-pc executes, the core fetches its word and builds a table entry: the
-operation, its operands, the fetch wait and the pipeline's
-:meth:`~repro.riscv.pipeline.PipelineModel.static_cost`.  Later visits
-execute straight from the entry.  Entries hold no pc-relative values,
-so addresses that hold the same word (generated register-programming
-code repeats a handful of encodings) share everything but the fetch
-wait.  Program memory is only reachable through the instruction port,
-so the table stays valid until a program load
-(:meth:`Cpu.load_program` or :meth:`Cpu.invalidate_decode_table`).
+Instructions are decoded at program load (:meth:`Cpu.load_program`):
+each distinct word of the program is decoded and priced once into a
+table entry — the operation, its operands and
+:func:`~repro.riscv.pipeline.static_cost` — and every pc holding that
+word maps to the shared entry.  Entries hold no pc-relative values,
+and generated register-programming code repeats a handful of
+encodings.  A word that does not decode gets no entry, so it faults
+(:class:`~repro.errors.CpuFault`) only if its pc executes, as does a
+pc outside the program.  The table lives until the next program load.
 
 The CPU also tracks *polling streaks* — repeated loads from the same
 address returning the same value inside a tight backward loop.  The
@@ -40,10 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from repro.bus.types import AccessType, BusPort, Transfer
-from repro.errors import CpuFault
+from repro.bus.ahb import AhbLiteBus
+from repro.bus.types import BusPort
+from repro.errors import CpuFault, IsaError
+from repro.mem.bram import Bram
 from repro.riscv.isa import CSR_ADDRESSES, Decoded, Format, decode, to_s32, to_u32
-from repro.riscv.pipeline import PipelineModel, StaticCost
+from repro.riscv.pipeline import PipelineModel, StaticCost, static_cost
 from repro.riscv.program import Program
 
 if TYPE_CHECKING:
@@ -55,6 +60,13 @@ ECALL_PUTCHAR = 64
 
 _MASK = 0xFFFFFFFF
 _NO_POLL_STOP = 1 << 63  # a poll streak no run reaches
+
+#: Cycles of one instruction fetch: the AHB-Lite address phase plus the
+#: program BRAM's access.
+FETCH_CYCLES = AhbLiteBus.ADDRESS_PHASE_CYCLES + Bram.ACCESS_CYCLES
+#: Wait states of a fetch beyond the pipeline's single-cycle IF stage,
+#: charged to every instruction as bus wait.
+FETCH_WAIT = FETCH_CYCLES - 1
 
 
 @dataclass
@@ -96,7 +108,7 @@ _LOAD_SIGNED, _AUIPC, _CSR, _ECALL, _EBREAK, _NOP = range(8, 14)
 
 
 class _Entry(NamedTuple):
-    """One pre-decoded program address."""
+    """One decoded and priced instruction word."""
 
     kind: int
     #: ALU or branch function, load/store size in bytes, or (CSR) the
@@ -109,7 +121,6 @@ class _Entry(NamedTuple):
     #: offset), or load/store offset.
     imm: int
     cost: StaticCost
-    fetch_wait: int
 
 
 class Cpu:
@@ -117,31 +128,18 @@ class Cpu:
 
     Parameters
     ----------
-    ibus:
-        Instruction-fetch port (program memory).
     dbus:
         Data port (system bus: NVDLA registers + DRAM).
-    reset_pc:
-        Initial program counter.
-    pipeline:
-        Timing model; a default 4-stage model is created if omitted.
-        Its static costs are priced into the decode table, so change
-        its parameters only before a program load.
+
+    Until :meth:`load_program` gives it a program, every pc faults.
     """
 
-    def __init__(
-        self,
-        ibus: BusPort,
-        dbus: BusPort,
-        reset_pc: int = 0,
-        pipeline: PipelineModel | None = None,
-    ) -> None:
-        self.ibus = ibus
+    def __init__(self, dbus: BusPort) -> None:
         self.dbus = dbus
-        self.pipeline = pipeline or PipelineModel()
-        self.reset_pc = reset_pc
+        self.pipeline = PipelineModel()
+        self.reset_pc = 0
+        self._program = Program()
         self._table: dict[int, _Entry] = {}
-        self._by_word: dict[int, tuple] = {}  # word -> entry minus fetch wait
         self.console = bytearray()
         self.csrs: dict[int, int] = {}
         self.poll = _PollTracker()
@@ -153,7 +151,7 @@ class Cpu:
 
     def reset(self) -> None:
         """Return to the reset state (the decode table survives: it
-        depends only on program memory)."""
+        depends only on the loaded program)."""
         self.regs = [0] * 32
         self.pc = self.reset_pc
         self.halted = False
@@ -172,11 +170,6 @@ class Cpu:
             halted=self.halted,
             exit_code=self.exit_code,
         )
-
-    def invalidate_decode_table(self) -> None:
-        """Forget every decoded address; call after rewriting program memory."""
-        self._table.clear()
-        self._by_word.clear()
 
     # ------------------------------------------------------------------
     # Execution.
@@ -223,9 +216,9 @@ class Cpu:
             while executed < budget:
                 entry = table.get(pc)
                 if entry is None:
-                    entry = self._decode_at(pc)
-                # Data waits add to the fetch wait.
-                kind, op, rd, rs1, rs2, imm, cost, bus_wait = entry
+                    raise self._fault_at(pc)
+                kind, op, rd, rs1, rs2, imm, cost = entry
+                bus_wait = FETCH_WAIT  # data waits add to it
                 next_pc = (pc + 4) & _MASK
                 taken = False
 
@@ -335,19 +328,27 @@ class Cpu:
         return self.state()
 
     def load_program(self, program: Program) -> None:
-        """Copy a program image into instruction memory and reset."""
-        data = program.to_bytes()
-        self.ibus.transfer(
-            Transfer(
-                address=program.base,
-                size=4,
-                access=AccessType.WRITE,
-                data=data,
-                burst_len=len(data) // 4,
-                master="loader",
-            )
-        )
-        self.invalidate_decode_table()
+        """Decode ``program`` into the decode table and reset to its entry.
+
+        Each distinct word is decoded and priced once, and every pc
+        holding it maps to that entry.  A word that does not decode
+        gets no entry: it faults only if its pc executes.
+        """
+        entries: dict[int, _Entry | None] = {}
+        for word in set(program.words):
+            try:
+                decoded = decode(word)
+            except IsaError:
+                entries[word] = None
+            else:
+                entries[word] = _Entry(*_operation(decoded), static_cost(decoded))
+        pcs = range(program.base, program.end, 4)
+        self._table = {
+            pc: entry
+            for pc, entry in zip(pcs, map(entries.__getitem__, program.words))
+            if entry is not None
+        }
+        self._program = program
         self.reset_pc = program.entry if program.entry is not None else program.base
         self.reset()
 
@@ -355,21 +356,20 @@ class Cpu:
     # Internals.
     # ------------------------------------------------------------------
 
-    def _decode_at(self, pc: int) -> _Entry:
-        """Fetch, decode and price the instruction at ``pc``; cache it."""
-        reply = self.ibus.read(pc, 4, master="ifetch")
-        word = reply.value()
-        resolved = self._by_word.get(word)
-        if resolved is None:
+    def _fault_at(self, pc: int) -> CpuFault:
+        """The fault of executing ``pc``, which has no decode-table entry."""
+        program = self._program
+        if program.base <= pc < program.end and not pc & 3:
+            word = program.words[(pc - program.base) >> 2]
             try:
-                decoded = decode(word)
-            except Exception as exc:
-                raise CpuFault(f"illegal instruction 0x{word:08x}: {exc}", pc=pc) from exc
-            resolved = (*_operation(decoded), self.pipeline.static_cost(decoded))
-            self._by_word[word] = resolved
-        entry = _Entry(*resolved, max(0, reply.cycles - 1))
-        self._table[pc] = entry
-        return entry
+                decode(word)
+            except IsaError as exc:
+                return CpuFault(f"illegal instruction 0x{word:08x}: {exc}", pc=pc)
+        return CpuFault(
+            f"no instruction at 0x{pc:08x}: the program holds "
+            f"[0x{program.base:08x}, 0x{program.end:08x})",
+            pc=pc,
+        )
 
     def _write_reg(self, rd: int, value: int) -> None:
         if rd != 0:

@@ -1,20 +1,23 @@
 """Timing model of the µRISC-V 4-stage pipeline.
 
 The Codasip µRISC-V used in the paper is a 32-bit, 4-stage in-order
-pipeline (IF / ID / EX / WB).  With a 1-cycle program BRAM it sustains
-one instruction per cycle except for the classic in-order penalties:
+pipeline (IF / ID / EX / WB).  It issues one instruction per cycle
+except for the classic in-order penalties:
 
 - **load-use hazard** — a load followed immediately by a consumer
   stalls one cycle (the loaded value arrives at WB),
 - **taken control flow** — branches resolve in EX, so a taken branch
   or any jump flushes the two younger stages,
 - **multi-cycle EX** — M-extension multiply/divide iterate in EX,
-- **bus wait states** — data-memory transfers beyond a single cycle
-  stall the pipeline for the extra cycles (reported by the bus reply).
+- **bus wait states** — an instruction fetch or data transfer beyond
+  a single cycle stalls the pipeline for the extra cycles (the ISS
+  composes the fetch price once and takes the data price from the
+  bus reply).
 
-The model is table-driven and kept separate from the ISS so the same
-functional core can be timed with different pipeline depths in
-ablation studies.
+The penalties are the module constants below.  :func:`static_cost`
+prices what an instruction word alone determines, so the ISS prices
+each distinct word once, at program load; :meth:`PipelineModel.charge`
+adds what depends on the dynamic instruction stream.
 """
 
 from __future__ import annotations
@@ -42,10 +45,24 @@ class PipelineStats:
         return self.cycles / self.instructions if self.instructions else 0.0
 
 
+#: Cycles every instruction takes through the pipeline.
+BASE_CPI = 1
+#: Stall of an instruction that reads the previous load's destination.
+LOAD_USE_PENALTY = 1
+#: IF and ID flushed on a taken branch, which resolves in EX.
+TAKEN_BRANCH_PENALTY = 2
+#: IF and ID flushed on a jump.
+JUMP_PENALTY = 2
+#: EX iterations of the 32x32 multiplier.
+MUL_CYCLES = 3
+#: EX iterations of the radix-2 divider.
+DIV_CYCLES = 18
+
+
 class StaticCost(NamedTuple):
     """The part of one instruction's timing that is fixed at decode."""
 
-    cycles: int  # base CPI + fetch wait states + multi-cycle EX
+    cycles: int  # base CPI + multi-cycle EX
     muldiv_extra: int
     flush_penalty: int | None  # paid when the instruction redirects; None if it cannot
     sources: tuple[int, int]  # rs1, rs2: load-use hazard candidates
@@ -53,53 +70,37 @@ class StaticCost(NamedTuple):
     klass: str
 
 
-@dataclass
+def static_cost(decoded: Decoded) -> StaticCost:
+    """Price everything about ``decoded`` that no run can change."""
+    extra = 0
+    if decoded.is_mul_div:
+        extra = (MUL_CYCLES if decoded.mnemonic.startswith("mul") else DIV_CYCLES) - 1
+    flush: int | None = None
+    if decoded.is_jump:
+        flush = JUMP_PENALTY
+    elif decoded.is_branch:
+        flush = TAKEN_BRANCH_PENALTY
+    return StaticCost(
+        cycles=BASE_CPI + extra,
+        muldiv_extra=extra,
+        flush_penalty=flush,
+        sources=(decoded.rs1, decoded.rs2),
+        load_rd=decoded.rd if decoded.is_load else None,
+        klass=_classify(decoded),
+    )
+
+
 class PipelineModel:
-    """Cost parameters of the 4-stage in-order pipeline.
+    """The dynamic half of the pipeline timing: :meth:`charge` prices one
+    executed instruction from its :func:`static_cost` and the stream
+    before it, and accumulates :attr:`stats`."""
 
-    Pricing is split in two: :meth:`static_cost` is what the decoded
-    instruction alone determines (the ISS prices each instruction word
-    once, at decode), and :meth:`charge` adds the costs that depend on
-    the dynamic instruction stream and updates :attr:`stats`.
-    """
-
-    base_cpi: int = 1
-    load_use_penalty: int = 1
-    taken_branch_penalty: int = 2  # IF+ID flushed on EX-resolved branches
-    jump_penalty: int = 2
-    mul_cycles: int = 3  # iterative 32x32 multiplier
-    div_cycles: int = 18  # radix-2 divider
-    fetch_wait_states: int = 0  # extra cycles per fetch beyond 1-cycle BRAM
-
-    def __post_init__(self) -> None:
-        self.stats = PipelineStats()
-        self._pending_load_rd: int | None = None
+    def __init__(self) -> None:
+        self.reset()
 
     def reset(self) -> None:
         self.stats = PipelineStats()
-        self._pending_load_rd = None
-
-    def static_cost(self, decoded: Decoded) -> StaticCost:
-        """Price everything about ``decoded`` that no run can change."""
-        extra = 0
-        if decoded.is_mul_div:
-            iterations = (
-                self.mul_cycles if decoded.mnemonic.startswith("mul") else self.div_cycles
-            )
-            extra = iterations - 1
-        flush: int | None = None
-        if decoded.is_jump:
-            flush = self.jump_penalty
-        elif decoded.is_branch:
-            flush = self.taken_branch_penalty
-        return StaticCost(
-            cycles=self.base_cpi + self.fetch_wait_states + extra,
-            muldiv_extra=extra,
-            flush_penalty=flush,
-            sources=(decoded.rs1, decoded.rs2),
-            load_rd=decoded.rd if decoded.is_load else None,
-            klass=_classify(decoded),
-        )
+        self._pending_load_rd: int | None = None
 
     def charge(self, cost: StaticCost, taken: bool = False, bus_wait: int = 0) -> int:
         """Cycles of one executed instruction, given its static cost.
@@ -107,12 +108,12 @@ class PipelineModel:
         Parameters
         ----------
         cost:
-            The instruction's :meth:`static_cost`.
+            The instruction's :func:`static_cost`.
         taken:
             Whether a branch/jump redirected the front end.
         bus_wait:
             Extra bus cycles beyond the ideal single-cycle access
-            (fetch plus data, from the bus :class:`~repro.bus.types.Reply`).
+            (fetch plus data).
         """
         stats = self.stats
         cycles, muldiv_extra, flush_penalty, sources, load_rd, klass = cost
@@ -121,7 +122,7 @@ class PipelineModel:
         # this instruction consumes before it reaches WB.
         pending = self._pending_load_rd
         if pending and pending in sources:
-            cycles += self.load_use_penalty
+            cycles += LOAD_USE_PENALTY
             stats.load_use_stalls += 1
         self._pending_load_rd = load_rd
 
@@ -150,7 +151,7 @@ class PipelineModel:
     ) -> int:
         """Cycles consumed by one instruction (decode-time and run-time
         costs together; see :meth:`charge` for the parameters)."""
-        return self.charge(self.static_cost(decoded), taken=taken, bus_wait=bus_wait)
+        return self.charge(static_cost(decoded), taken=taken, bus_wait=bus_wait)
 
 
 def _classify(decoded: Decoded) -> str:

@@ -82,25 +82,18 @@ class Program:
     @classmethod
     def from_mem_file(cls, text: str) -> "Program":
         base: int | None = None
-        address: int | None = None
         words: list[int] = []
         for raw_line in text.splitlines():
             line = raw_line.split("//")[0].strip()
             if not line:
                 continue
             for token in line.split():
-                if token.startswith("@"):
-                    word_address = int(token[1:], 16)
-                    if base is None:
-                        base = word_address * 4
-                        address = word_address
-                    elif word_address != address:
-                        raise IsaError(".mem images with holes are not supported")
+                if not token.startswith("@"):
+                    words.append(int(token, 16))
                     continue
-                if base is None:
-                    base = 0
-                    address = 0
-                words.append(int(token, 16))
-                assert address is not None
-                address += 1
+                address = int(token[1:], 16) * 4
+                if base is None and not words:
+                    base = address
+                elif address != (base or 0) + 4 * len(words):
+                    raise IsaError(".mem images with holes are not supported")
         return cls(base=base or 0, words=words)

@@ -109,7 +109,3 @@ class InferenceResponse:
     worker_id: int
     batch_id: int  # which scheduler batch dispatched this request
     notes: dict = field(default_factory=dict)
-
-    @property
-    def sim_milliseconds(self) -> float:
-        return self.sim_seconds * 1e3

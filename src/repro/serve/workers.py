@@ -109,9 +109,8 @@ class SocWorker:
         down that this fast path stays bit-identical to a fresh SoC.
         """
         if self._is_replay(bundle):
-            # Program BRAM and reset PC are untouched since the last
-            # run, so skip the program reload (the CPU's decode table
-            # stays warm with it).
+            # The CPU still holds the program, decoded at its last
+            # load, and its reset pc, so skip the program load.
             self.soc.reset_for_run(scrub_dram=False)
             for image in bundle.images.preload:
                 if image.name == "weights.bin":

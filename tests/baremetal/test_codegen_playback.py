@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.baremetal.codegen import CodegenOptions, MAGIC_DONE, generate_assembly
 from repro.baremetal.config_file import ConfigCommand
 from repro.bus.types import AccessType, BusPort, Reply, Transfer
-from repro.mem import Bram
 from repro.riscv import Cpu, assemble
 
 STATUS_BASE = 0x100000
@@ -61,7 +60,7 @@ def _run(commands: list[ConfigCommand], poll_delay: int = 3) -> ScriptedRegister
     assembly = generate_assembly(commands, options=CodegenOptions(poll_limit=1000))
     program = assemble(assembly)
     bus = ScriptedRegisterBus(commands, poll_delay=poll_delay)
-    cpu = Cpu(ibus=Bram(1 << 20), dbus=bus)
+    cpu = Cpu(bus)
     cpu.load_program(program)
     cpu.run(max_instructions=2_000_000)
     assert bus.status_page.get(0) == MAGIC_DONE, "program did not self-report DONE"

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.compiler import CompileOptions, compile_network
+from repro.compiler.allocator import allocate_memory
 from repro.compiler.loadable import Loadable
 from repro.compiler.ops import ConvOp, CpuSoftmaxOp, LrnOp, PoolOp, SdpOp
+from repro.core.address_map import DRAM_BASE, DRAM_SIZE
 from repro.errors import CompilerError
 from repro.nn.graph import Network
 from repro.nn.zoo import ZOO, mobilenet_v1
@@ -155,6 +159,14 @@ def test_allocator_regions_ordered_and_disjoint(tiny_net):
     assert mm.weights.address >= mm.base + 0x1000  # status page reserved
     assert mm.input.address >= mm.weights.end
     assert mm.activations.address >= mm.input.end
+
+
+def test_allocator_rejects_schedule_without_input_or_output(tiny_net):
+    schedule = compile_network(tiny_net, NV_SMALL).schedule
+    for missing in ("input_tensor", "output_tensor"):
+        broken = dataclasses.replace(schedule, **{missing: None})
+        with pytest.raises(CompilerError, match="no network input or output"):
+            allocate_memory(broken, NV_SMALL, 0, DRAM_BASE, DRAM_SIZE)
 
 
 def test_allocator_reuses_buffers():

@@ -11,11 +11,11 @@ from repro.bus.ahb import AhbLiteBus
 from repro.bus.apb import ApbBus
 from repro.bus.bridges import AhbToApbBridge, ApbToCsbAdapter
 from repro.core import DEFAULT_MAP, Soc, TestSystem
-from repro.core.address_map import DRAM_BASE, DRAM_SIZE, NVDLA_LIMIT
+from repro.core.address_map import DRAM_BASE, DRAM_SIZE, NVDLA_LIMIT, PROGRAM_MEMORY_SIZE
 from repro.core.nvdla_wrapper import CsbPort
-from repro.errors import BusError, CpuFault
+from repro.errors import BusError, CpuFault, MemoryError_
 from repro.nvdla import NV_SMALL
-from repro.riscv import assemble
+from repro.riscv import Cpu, Program, assemble
 
 
 # ----------------------------------------------------------------------
@@ -196,6 +196,33 @@ def test_used_soc_needs_reset_for_run_before_load_program(soc):
     soc.reset_for_run()
     soc.load_program(program_b)
     assert soc.executor.run() == fresh_stats
+
+
+def test_program_entry_is_the_same_on_cpu_and_soc(soc):
+    """One load path: a bare core and a SoC start a program at the same
+    pc, including ``entry == 0`` under a nonzero base."""
+    words = assemble("ebreak\n").words
+    for entry, start in ((0, 0), (None, 0x100), (0x104, 0x104)):
+        program = Program(base=0x100, words=words * 2, entry=entry)
+        cpu = Cpu(soc.system_bus)
+        cpu.load_program(program)
+        soc.load_program(program)
+        assert cpu.pc == soc.cpu.pc == start
+
+
+def test_program_larger_than_program_memory_is_rejected(soc):
+    fits = Program(words=[0x13] * (PROGRAM_MEMORY_SIZE // 4))
+    soc.load_program(fits)
+    with pytest.raises(MemoryError_, match="outside program memory"):
+        soc.load_program(Program(base=4, words=fits.words))
+
+
+def test_jump_past_program_memory_faults_with_the_pc(soc):
+    target = PROGRAM_MEMORY_SIZE + 0x40
+    soc.load_program(assemble(f"li t0, 0x{target:x}\njr t0\n"))
+    with pytest.raises(CpuFault, match="no instruction at") as excinfo:
+        soc.executor.run()
+    assert excinfo.value.pc == target
 
 
 def test_preload_and_describe(soc):

@@ -12,6 +12,10 @@ statistics.  The port also publishes its register window as a
 :class:`~repro.bus.types.RegisterRoute`, which the CPU's interpreter
 loop calls directly; whole bundle runs on that route must equal runs
 through the layered walk, which has no route.
+
+The instruction port is not simulated at all: the core decodes the
+program at load and prices every fetch with one composed constant,
+which must equal the AHB-Lite → BRAM walk at every program address.
 """
 
 from __future__ import annotations
@@ -27,11 +31,19 @@ from repro.bus.apb import ApbBus
 from repro.bus.bridges import AhbToApbBridge, AhbToAxiBridge, ApbToCsbAdapter
 from repro.bus.interconnect import AddressDecoder, Region
 from repro.core import Soc
-from repro.core.address_map import DRAM_BASE, DRAM_LIMIT, NVDLA_LIMIT, AddressMap
+from repro.core.address_map import (
+    DRAM_BASE,
+    DRAM_LIMIT,
+    NVDLA_LIMIT,
+    PROGRAM_MEMORY_SIZE,
+    AddressMap,
+)
 from repro.core.nvdla_wrapper import CsbPort
 from repro.errors import CpuFault, ReproError
+from repro.mem.bram import Bram
 from repro.nvdla import NV_SMALL
 from repro.riscv import assemble
+from repro.riscv.cpu import FETCH_CYCLES, FETCH_WAIT
 from repro.serve.cache import BundleCache
 
 SIZES = (1, 2, 4)
@@ -234,3 +246,35 @@ def test_bundle_runs_match_layer_walk(model, cache):
             )
         )
     assert runs[0] == runs[1]
+
+
+def layered_instruction_port(program) -> AhbLiteBus:
+    """The core's instruction port as a walk through the layer models:
+    AHB-Lite → program BRAM, holding ``program``."""
+    bram = Bram(PROGRAM_MEMORY_SIZE)
+    bram.load_image(program.to_bytes(), base=program.base)
+    return AhbLiteBus(bram)
+
+
+@pytest.mark.parametrize("model", ["lenet5", "resnet18"])
+def test_fetch_price_matches_layer_walk(model, cache):
+    """At every address of a bundle's program, the hop-by-hop fetch
+    returns the word the core decoded and costs :data:`FETCH_CYCLES`:
+    one pipeline cycle plus :data:`FETCH_WAIT` wait states."""
+    program = cache.bundle_for(model, "nv_small").program
+    port = layered_instruction_port(program)
+    for pc, word in zip(range(program.base, program.end, 4), program.words):
+        reply = port.read(pc, 4, master="ifetch")
+        assert (reply.value(), reply.cycles) == (word, FETCH_CYCLES), hex(pc)
+    assert FETCH_WAIT == FETCH_CYCLES - 1 == 1
+
+
+def test_every_instruction_pays_the_fetch_wait():
+    """A run without data-port traffic waits only on fetches: one
+    :data:`FETCH_WAIT` per executed instruction."""
+    soc = Soc(NV_SMALL)
+    source = "li t0, 3\nloop:\n addi t0, t0, -1\n bnez t0, loop\n mul a0, t0, t0\n ebreak\n"
+    outcome = _run(soc, source)
+    assert outcome[0] == "ok"
+    stats = soc.cpu.pipeline.stats
+    assert stats.bus_wait_cycles == FETCH_WAIT * stats.instructions > 0

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bus.types import BusPort, Reply, Transfer, AccessType
 from repro.errors import CpuFault
-from repro.mem import Bram
 from repro.riscv import Cpu, assemble
 from repro.riscv.isa import to_s32
 
@@ -29,7 +28,7 @@ class _FlatBus(BusPort):
 
 
 def run_asm(source: str, max_instructions: int = 100_000) -> Cpu:
-    cpu = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    cpu = Cpu(_FlatBus())
     cpu.load_program(assemble(source))
     cpu.run(max_instructions=max_instructions)
     return cpu
@@ -275,7 +274,7 @@ def test_load_program_rebuilds_decode_table():
     program_b = assemble("li a0, 5\n li t0, 3\n sub a0, a0, t0\n li a7, 93\n ecall\n")
     cpu.load_program(program_b)
     cpu.run()
-    fresh = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    fresh = Cpu(_FlatBus())
     fresh.load_program(program_b)
     fresh.run()
     assert cpu.regs[10] == fresh.regs[10] == 2
@@ -283,9 +282,25 @@ def test_load_program_rebuilds_decode_table():
     assert cpu.pipeline.stats == fresh.pipeline.stats
 
 
+@pytest.mark.parametrize(
+    "source",
+    ["li a0, 1\n nop\n", "li t0, 0x4000\n jr t0\n"],
+    ids=["falls-off-last-word", "jumps-past-end"],
+)
+def test_pc_outside_the_program_faults_with_the_pc(source):
+    program = assemble(source)
+    cpu = Cpu(_FlatBus())
+    cpu.load_program(program)
+    with pytest.raises(CpuFault, match="no instruction at") as excinfo:
+        cpu.run()
+    target = program.end if "nop" in source else 0x4000
+    assert excinfo.value.pc == cpu.pc == target
+    assert cpu.instret == len(program.words)  # every word ran once, then the fault
+
+
 def test_illegal_word_faults_only_when_executed():
     program = assemble("li a0, 1\n j done\n .word 0xFFFFFFFF\ndone:\n li a7, 93\n ecall\n")
-    cpu = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    cpu = Cpu(_FlatBus())
     cpu.load_program(program)
     cpu.run()
     assert cpu.exit_code == 1
@@ -326,14 +341,14 @@ def test_stepping_equals_run():
     a program driven one step at a time ends in the run's exact state,
     counters read mid-program included."""
     program = assemble(STEP_PROGRAM)
-    stepped = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    stepped = Cpu(_FlatBus())
     stepped.load_program(program)
     before = {}  # pc -> (instret, cycles) before its first execution
     while not stepped.halted:
         before.setdefault(stepped.pc, (stepped.instret, stepped.cycles))
         stepped.step()
     assert stepped.step() == 0  # a halted core does nothing
-    ran = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    ran = Cpu(_FlatBus())
     ran.load_program(program)
     ran.run()
     assert stepped.state() == ran.state()
@@ -347,7 +362,7 @@ def test_stepping_equals_run():
 
 
 def test_poll_tracker_detects_streak():
-    cpu = Cpu(ibus=Bram(1 << 16), dbus=_FlatBus())
+    cpu = Cpu(_FlatBus())
     cpu.load_program(
         assemble(
             """

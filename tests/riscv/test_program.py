@@ -17,6 +17,16 @@ def test_mem_file_roundtrip():
     assert back.base == 0x100
 
 
+def test_mem_file_directives_must_continue_the_image():
+    assert Program.from_mem_file("00000013\n@00000001\n00000073\n").words == [0x13, 0x73]
+    leading = Program.from_mem_file("@00000004\n@00000004\n00000013\n")
+    assert (leading.base, leading.words) == (0x10, [0x13])
+    with pytest.raises(IsaError, match="holes"):
+        Program.from_mem_file("@00000004\n00000013\n@00000009\n00000013\n")
+    with pytest.raises(IsaError, match="holes"):
+        Program.from_mem_file("@00000004\n@00000005\n")
+
+
 def test_mem_file_format_has_address_directive():
     program = assemble("nop\n", base=0x400)
     assert program.to_mem_file().startswith("@00000100\n")  # word address

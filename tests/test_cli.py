@@ -332,3 +332,25 @@ def test_warmup_verify_and_store_verify_static(tmp_path, capsys):
 
     assert main(["store", "verify", "--static", "--store", root]) == 0
     assert "1 ok, 0 problem(s)" in capsys.readouterr().out
+
+
+def test_serve_arrival_gaps_follow_the_arrival_processes():
+    """``serve --arrival`` draws its gaps from the cluster's arrival
+    processes on the ``(seed, 0xA221)`` stream: constant gaps are
+    ``1 / rps``, Poisson gaps the stream's exponential draws."""
+    import argparse
+
+    import numpy as np
+
+    from repro.cli import _arrival_gaps
+
+    args = argparse.Namespace(arrival="constant", rps=40.0, seed=7)
+    assert _arrival_gaps(args, 5) == [0.025] * 5
+    args.arrival = "poisson"
+    expected = np.random.default_rng((7, 0xA221)).exponential(1 / 40.0, size=1000)
+    assert _arrival_gaps(args, 1000) == expected.tolist()
+    args.arrival = "none"
+    assert _arrival_gaps(args, 5) is None
+    args.arrival, args.rps = "poisson", 0.0
+    with pytest.raises(SystemExit, match="--rps must be positive"):
+        _arrival_gaps(args, 5)
