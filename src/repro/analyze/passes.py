@@ -53,12 +53,12 @@ analyze_chains` runs it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.compiler.allocator import MemoryMap, Region
 from repro.compiler.loadable import Loadable
 from repro.compiler.ops import ConvOp, TensorRef
-from repro.core.address_map import AddressMap, DEFAULT_MAP, STATUS_PAGE_BASE, STATUS_PAGE_SIZE
+from repro.core.address_map import DRAM_BASE, DRAM_LIMIT, STATUS_PAGE_BASE, STATUS_PAGE_SIZE
 from repro.errors import TilingError
 from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig
@@ -80,7 +80,6 @@ class AnalysisContext:
     loadable: Loadable
     config: HardwareConfig
     layers: list[ParsedLayer]
-    address_map: AddressMap = field(default_factory=lambda: DEFAULT_MAP)
 
     @property
     def memory_map(self) -> MemoryMap:
@@ -143,7 +142,7 @@ def pass_memory_map(ctx: AnalysisContext) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     mm = ctx.memory_map
     regions = [mm.weights, mm.input, mm.activations]
-    dram = (ctx.address_map.dram_base, ctx.address_map.dram_limit + 1)
+    dram = (DRAM_BASE, DRAM_LIMIT + 1)
     for region in regions:
         if not (dram[0] <= region.address and region.end <= dram[1]):
             diags.append(
@@ -343,7 +342,7 @@ def pass_register_fields(ctx: AnalysisContext) -> list[Diagnostic]:
 def pass_dma_bounds(ctx: AnalysisContext) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     mm = ctx.memory_map
-    dram = (ctx.address_map.dram_base, ctx.address_map.dram_limit + 1)
+    dram = (DRAM_BASE, DRAM_LIMIT + 1)
     status = (STATUS_PAGE_BASE, STATUS_PAGE_BASE + STATUS_PAGE_SIZE)
     for surface in ctx.surfaces():
         if surface.size <= 0:

@@ -3,8 +3,10 @@
 Each ``write_reg`` becomes a store through a cached window base
 register; each ``read_reg`` becomes a bounded poll loop (load, mask,
 compare).  The program is self-checking: it records a success or
-failure magic word — plus the failing command index and the cycle
-counter — in the DRAM status page, then halts with ``ebreak``.
+failure magic word — plus the failing command index and address, or
+the completion cycle count — in the DRAM status page
+(:data:`~repro.core.address_map.STATUS_PAGE_BASE`, the layout the SoC
+decodes), then halts with ``ebreak``.
 
 Register conventions of the generated code:
 
@@ -24,26 +26,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baremetal.config_file import ConfigCommand
+from repro.core.address_map import (
+    STATUS_CYCLES_HI,
+    STATUS_CYCLES_LO,
+    STATUS_FAIL_ADDR,
+    STATUS_FAIL_INDEX,
+    STATUS_PAGE_BASE,
+    STATUS_RESULT,
+)
 from repro.errors import CodegenError
 
 MAGIC_DONE = 0x600D600D
 MAGIC_FAIL = 0xDEADDEAD
 
-# Status-page layout (offsets from status_base).
-STATUS_RESULT = 0x00
-STATUS_FAIL_INDEX = 0x04
-STATUS_FAIL_ADDR = 0x08
-STATUS_CYCLES_LO = 0x10
-STATUS_CYCLES_HI = 0x14
-
 
 @dataclass(frozen=True)
 class CodegenOptions:
-    """Code-generation knobs."""
+    """Code-generation knobs.
 
-    status_base: int = 0x100000  # DRAM status page (first DRAM bytes)
+    Where the status words go is not a knob: the program writes the
+    status page of :mod:`repro.core.address_map`, which the SoC reads,
+    and always records the completion cycle count (``mcycle``/``mcycleh``).
+    """
+
     poll_limit: int = 10_000_000  # bounded retries per read_reg
-    record_cycles: bool = True  # read mcycle/mcycleh at completion
 
     def __post_init__(self) -> None:
         if self.poll_limit <= 0:
@@ -70,7 +76,7 @@ def generate_assembly(
     if header:
         lines.extend(f"# {line}" for line in header.splitlines())
     lines.append("# generated by repro.baremetal.codegen")
-    lines.append(f".equ STATUS_BASE, 0x{options.status_base:08x}")
+    lines.append(f".equ STATUS_BASE, 0x{STATUS_PAGE_BASE:08x}")
     lines.append("_start:")
 
     window = None  # current (window_base | 0x800) held in s0
@@ -99,17 +105,16 @@ def generate_assembly(
             lines.append(f"pass_{index}:")
 
     lines.append("done:")
-    lines.extend(_li("s1", options.status_base))
+    lines.extend(_li("s1", STATUS_PAGE_BASE))
     lines.extend(_li("a0", MAGIC_DONE))
     lines.append(f"    sw   a0, {STATUS_RESULT}(s1)")
-    if options.record_cycles:
-        lines.append("    csrr a0, mcycle")
-        lines.append(f"    sw   a0, {STATUS_CYCLES_LO}(s1)")
-        lines.append("    csrr a0, mcycleh")
-        lines.append(f"    sw   a0, {STATUS_CYCLES_HI}(s1)")
+    lines.append("    csrr a0, mcycle")
+    lines.append(f"    sw   a0, {STATUS_CYCLES_LO}(s1)")
+    lines.append("    csrr a0, mcycleh")
+    lines.append(f"    sw   a0, {STATUS_CYCLES_HI}(s1)")
     lines.append("    ebreak")
     lines.append("fail:")
-    lines.extend(_li("s1", options.status_base))
+    lines.extend(_li("s1", STATUS_PAGE_BASE))
     lines.extend(_li("a0", MAGIC_FAIL))
     lines.append(f"    sw   a0, {STATUS_RESULT}(s1)")
     lines.append(f"    sw   a1, {STATUS_FAIL_INDEX}(s1)")

@@ -670,7 +670,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.action == "summarize":
         print(render_summary(spans))
         return 0
-    assert args.action == "view"
+    # argparse's ``choices`` leave "view" as the only other action.
     trees = build_trees(spans)
     shown = trees if args.limit is None else trees[: args.limit]
     for tree in shown:
@@ -788,7 +788,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         report = store.verify(static=args.static)
         print(report.render())
         return 0 if report.clean else 1
-    assert args.action == "gc"
+    # argparse's ``choices`` leave "gc" as the only other action.
     max_bytes = int(args.max_mib * 1024 * 1024) if args.max_mib is not None else None
     evicted = store.gc(max_bytes=max_bytes, max_objects=args.max_objects)
     for entry in evicted:

@@ -1,11 +1,12 @@
 """DRAM address assignment with liveness-based buffer reuse.
 
 Memory map inside the SoC's DRAM window (absolute bus addresses; the
-decoder places DRAM at ``0x100000``)::
+window and its status page are :mod:`repro.core.address_map`)::
 
-    base ──► weight blob (the preloaded "weight file")
-             input tensor (the preloaded image)
-             activation arena (buffers reused by liveness)
+    DRAM_BASE ──► status page (written by the bare-metal program)
+                  weight blob (the preloaded "weight file")
+                  input tensor (the preloaded image)
+                  activation arena (buffers reused by liveness)
 
 Activation blobs are freed after their last consuming op and recycled
 best-fit, which keeps ResNet-50's arena tens of megabytes instead of
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.address_map import DRAM_BASE, DRAM_SIZE, STATUS_PAGE_BASE, STATUS_PAGE_SIZE
 from repro.errors import CompilerError
 from repro.compiler.ops import Schedule, TensorRef
 from repro.nvdla.config import HardwareConfig, Precision
@@ -94,8 +96,6 @@ def allocate_memory(
     schedule: Schedule,
     config: HardwareConfig,
     weight_blob_size: int,
-    base: int,
-    dram_size: int,
     align: int = 256,
 ) -> MemoryMap:
     """Assign addresses to every tensor reference in the schedule."""
@@ -131,9 +131,13 @@ def allocate_memory(
         for blob, refs in refs_by_blob.items()
     }
 
-    # The first 4 KiB of the DRAM window are reserved as the bare-metal
-    # status page (result/error words written by the generated program).
-    weight_region = Region("weights", _align(base + 0x1000, 4096), _align(weight_blob_size, 4096))
+    # The status page (result/error words written by the generated
+    # program) comes first; the weights start on the next 4 KiB page.
+    weight_region = Region(
+        "weights",
+        _align(STATUS_PAGE_BASE + STATUS_PAGE_SIZE, 4096),
+        _align(weight_blob_size, 4096),
+    )
     input_blob = schedule.input_tensor.blob
     input_region = Region(
         "input", weight_region.end, _align(sizes[input_blob], align)
@@ -158,10 +162,10 @@ def allocate_memory(
     activation_region = Region(
         "activations", input_region.end, max(0, arena.top - input_region.end)
     )
-    if activation_region.end > base + dram_size:
+    if activation_region.end > DRAM_BASE + DRAM_SIZE:
         raise CompilerError(
-            f"allocation exceeds DRAM: needs {activation_region.end - base} bytes, "
-            f"window is {dram_size}"
+            f"allocation exceeds DRAM: needs {activation_region.end - DRAM_BASE} bytes, "
+            f"window is {DRAM_SIZE}"
         )
 
     # Resolve every reference's absolute address.
@@ -174,7 +178,7 @@ def allocate_memory(
             ref.address = blob_address + ref.view_offset_bytes(atom)
 
     return MemoryMap(
-        base=base,
+        base=DRAM_BASE,
         weights=weight_region,
         input=input_region,
         activations=activation_region,

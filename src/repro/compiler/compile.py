@@ -25,17 +25,16 @@ from repro.nvdla.config import HardwareConfig, Precision
 class CompileOptions:
     """Knobs of one compilation.
 
-    ``memory_base`` is the absolute bus address of the DRAM window —
-    ``0x100000`` in the paper's SoC decoder map — so that VP traces
-    replay unmodified on the SoC.
+    Where the loadable lives is not a knob: the allocator places every
+    region at absolute bus addresses inside the SoC's DRAM window
+    (:mod:`repro.core.address_map`), above the status page, so VP
+    traces replay unmodified on the SoC; the weight packer aligns each
+    blob to :data:`~repro.compiler.weight_packer.WEIGHT_ALIGN`.
     """
 
     precision: Precision = Precision.INT8
-    memory_base: int = 0x100000
-    dram_size: int = 512 * 1024 * 1024
     calibration: CalibrationTable | None = None
     calibration_samples: int = 2
-    weight_align: int = 64
     #: Fusion tier: ``"descriptor"`` additionally collapses conv →
     #: SDP/pool pairs into single pipelined chains (PDP streams the
     #: SDP result on-chip, no intermediate DRAM surface);
@@ -90,14 +89,8 @@ def compile_network(
     if options.fusion == "descriptor":
         fuse_descriptor_chains(schedule)
     tiling = analyze_schedule(schedule, config)
-    weight_blob = pack_schedule_weights(schedule, config, align=options.weight_align)
-    memory_map = allocate_memory(
-        schedule,
-        config,
-        weight_blob_size=len(weight_blob),
-        base=options.memory_base,
-        dram_size=options.dram_size,
-    )
+    weight_blob = pack_schedule_weights(schedule, config)
+    memory_map = allocate_memory(schedule, config, weight_blob_size=len(weight_blob))
     loadable = Loadable(
         network=net.name,
         config=config.name,

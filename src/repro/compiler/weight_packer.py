@@ -1,10 +1,11 @@
 """Weight-blob packing.
 
 Lays every convolution's packed weights and bias vector into one
-contiguous image — the "weight file" of the paper's flow, preloaded
-into DRAM by the Zynq PS before inference.  Offsets are recorded on
-the ops; absolute addresses are ``weight_base + offset`` once the
-allocator places the region.
+contiguous image, each blob aligned to :data:`WEIGHT_ALIGN` bytes —
+the "weight file" of the paper's flow, preloaded into DRAM by the Zynq
+PS before inference.  Offsets are recorded on the ops; absolute
+addresses are ``weight_base + offset`` once the allocator places the
+region.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ from repro.compiler.ops import ConvOp, Schedule
 from repro.nvdla.config import HardwareConfig, Precision
 from repro.nvdla.layout import pack_weights
 
+#: Byte alignment of every weight and bias blob in the weight image.
+WEIGHT_ALIGN = 64
 
-def _aligned(offset: int, align: int) -> int:
-    return (offset + align - 1) // align * align
+
+def _aligned(offset: int) -> int:
+    return (offset + WEIGHT_ALIGN - 1) // WEIGHT_ALIGN * WEIGHT_ALIGN
 
 
-def pack_schedule_weights(
-    schedule: Schedule,
-    config: HardwareConfig,
-    align: int = 64,
-) -> bytes:
+def pack_schedule_weights(schedule: Schedule, config: HardwareConfig) -> bytes:
     """Pack all weights/biases; fills the ops' offset fields.
 
     Returns the weight blob.  INT8 ops must already be quantised.
@@ -35,7 +35,7 @@ def pack_schedule_weights(
 
     def push(data: bytes) -> int:
         nonlocal offset
-        start = _aligned(offset, align)
+        start = _aligned(offset)
         if start > offset:
             chunks.append(b"\x00" * (start - offset))
         chunks.append(data)

@@ -1,6 +1,6 @@
-"""The system-bus decoder map (paper §IV-A2).
+"""The SoC memory map (paper §IV-A2): the one statement of it.
 
-Two slave windows, exactly as published:
+Two slave windows on the system-bus decoder, exactly as published:
 
 - **NVDLA**: ``0x0 -- 0xFFFFF`` — "covering all configuration
   register addresses of the NVDLA" (the CSB space proper ends at
@@ -11,9 +11,15 @@ This mapping lets the RISC-V program NVDLA with ordinary load/store
 instructions — no custom instructions — which is what makes the
 generated bare-metal assembly portable to any RV32 core.
 
-Program memory hangs off the core's instruction-side AHB port (the
-Codasip testbench wires it separately), so it does not occupy a data
-window.
+The first DRAM page is the bare-metal status page.  Every layer reads
+this one statement: the compiler's placement, the code generator's
+status writes, the VP's memory, the SoC's DRAM and status decode, and
+the analyzer.  :class:`AddressMap` is the decoder's view, which the SoC
+takes only so tests can build a decoder with other limits.  This module
+imports nothing from the package, so any layer can read it first.
+
+Program memory hangs off the core's instruction-side AHB port, so it
+does not occupy a data window.
 """
 
 from __future__ import annotations
@@ -23,14 +29,21 @@ from dataclasses import dataclass
 NVDLA_BASE = 0x0
 NVDLA_LIMIT = 0xFFFFF
 DRAM_BASE = 0x100000
-DRAM_LIMIT = 0x200FFFFF
-DRAM_SIZE = DRAM_LIMIT - DRAM_BASE + 1  # exactly 512 MiB
+DRAM_SIZE = 512 * 1024 * 1024
+DRAM_LIMIT = DRAM_BASE + DRAM_SIZE - 1
 
-PROGRAM_MEMORY_BASE = 0x0  # on the instruction port's own address space
 PROGRAM_MEMORY_SIZE = 1 << 20  # 1 MiB of BRAM (232 tiles in Table I)
 
 STATUS_PAGE_BASE = DRAM_BASE  # bare-metal status words (first DRAM page)
 STATUS_PAGE_SIZE = 0x1000
+
+# Status-page layout (offsets from STATUS_PAGE_BASE).
+STATUS_RESULT = 0x00
+STATUS_FAIL_INDEX = 0x04
+STATUS_FAIL_ADDR = 0x08
+STATUS_CYCLES_LO = 0x10
+STATUS_CYCLES_HI = 0x14
+STATUS_WORDS_BYTES = STATUS_CYCLES_HI + 4  # every status word the program writes
 
 
 @dataclass(frozen=True)
@@ -55,5 +68,3 @@ class AddressMap:
 
 
 DEFAULT_MAP = AddressMap()
-
-assert DEFAULT_MAP.dram_size == 512 * 1024 * 1024, "paper's map is exactly 512 MiB"

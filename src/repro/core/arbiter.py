@@ -4,12 +4,12 @@
 its DBB interface) and the RISC-V processor (via its AHB interface),
 ensuring mutual exclusion and efficient memory utilization."
 
-Model: CPU-side transfers pay a grant penalty whenever an NVDLA DMA
-window is active at that simulation instant (the accelerator holds
-the bank); NVDLA streams pay a small fixed arbitration cost per burst
-(folded into the MCIF efficiency factor).  Mutual exclusion is exact
-in function — both masters address the same backing store through one
-port — and first-order in timing.
+Model: CPU-side transfers pay :data:`GRANT_PENALTY` cycles whenever an
+NVDLA DMA window is active at that simulation instant (the accelerator
+holds the bank); NVDLA streams pay a small fixed arbitration cost per
+burst (folded into :data:`repro.nvdla.mcif.DMA_EFFICIENCY`).  Mutual
+exclusion is exact in function — both masters address the same
+backing store through one port — and first-order in timing.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from repro.bus.types import BusPort, Reply, Transfer
 from repro.clock import Clock
 from repro.mem.dram import Dram
 from repro.nvdla.mcif import Mcif
+
+#: Cycles a CPU transfer waits for the grant while an NVDLA DMA window
+#: holds the DRAM.
+GRANT_PENALTY = 4
 
 
 @dataclass
@@ -33,9 +37,8 @@ class ArbiterStats:
 class DramArbiter(BusPort):
     """Two-master front end over the DRAM."""
 
-    def __init__(self, dram: Dram, grant_penalty: int = 4) -> None:
+    def __init__(self, dram: Dram) -> None:
         self.dram = dram
-        self.grant_penalty = grant_penalty
         self.stats = ArbiterStats()
         self._clock: Clock | None = None
         self._mcif: Mcif | None = None
@@ -54,9 +57,9 @@ class DramArbiter(BusPort):
         cycles = reply.cycles
         self.stats.cpu_grants += 1
         if self._busy_now():
-            cycles += self.grant_penalty
+            cycles += GRANT_PENALTY
             self.stats.contended_grants += 1
-            self.stats.cpu_stall_cycles += self.grant_penalty
+            self.stats.cpu_stall_cycles += GRANT_PENALTY
         return Reply(data=reply.data, cycles=cycles, ok=reply.ok)
 
     def _busy_now(self) -> bool:

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.baremetal.codegen import MAGIC_DONE
 from repro.baremetal.pipeline import BaremetalBundle
-from repro.core.address_map import DEFAULT_MAP
+from repro.core.address_map import DRAM_BASE, DRAM_SIZE
 from repro.core.executor import RunStats
 from repro.core.soc import Soc, SocRunResult, read_output_tensor
 from repro.errors import BusError, ConfigurationError, ReproError
@@ -299,7 +299,7 @@ class FastPathExecutor:
         self.frequency_hz = frequency_hz
         self.profiles: ProfileTable = calibration if calibration is not None else {}
         self.memory_bus_width_bits = memory_bus_width_bits
-        self.mcifs: list[Mcif] = [Mcif(_ImagePort(DEFAULT_MAP.dram_base))]
+        self.mcifs: list[Mcif] = [Mcif(_ImagePort(DRAM_BASE))]
         self.mcif = self.mcifs[0]
         self.port: _ImagePort = self.mcif.port
         self.max_resident_bundles = max_resident_bundles
@@ -337,14 +337,14 @@ class FastPathExecutor:
         self.resident_stats.misses += 1
         state = _BundleState(
             bundle=bundle,
-            image=SparseMemory(DEFAULT_MAP.dram_size),
+            image=SparseMemory(DRAM_SIZE),
             runs=batch_launches(
                 [op.descriptors for op in lower_loadable(bundle.loadable, self.config)],
                 self.config,
             ),
             profile=self._profile(bundle),
         )
-        port = _ImagePort(DEFAULT_MAP.dram_base, state.image)
+        port = _ImagePort(DRAM_BASE, state.image)
         for image in bundle.images.preload:
             port.write(image.load_address, image.data)
         self._states[id(bundle)] = state
@@ -389,12 +389,12 @@ class FastPathExecutor:
         requests, batched = self._requests(bundle, input_image)
         state = self._resident(bundle)
         while len(self.mcifs) < len(requests):
-            self.mcifs.append(Mcif(_ImagePort(DEFAULT_MAP.dram_base)))
+            self.mcifs.append(Mcif(_ImagePort(DRAM_BASE)))
         mcifs = self.mcifs[: len(requests)]
         for mcif in self.mcifs[len(requests) :]:
             mcif.port.storage = None  # past this batch: let go of the last image
         for mcif, image in zip(mcifs, requests):
-            mcif.port.storage = SparseMemory(DEFAULT_MAP.dram_size, base=state.image)
+            mcif.port.storage = SparseMemory(DRAM_SIZE, base=state.image)
             if image is not None:
                 mcif.port.write(*pack_input(bundle.loadable, self.config, image))
 
@@ -405,7 +405,7 @@ class FastPathExecutor:
                     launches, self.config, mcifs, weight_cache=state.weight_cache
                 )
             outputs = [
-                read_output_tensor(mcif.port.storage, bundle, self.config, DEFAULT_MAP.dram_base)
+                read_output_tensor(mcif.port.storage, bundle, self.config, DRAM_BASE)
                 for mcif in mcifs
             ]
             output = np.stack(outputs) if batched else outputs[0]

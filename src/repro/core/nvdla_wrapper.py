@@ -13,11 +13,13 @@ Two paths through the wrapper:
   :data:`REGISTER_PATH_CYCLES`, the latency the hops compose to;
   :class:`CsbPort` is the CSB end of the hop-by-hop model,
 - **data path** — the engine's 64-bit DBB → AXI 64→32 width converter
-  → the DRAM arbiter.
+  → the DRAM arbiter.  DMA is priced ``Mcif.stream_cycles`` →
+  :meth:`WrapperDbbPort.stream_cycles` → ``DramTiming.stream_cycles``.
 
 The wrapper also rebases DBB addresses: NVDLA descriptors use absolute
-bus addresses (the DRAM window starts at ``0x100000``) while the
-arbiter/DRAM pair is zero-based.
+bus addresses (the DRAM window starts at
+:data:`~repro.core.address_map.DRAM_BASE`) while the arbiter/DRAM pair
+is zero-based.
 """
 
 from __future__ import annotations
@@ -72,12 +74,10 @@ class WrapperDbbPort:
         arbiter: DramArbiter,
         converter: AxiWidthConverter,
         dram_base: int,
-        burst_bytes: int = 256,
     ) -> None:
         self._arbiter = arbiter
         self._converter = converter
         self._dram_base = dram_base
-        self._burst_bytes = burst_bytes
 
     def _rebase(self, address: int) -> int:
         if address < self._dram_base:
@@ -99,7 +99,7 @@ class WrapperDbbPort:
         (below the DRAM window is a bus error): the price does not
         depend on it."""
         self._rebase(address)
-        dram_cycles = self._arbiter.dram.timing.stream_cycles(nbytes, self._burst_bytes)
+        dram_cycles = self._arbiter.dram.timing.stream_cycles(nbytes)
         return max(dram_cycles, self._converter.stream_cycles(nbytes))
 
 

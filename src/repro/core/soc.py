@@ -18,7 +18,9 @@ Wires together:
 
 `run_inference` executes a bare-metal bundle exactly the way the FPGA
 does: machine code in program memory, weights/input preloaded in DRAM,
-CPU released from reset, completion signalled by the status page.
+CPU released from reset, completion signalled by the status page of
+:mod:`repro.core.address_map`.  Only the memory-bus width is a
+parameter; the memory system's prices are module constants.
 """
 
 from __future__ import annotations
@@ -27,20 +29,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.baremetal.codegen import (
-    MAGIC_DONE,
-    MAGIC_FAIL,
-    STATUS_CYCLES_HI,
-    STATUS_FAIL_ADDR,
-    STATUS_FAIL_INDEX,
-    STATUS_RESULT,
-)
+from repro.baremetal.codegen import MAGIC_DONE, MAGIC_FAIL
 from repro.baremetal.pipeline import BaremetalBundle
 from repro.bus.ahb import AhbLiteBus
 from repro.bus.bridges import AhbToAxiBridge
 from repro.bus.types import AccessType, BusPort, RegisterRoute, Reply, Transfer, check_beat
 from repro.clock import Clock
-from repro.core.address_map import AddressMap, DEFAULT_MAP, PROGRAM_MEMORY_SIZE
+from repro.core.address_map import (
+    DEFAULT_MAP,
+    PROGRAM_MEMORY_SIZE,
+    STATUS_FAIL_ADDR,
+    STATUS_FAIL_INDEX,
+    STATUS_PAGE_BASE,
+    STATUS_RESULT,
+    STATUS_WORDS_BYTES,
+    AddressMap,
+)
 from repro.core.arbiter import DramArbiter
 from repro.core.executor import BaremetalExecutor, RunStats
 from repro.core.nvdla_wrapper import CSB_WIDTH_ERROR, REGISTER_PATH_CYCLES, NvdlaWrapper
@@ -229,7 +233,7 @@ class Soc:
         else:
             # At minimum invalidate the status page so a stale DONE
             # word cannot leak into the next run's result decode.
-            self.dram.storage.write(0, bytes(STATUS_CYCLES_HI + 4))
+            self.preload_dram(STATUS_PAGE_BASE, bytes(STATUS_WORDS_BYTES))
 
     def load_program(self, program: Program) -> None:
         """Load ``program`` into the CPU and reset the CPU to its entry.
@@ -275,13 +279,12 @@ class Soc:
         SoC's engine computed the data plane (functional fidelity).
         """
         stats = self.executor.run(max_instructions=max_instructions)
-        status_base = self.address_map.dram_base
-        status = self._read_status_u32(status_base + STATUS_RESULT)
+        status = self._read_status_u32(STATUS_RESULT)
         ok = status == MAGIC_DONE
         fail_index = fail_address = None
         if status == MAGIC_FAIL:
-            fail_index = self._read_status_u32(status_base + STATUS_FAIL_INDEX)
-            fail_address = self._read_status_u32(status_base + STATUS_FAIL_ADDR)
+            fail_index = self._read_status_u32(STATUS_FAIL_INDEX)
+            fail_address = self._read_status_u32(STATUS_FAIL_ADDR)
         output = None
         if ok and bundle is not None and self.wrapper.engine.fidelity == "functional":
             output = self.read_output(bundle)
@@ -297,8 +300,9 @@ class Soc:
             op_records=list(self.wrapper.engine.records),
         )
 
-    def _read_status_u32(self, bus_address: int) -> int:
-        return self.dram.storage.read_u32(bus_address - self.address_map.dram_base)
+    def _read_status_u32(self, offset: int) -> int:
+        """The status word at ``offset`` in the status page."""
+        return self.dram.storage.read_u32(STATUS_PAGE_BASE + offset - self.address_map.dram_base)
 
     def read_output(self, bundle: BaremetalBundle) -> np.ndarray:
         """Unpack the network output tensor from DRAM (dequantised)."""

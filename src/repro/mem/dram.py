@@ -5,6 +5,13 @@ a compact DDR model: a fixed controller latency per transaction, one
 cycle per data-bus beat, and a row-activation penalty whenever a
 transaction opens a different row than the last one in its bank.
 
+The paper's SoC has one memory system, so its prices are module
+constants, in memory-controller clock cycles at the 100 MHz system
+clock ("the DDR4 runs at 100 MHz"); they approximate a DDR4-2400 MIG
+user interface.  Only the data-bus width is a parameter
+(:class:`DramTiming`): the published SoC has a 32-bit data memory port,
+and Table III and the width ablation widen it up to 512 bits.
+
 The model is deliberately first-order — the quantity that matters for
 the paper's results is sustained streaming bandwidth (weights in,
 activations in/out) versus random single-beat latency (CPU loads and
@@ -16,24 +23,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bus.types import AccessType, BusPort, Reply, Transfer
+from repro.core.address_map import DRAM_SIZE
 from repro.mem.sparse_memory import SparseMemory
+
+#: Controller latency of every transaction (command to first data).
+CONTROLLER_LATENCY = 10
+#: Cycles per data-bus beat.
+BEAT_CYCLES = 1
+#: Extra cycles when the row is already open in its bank.
+ROW_HIT_EXTRA = 0
+#: Extra cycles to activate a row (precharge + activate).
+ROW_MISS_EXTRA = 8
+#: Row-buffer size per bank.
+ROW_BYTES = 2048
+#: Banks, each with one open row.
+BANKS = 16
+#: Burst size of a bulk stream: each burst pays the controller latency.
+BURST_BYTES = 256
 
 
 @dataclass(frozen=True)
 class DramTiming:
-    """Timing parameters, in memory-controller clock cycles.
+    """The DDR stream formula over the one settable value: the width of
+    the data bus (32 bits in the published SoC)."""
 
-    Defaults approximate a DDR4-2400 MIG running its user interface at
-    100 MHz with a 32-bit user data path (the paper's configuration:
-    "the DDR4 runs at 100 MHz" behind a 32-bit data memory port).
-    """
-
-    controller_latency: int = 10
-    beat_cycles: int = 1
-    row_hit_extra: int = 0
-    row_miss_extra: int = 8
-    row_bytes: int = 2048
-    banks: int = 16
     data_width_bits: int = 32
 
     @property
@@ -44,18 +57,19 @@ class DramTiming:
         """Data-bus beats of an ``nbytes`` transfer (at least one)."""
         return max(1, -(-nbytes // self.width_bytes))
 
-    def stream_cycles(self, nbytes: int, burst_bytes: int = 256) -> int:
-        """Cycles to stream ``nbytes`` in ``burst_bytes`` bursts: the
-        controller latency per burst, a row activation per row the
-        block spans, and one beat per data-bus word.  The one DDR
-        stream formula: DMA pricing and the DRAM's own stream
-        accounting both use it."""
-        bursts = max(1, -(-nbytes // burst_bytes))
-        rows = max(1, -(-nbytes // self.row_bytes))
+    def stream_cycles(self, nbytes: int) -> int:
+        """Cycles to stream ``nbytes`` in :data:`BURST_BYTES` bursts:
+        :data:`CONTROLLER_LATENCY` per burst, :data:`ROW_MISS_EXTRA`
+        per :data:`ROW_BYTES` row the block spans, and
+        :data:`BEAT_CYCLES` per data-bus word.  The one DDR stream
+        formula: DMA pricing and the DRAM's own stream accounting both
+        use it."""
+        bursts = max(1, -(-nbytes // BURST_BYTES))
+        rows = max(1, -(-nbytes // ROW_BYTES))
         return (
-            bursts * self.controller_latency
-            + rows * self.row_miss_extra
-            + self.beats(nbytes) * self.beat_cycles
+            bursts * CONTROLLER_LATENCY
+            + rows * ROW_MISS_EXTRA
+            + self.beats(nbytes) * BEAT_CYCLES
         )
 
 
@@ -79,7 +93,7 @@ class Dram(BusPort):
     100 MB-class weight streams do not require beat-level simulation.
     """
 
-    def __init__(self, size: int = 512 * 1024 * 1024, timing: DramTiming | None = None) -> None:
+    def __init__(self, size: int = DRAM_SIZE, timing: DramTiming | None = None) -> None:
         self.storage = SparseMemory(size)
         self.timing = timing or DramTiming()
         self.stats = DramStats()
@@ -91,19 +105,18 @@ class Dram(BusPort):
 
     def _row_cycles(self, address: int) -> int:
         """Account a row-buffer lookup and return its extra cycles."""
-        row = address // self.timing.row_bytes
-        bank = row % self.timing.banks
+        row = address // ROW_BYTES
+        bank = row % BANKS
         if self._open_rows.get(bank) == row:
             self.stats.row_hits += 1
-            return self.timing.row_hit_extra
+            return ROW_HIT_EXTRA
         self._open_rows[bank] = row
         self.stats.row_misses += 1
-        return self.timing.row_miss_extra
+        return ROW_MISS_EXTRA
 
     def transfer(self, xfer: Transfer) -> Reply:
         beats = self.timing.beats(xfer.total_bytes)
-        cycles = self.timing.controller_latency + self._row_cycles(xfer.address)
-        cycles += beats * self.timing.beat_cycles
+        cycles = CONTROLLER_LATENCY + self._row_cycles(xfer.address) + beats * BEAT_CYCLES
         self.stats.transactions += 1
         self.stats.beats += beats
         self.stats.busy_cycles += cycles
@@ -116,30 +129,30 @@ class Dram(BusPort):
         self.stats.bytes_read += xfer.total_bytes
         return Reply(data=data, cycles=cycles)
 
-    def _stream_cycles(self, nbytes: int, burst_bytes: int) -> int:
-        cycles = self.timing.stream_cycles(nbytes, burst_bytes)
-        self.stats.transactions += max(1, -(-nbytes // burst_bytes))
+    def _stream_cycles(self, nbytes: int) -> int:
+        cycles = self.timing.stream_cycles(nbytes)
+        self.stats.transactions += max(1, -(-nbytes // BURST_BYTES))
         self.stats.beats += self.timing.beats(nbytes)
         self.stats.busy_cycles += cycles
         return cycles
 
-    def stream_read(self, address: int, nbytes: int, burst_bytes: int = 256) -> tuple[bytes, int]:
+    def stream_read(self, address: int, nbytes: int) -> tuple[bytes, int]:
         """Read a block, returning ``(data, cycles)`` with burst timing."""
-        cycles = self._stream_cycles(nbytes, burst_bytes)
+        cycles = self._stream_cycles(nbytes)
         self.stats.bytes_read += nbytes
         return self.storage.read(address, nbytes), cycles
 
-    def stream_write(self, address: int, data: bytes, burst_bytes: int = 256) -> int:
+    def stream_write(self, address: int, data: bytes) -> int:
         """Write a block, returning its cycle cost with burst timing."""
-        cycles = self._stream_cycles(len(data), burst_bytes)
+        cycles = self._stream_cycles(len(data))
         self.stats.bytes_written += len(data)
         self.storage.write(address, data)
         return cycles
 
     def peak_bandwidth_bytes_per_cycle(self) -> float:
         """Ideal data-bus limit, ignoring controller overheads."""
-        return self.timing.width_bytes / self.timing.beat_cycles
+        return self.timing.width_bytes / BEAT_CYCLES
 
-    def effective_stream_bandwidth(self, nbytes: int = 1 << 20, burst_bytes: int = 256) -> float:
+    def effective_stream_bandwidth(self, nbytes: int = 1 << 20) -> float:
         """Sustained streaming bytes/cycle for a ``nbytes`` block."""
-        return nbytes / self.timing.stream_cycles(nbytes, burst_bytes)
+        return nbytes / self.timing.stream_cycles(nbytes)

@@ -8,12 +8,14 @@ concerns:
   bytes through the attached :class:`DbbPort` (the SoC wrapper's
   64→32-bit converter path, or the VP's direct memory),
 - **timing** — :meth:`Mcif.stream_cycles` prices bulk traffic with
-  the port's own price, derated by :data:`DMA_EFFICIENCY`.  On
-  the SoC the port is the wrapper's DBB port, whose price is the
-  slower of the DRAM stream formula
-  (:meth:`repro.mem.dram.DramTiming.stream_cycles`) and the width
-  converter's pacing; the VP's port has a simple ideal-memory price
-  that only orders its trace.  The engine logs each op's DMA busy
+  the port's own price, derated by the constant
+  :data:`DMA_EFFICIENCY`.  On the SoC the port is the wrapper's DBB
+  port (:meth:`repro.core.nvdla_wrapper.WrapperDbbPort.stream_cycles`),
+  whose price is the slower of the DRAM stream formula
+  (:meth:`repro.mem.dram.DramTiming.stream_cycles`, over the
+  :mod:`repro.mem.dram` constants) and the width converter's pacing;
+  the VP's port has a simple ideal-memory price that only orders its
+  trace.  The engine logs each op's DMA busy
   window here (:meth:`Mcif.record_window`), which the SoC arbiter
   reads to charge the µRISC-V core for contention.
 
@@ -76,20 +78,11 @@ DMA_EFFICIENCY = 0.5
 class Mcif:
     """MCIF model: functional forwarding plus DMA cycle pricing.
 
-    Parameters
-    ----------
-    port:
-        The external memory port (SoC wrapper or VP memory).
-    dma_efficiency:
-        Fraction of theoretical burst throughput MCIF sustains (see
-        :data:`DMA_EFFICIENCY`, the value every engine uses).
+    ``port`` is the external memory port (SoC wrapper or VP memory).
     """
 
-    def __init__(self, port: DbbPort, dma_efficiency: float = DMA_EFFICIENCY) -> None:
-        if not 0.0 < dma_efficiency <= 1.0:
-            raise ValueError("dma_efficiency must be in (0, 1]")
+    def __init__(self, port: DbbPort) -> None:
         self.port = port
-        self.dma_efficiency = dma_efficiency
         self.stats = McifStats()
         self.windows: list[DmaWindow] = []
 
@@ -106,11 +99,12 @@ class Mcif:
     # Timing -------------------------------------------------------------
 
     def stream_cycles(self, address: int, nbytes: int) -> int:
-        """Price a bulk stream, including MCIF queueing inefficiency."""
+        """Price a bulk stream: the port's price over
+        :data:`DMA_EFFICIENCY`."""
         if nbytes <= 0:
             return 0
         raw = self.port.stream_cycles(address, nbytes)
-        return int(round(raw / self.dma_efficiency))
+        return int(round(raw / DMA_EFFICIENCY))
 
     def record_window(self, start: int, cycles: int) -> None:
         """Log a busy interval on the DBB for arbiter contention."""

@@ -143,16 +143,6 @@ class PipelineModel:
         by_class[klass] = by_class.get(klass, 0) + 1
         return cycles
 
-    def instruction_cycles(
-        self,
-        decoded: Decoded,
-        taken: bool = False,
-        bus_wait: int = 0,
-    ) -> int:
-        """Cycles consumed by one instruction (decode-time and run-time
-        costs together; see :meth:`charge` for the parameters)."""
-        return self.charge(static_cost(decoded), taken=taken, bus_wait=bus_wait)
-
 
 def _classify(decoded: Decoded) -> str:
     if decoded.is_load:

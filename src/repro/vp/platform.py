@@ -7,21 +7,23 @@ NVDLA model's memory traffic flows through a logging DBB adaptor into
 a flat sparse memory initialised with the loadable's weight blob and
 the input image.
 
-The VP uses the same absolute address map as the SoC (DRAM window at
-``0x100000``), so generated traces replay on the SoC unchanged — the
-property the whole bare-metal flow rests on.
+The VP uses the same absolute address map as the SoC
+(:mod:`repro.core.address_map`: DRAM window at ``0x100000``), so
+generated traces replay on the SoC unchanged — the property the whole
+bare-metal flow rests on.
 """
 
 from __future__ import annotations
 
 from repro.clock import Clock
+from repro.core.address_map import DRAM_LIMIT
 from repro.errors import TraceError
+from repro.mem.dram import BURST_BYTES
 from repro.mem.sparse_memory import SparseMemory
 from repro.nvdla.config import HardwareConfig
 from repro.nvdla.engine import NvdlaEngine
 from repro.vp.trace_log import TraceLog
 
-_MEMORY_TOP = 0x2100_0000  # covers the 512 MB DRAM window + headroom
 _FREQUENCY_HZ = 100e6
 
 
@@ -52,11 +54,11 @@ class _LoggingDbbPort:
             self._log.log_dbb(self._clock.now, address, bytes(data), iswrite=True)
 
     def stream_cycles(self, address: int, nbytes: int) -> int:
-        # Simple VP memory: ideal DBB-width beats plus a per-256B burst
-        # handshake.  VP timing only orders the trace; SoC latencies
+        # Simple VP memory: ideal DBB-width beats plus a handshake per
+        # DRAM burst.  VP timing only orders the trace; SoC latencies
         # come from the SoC's own memory system.
         beats = -(-nbytes // self._width)
-        bursts = -(-nbytes // 256)
+        bursts = -(-nbytes // BURST_BYTES)
         return beats + 2 * bursts
 
 
@@ -70,7 +72,7 @@ class VirtualPlatform:
         trace: bool = True,
     ) -> None:
         self.config = config
-        self.memory = SparseMemory(_MEMORY_TOP)
+        self.memory = SparseMemory(DRAM_LIMIT + 1)  # flat, up to the DRAM window's end
         self.clock = Clock(_FREQUENCY_HZ)
         self.trace: TraceLog | None = TraceLog() if trace else None
         self._dbb = _LoggingDbbPort(

@@ -11,7 +11,6 @@ from repro.compiler import CompileOptions, compile_network
 from repro.compiler.allocator import allocate_memory
 from repro.compiler.loadable import Loadable
 from repro.compiler.ops import ConvOp, CpuSoftmaxOp, LrnOp, PoolOp, SdpOp
-from repro.core.address_map import DRAM_BASE, DRAM_SIZE
 from repro.errors import CompilerError
 from repro.nn.graph import Network
 from repro.nn.zoo import ZOO, mobilenet_v1
@@ -166,7 +165,7 @@ def test_allocator_rejects_schedule_without_input_or_output(tiny_net):
     for missing in ("input_tensor", "output_tensor"):
         broken = dataclasses.replace(schedule, **{missing: None})
         with pytest.raises(CompilerError, match="no network input or output"):
-            allocate_memory(broken, NV_SMALL, 0, DRAM_BASE, DRAM_SIZE)
+            allocate_memory(broken, NV_SMALL, 0)
 
 
 def test_allocator_reuses_buffers():
@@ -225,12 +224,6 @@ def test_loadable_rejects_garbage():
 
     with pytest.raises(LoadableError):
         Loadable.from_bytes(b"NOPE" + b"\x00" * 32)
-
-
-def test_memory_base_is_configurable(tiny_net):
-    loadable = compile_network(tiny_net, NV_SMALL, CompileOptions(memory_base=0x200000))
-    assert loadable.memory_map.base == 0x200000
-    assert loadable.input_tensor.address >= 0x200000
 
 
 def test_standalone_batchnorm_rejected():

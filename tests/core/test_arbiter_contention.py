@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.clock import Clock
-from repro.core.arbiter import DramArbiter
+from repro.core.arbiter import GRANT_PENALTY, DramArbiter
 from repro.mem import Dram, SparseMemory
 from repro.nvdla.mcif import Mcif
 
@@ -12,7 +12,7 @@ from tests.conftest import DirectDbbPort
 
 def _arbiter_with_contention(busy_from: int, busy_cycles: int):
     dram = Dram(size=1 << 20)
-    arbiter = DramArbiter(dram, grant_penalty=4)
+    arbiter = DramArbiter(dram)
     clock = Clock()
     mcif = Mcif(DirectDbbPort(SparseMemory(1 << 16)))
     mcif.record_window(busy_from, busy_cycles)
@@ -26,9 +26,9 @@ def test_cpu_pays_grant_penalty_during_dma():
     contended = arbiter.read(0x100).cycles
     clock.advance(100)  # window over
     free = arbiter.read(0x100).cycles
-    assert contended >= free + arbiter.grant_penalty - 1
+    assert contended >= free + GRANT_PENALTY - 1
     assert arbiter.stats.contended_grants == 1
-    assert arbiter.stats.cpu_stall_cycles == arbiter.grant_penalty
+    assert arbiter.stats.cpu_stall_cycles == GRANT_PENALTY
 
 
 def test_no_penalty_without_contention_source():

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import MemoryError_
 from repro.mem import Bram, Dram, DramTiming, SparseMemory
+from repro.mem.dram import BANKS, CONTROLLER_LATENCY, ROW_BYTES
 from repro.bus.types import AccessType, Transfer
 
 
@@ -120,15 +121,14 @@ def test_sparse_roundtrip_property(blob, address):
 def test_dram_transfer_latency_includes_controller():
     dram = Dram(size=1 << 20)
     reply = dram.read(0x100)
-    assert reply.cycles >= dram.timing.controller_latency
+    assert reply.cycles >= CONTROLLER_LATENCY
 
 
 def test_dram_row_hit_cheaper_than_miss():
-    timing = DramTiming(row_hit_extra=0, row_miss_extra=8)
-    dram = Dram(size=1 << 20, timing=timing)
+    dram = Dram(size=1 << 20)
     first = dram.read(0x0).cycles  # opens the row
     second = dram.read(0x8).cycles  # same row
-    far = dram.read(timing.row_bytes * timing.banks).cycles  # same bank, new row
+    far = dram.read(ROW_BYTES * BANKS).cycles  # same bank, new row
     assert second < first
     assert far > second
     assert dram.stats.row_hits >= 1
@@ -183,36 +183,3 @@ def test_dram_write_transfer():
 def test_bram_single_cycle():
     bram = Bram(1 << 12)
     assert bram.read(0).cycles == 1
-
-
-def test_bram_read_only_mode():
-    bram = Bram(1 << 12, read_only=True)
-    with pytest.raises(MemoryError_):
-        bram.write(0, 1)
-    bram.load_image(b"\x01\x02\x03\x04")  # loader bypasses the latch
-    assert bram.read(0).value() == 0x04030201
-
-
-def test_bram_mem_file_roundtrip():
-    bram = Bram(1 << 12)
-    source = "@00000010\nDEADBEEF\n12345678\n"
-    loaded = bram.load_mem_file(source)
-    assert loaded == 2
-    assert bram.storage.read_u32(0x40) == 0xDEADBEEF
-    dumped = bram.dump_mem_file(8, base=0x40)
-    reloaded = Bram(1 << 12)
-    reloaded.load_mem_file(dumped)
-    assert reloaded.storage.read_u32(0x40) == 0xDEADBEEF
-    assert reloaded.storage.read_u32(0x44) == 0x12345678
-
-
-def test_bram_mem_file_comments_ignored():
-    bram = Bram(1 << 12)
-    assert bram.load_mem_file("// header\n@00000000\nCAFEF00D // trailing\n") == 1
-    assert bram.storage.read_u32(0) == 0xCAFEF00D
-
-
-def test_bram_dump_requires_word_multiple():
-    bram = Bram(1 << 12)
-    with pytest.raises(MemoryError_):
-        bram.dump_mem_file(6)

@@ -9,7 +9,7 @@ from repro.nvdla import NV_FULL, NV_SMALL
 from repro.nvdla.cbuf import Cbuf
 from repro.nvdla.config import HardwareConfig, Precision, get_config
 from repro.nvdla.descriptors import ConvDescriptor, SdpDescriptor, SdpSource, TensorDesc
-from repro.nvdla.mcif import Mcif
+from repro.nvdla.mcif import DMA_EFFICIENCY, Mcif
 from repro.nvdla.timing import op_timing
 from repro.nvdla.descriptors import PdpDescriptor, PoolMode
 
@@ -137,7 +137,7 @@ def _sdp_desc(k=8, hw=6, precision=Precision.INT8, source=SdpSource.FLYING):
 
 
 def _mcif():
-    return Mcif(DirectDbbPort(SparseMemory(1 << 22)), dma_efficiency=1.0)
+    return Mcif(DirectDbbPort(SparseMemory(1 << 22)))
 
 
 def test_conv_timing_has_all_components():
@@ -218,11 +218,10 @@ def test_pdp_timing_tracks_input_elements():
 
 
 def test_mcif_efficiency_derates_streams():
-    fast = Mcif(DirectDbbPort(SparseMemory(1 << 16)), dma_efficiency=1.0)
-    slow = Mcif(DirectDbbPort(SparseMemory(1 << 16)), dma_efficiency=0.5)
-    assert slow.stream_cycles(0, 4096) == 2 * fast.stream_cycles(0, 4096)
-    with pytest.raises(ValueError):
-        Mcif(DirectDbbPort(SparseMemory(16)), dma_efficiency=0.0)
+    port = DirectDbbPort(SparseMemory(1 << 16))
+    mcif = Mcif(port)
+    assert mcif.stream_cycles(0, 4096) == round(port.stream_cycles(0, 4096) / DMA_EFFICIENCY)
+    assert mcif.stream_cycles(0, 4096) == 2 * port.stream_cycles(0, 4096)
 
 
 def test_descriptor_validation_catches_geometry_errors():

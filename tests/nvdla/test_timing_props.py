@@ -33,7 +33,7 @@ PARAMS = TimingParams()
 
 
 def _mcif() -> Mcif:
-    return Mcif(DirectDbbPort(SparseMemory(1 << 24)), dma_efficiency=0.75)
+    return Mcif(DirectDbbPort(SparseMemory(1 << 24)))
 
 
 def _tensor(c: int, h: int, w: int, address: int = 0x10000) -> TensorDesc:
