@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.baremetal.codegen import CodegenOptions, generate_assembly
 from repro.baremetal.config_file import ConfigCommand
+from repro.core.address_map import dram_offset
 from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision
 from repro.nvdla.csb import UNIT_BASES, register_address
 from repro.nvdla.layout import (
@@ -295,9 +296,8 @@ def run_on_soc(test: SanityTest, soc=None) -> bool:
     result = soc.run_inference()
     if not result.ok:
         return False
-    base = soc.address_map.dram_base
     for address, expected in test.expected_memory:
-        got = soc.dram.storage.read(address - base, len(expected))
+        got = soc.dram.storage.read(dram_offset(address), len(expected))
         if got != expected:
             return False
     return True

@@ -20,6 +20,12 @@ by beat, by the wrapper's DBB port
 the DRAM's stream formula
 (:meth:`repro.mem.dram.DramTiming.stream_cycles`) and the converter's
 narrow-side pacing (:meth:`AxiWidthConverter.stream_cycles`).
+
+The fabric is one fixed composition, so every latency and clock is a
+class constant (``AhbLiteBus.ADDRESS_PHASE_CYCLES``,
+``AxiWidthConverter.PACKING_LATENCY``, ``AxiInterconnect.SYNC_CYCLES``,
+...).  The width converter's two widths are the only parameters:
+Table III and the width ablation sweep them.
 """
 
 from repro.bus.types import AccessType, BusPort, Reply, Transfer

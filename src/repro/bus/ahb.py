@@ -6,14 +6,16 @@ transfers cost one cycle each plus any wait states inserted by the
 downstream slave; the very first transfer of a sequence additionally
 pays the address phase.
 
-This transaction-level model charges:
+This transaction-level model charges, per transaction:
 
-``cycles = address_phase (1) + burst_len * (1 + downstream_extra)``
+``cycles = ADDRESS_PHASE_CYCLES + split * downstream_cycles``
 
-where ``downstream_extra`` is whatever the wrapped port reports beyond
-its own ideal single-cycle data phase.  That reproduces AHB's defining
-property — pipelined single-cycle transfers into zero-wait-state
-slaves — without simulating the HTRANS/HREADY signal pair.
+where ``downstream_cycles`` is what the wrapped port reports and
+``split`` is the number of :data:`DATA_WIDTH_BITS`-wide beats a wider
+beat is sequenced as.  That reproduces AHB's defining property —
+pipelined single-cycle transfers into zero-wait-state slaves — without
+simulating the HTRANS/HREADY signal pair.  Both are constants of the
+µRISC-V's 32-bit AHB-Lite port, the only AHB master in the SoC.
 """
 
 from __future__ import annotations
@@ -32,33 +34,15 @@ class AhbStats:
 
 
 class AhbLiteBus(BusPort):
-    """An AHB-Lite segment in front of a downstream port.
+    """An AHB-Lite segment in front of ``downstream`` (a slave or decoder)."""
 
-    Parameters
-    ----------
-    downstream:
-        The slave (or decoder) reached through this segment.
-    address_phase_cycles:
-        Cost of the (non-overlapped) address phase that starts every
-        transaction; :attr:`ADDRESS_PHASE_CYCLES` for a standard
-        AHB-Lite master.
-    data_width_bits:
-        Width of the data phase; beats wider than the bus are split.
-    """
-
+    #: The (non-overlapped) address phase that starts every transaction.
     ADDRESS_PHASE_CYCLES = 1
+    #: Width of the data phase; beats wider than the bus are split.
+    DATA_WIDTH_BITS = 32
 
-    def __init__(
-        self,
-        downstream: BusPort,
-        address_phase_cycles: int = ADDRESS_PHASE_CYCLES,
-        data_width_bits: int = 32,
-    ) -> None:
-        if data_width_bits % 8 != 0:
-            raise ValueError("data width must be a whole number of bytes")
+    def __init__(self, downstream: BusPort) -> None:
         self._downstream = downstream
-        self._address_phase = address_phase_cycles
-        self._width_bytes = data_width_bits // 8
         self.stats = AhbStats()
 
     @property
@@ -68,10 +52,10 @@ class AhbLiteBus(BusPort):
     def transfer(self, xfer: Transfer) -> Reply:
         # Beats wider than the physical bus are sequenced as multiple
         # bus-width beats (matching an AHB master's narrow-bus behaviour).
-        split = max(1, -(-xfer.size // self._width_bytes))
+        split = max(1, -(-xfer.size // (self.DATA_WIDTH_BITS // 8)))
         reply = self._downstream.transfer(xfer)
         data_cycles = reply.cycles * split
-        total = self._address_phase + data_cycles
+        total = self.ADDRESS_PHASE_CYCLES + data_cycles
         self.stats.bytes += xfer.total_bytes
         self.stats.by_master[xfer.master] = self.stats.by_master.get(xfer.master, 0) + 1
         return Reply(data=reply.data, cycles=total, ok=reply.ok)

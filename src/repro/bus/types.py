@@ -146,47 +146,3 @@ class BusPort(ABC):
         return self.transfer(
             Transfer(address=address, size=size, access=AccessType.WRITE, data=data, master=master)
         )
-
-    def read_block(self, address: int, nbytes: int, master: str = "dma", beat: int = 4) -> Reply:
-        """Burst-read ``nbytes`` starting at ``address``.
-
-        The block is split into maximal aligned bursts of ``beat``-byte
-        beats; replies are concatenated and cycle costs summed.
-        """
-        chunks: list[bytes] = []
-        cycles = 0
-        remaining = nbytes
-        addr = address
-        while remaining > 0:
-            size = beat if addr % beat == 0 and remaining >= beat else 1
-            beats = max(1, remaining // size) if size == beat else 1
-            xfer = Transfer(address=addr, size=size, access=AccessType.READ, burst_len=beats, master=master)
-            reply = self.transfer(xfer)
-            chunks.append(reply.data)
-            cycles += reply.cycles
-            addr += xfer.total_bytes
-            remaining -= xfer.total_bytes
-        return Reply(data=b"".join(chunks), cycles=cycles)
-
-    def write_block(self, address: int, data: bytes, master: str = "dma", beat: int = 4) -> Reply:
-        """Burst-write ``data`` starting at ``address``."""
-        cycles = 0
-        addr = address
-        view = memoryview(data)
-        while view:
-            size = beat if addr % beat == 0 and len(view) >= beat else 1
-            beats = max(1, len(view) // size) if size == beat else 1
-            payload = bytes(view[: size * beats])
-            xfer = Transfer(
-                address=addr,
-                size=size,
-                access=AccessType.WRITE,
-                data=payload,
-                burst_len=beats,
-                master=master,
-            )
-            reply = self.transfer(xfer)
-            cycles += reply.cycles
-            addr += xfer.total_bytes
-            view = view[xfer.total_bytes :]
-        return Reply(cycles=cycles)

@@ -36,18 +36,20 @@ class AxiWidthConverter(BusPort):
         The slave-side port (e.g. the DRAM arbiter).
     master_width_bits / slave_width_bits:
         Data widths of the two sides; both must be powers of two
-        multiples of a byte.
-    packing_latency:
-        Fixed cycles to fill/drain the internal packing register per
-        transaction.
+        multiples of a byte.  They are the converter's only parameters:
+        Table III and the width ablation sweep them.
+
+    Every transaction also pays :attr:`PACKING_LATENCY`, the fixed
+    cycles to fill/drain the internal packing register.
     """
+
+    PACKING_LATENCY = 1
 
     def __init__(
         self,
         downstream: BusPort,
         master_width_bits: int = 64,
         slave_width_bits: int = 32,
-        packing_latency: int = 1,
     ) -> None:
         for width in (master_width_bits, slave_width_bits):
             if width < 8 or width % 8 != 0:
@@ -57,7 +59,6 @@ class AxiWidthConverter(BusPort):
         self.slave_width_bits = slave_width_bits
         self._master_bytes = master_width_bits // 8
         self._slave_bytes = slave_width_bits // 8
-        self._packing_latency = packing_latency
         self.stats = WidthConverterStats()
 
     @property
@@ -77,8 +78,8 @@ class AxiWidthConverter(BusPort):
         # beats than the master side supplied (the down-conversion case
         # in the paper: 64-bit DBB feeding a 32-bit memory).
         pacing_beats = max(master_beats, slave_beats)
-        local_cycles = self._packing_latency + pacing_beats
-        total = max(local_cycles, reply.cycles + self._packing_latency)
+        local_cycles = self.PACKING_LATENCY + pacing_beats
+        total = max(local_cycles, reply.cycles + self.PACKING_LATENCY)
         self.stats.transactions += 1
         self.stats.master_beats += master_beats
         self.stats.slave_beats += slave_beats
@@ -89,4 +90,4 @@ class AxiWidthConverter(BusPort):
         """Pacing cost of ``nbytes`` of bulk traffic through the converter."""
         wide = -(-nbytes // self._master_bytes)
         narrow = -(-nbytes // self._slave_bytes)
-        return self._packing_latency + max(wide, narrow)
+        return self.PACKING_LATENCY + max(wide, narrow)

@@ -651,12 +651,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import build_trees, read_trace, render_summary, render_tree, write_trace
 
     if args.action == "vp":
-        from repro.vp.trace_log import parse_trace
+        from repro.vp.trace_log import LANE_NAMES, parse_trace
 
         log = parse_trace(Path(args.infile).read_text())
         spans = log.to_spans(frequency_hz=args.frequency_mhz * 1e6)
-        count = write_trace(args.out or "vp_trace.json", spans,
-                            process_names={0: "csb", 1: "dbb"})
+        count = write_trace(args.out or "vp_trace.json", spans, process_names=LANE_NAMES)
         print(f"{count} transactions written to {args.out or 'vp_trace.json'}")
         return 0
 

@@ -71,16 +71,6 @@ class Clock:
         self._seq += 1
         self.due = self._events[0].cycle
 
-    def schedule_after(self, delay: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` after ``delay`` cycles from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self.schedule_at(self.now + delay, callback)
-
-    def next_event_cycle(self) -> int | None:
-        """Cycle of the earliest pending event, or ``None`` if idle."""
-        return self._events[0].cycle if self._events else None
-
     def advance(self, cycles: int) -> None:
         """Move time forward by ``cycles``, firing any due events."""
         if cycles < 0:

@@ -14,9 +14,14 @@ generated bare-metal assembly portable to any RV32 core.
 The first DRAM page is the bare-metal status page.  Every layer reads
 this one statement: the compiler's placement, the code generator's
 status writes, the VP's memory, the SoC's DRAM and status decode, and
-the analyzer.  :class:`AddressMap` is the decoder's view, which the SoC
-takes only so tests can build a decoder with other limits.  This module
-imports nothing from the package, so any layer can read it first.
+the analyzer.  :func:`dram_offset` is the one rebase from a bus address
+to a DRAM byte offset: the SoC's DBB port and preload, the fast tier's
+image port, the status and output decodes and the test setup's
+preloader all call it, so they reject an address below the window with
+the same :class:`~repro.errors.BusError`.  :class:`AddressMap` is the
+decoder's view, which the SoC takes only so tests can build a decoder
+with other limits.  This module imports only :mod:`repro.errors`, so
+any layer can read it first.
 
 Program memory hangs off the core's instruction-side AHB port, so it
 does not occupy a data window.
@@ -25,6 +30,8 @@ does not occupy a data window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from repro.errors import BusError
 
 NVDLA_BASE = 0x0
 NVDLA_LIMIT = 0xFFFFF
@@ -46,14 +53,32 @@ STATUS_CYCLES_HI = 0x14
 STATUS_WORDS_BYTES = STATUS_CYCLES_HI + 4  # every status word the program writes
 
 
+def dram_offset(address: int) -> int:
+    """The DRAM byte offset of bus ``address`` (DRAM itself is zero-based)."""
+    if address < DRAM_BASE:
+        raise BusError(f"access at 0x{address:08x} below the DRAM window", address)
+    return address - DRAM_BASE
+
+
 @dataclass(frozen=True)
 class AddressMap:
-    """The SoC decoder windows."""
+    """The SoC decoder windows.
+
+    The DRAM window starts at :data:`DRAM_BASE`, where every
+    :func:`dram_offset` rebase puts it; only its limit may move.
+    """
 
     nvdla_base: int = NVDLA_BASE
     nvdla_limit: int = NVDLA_LIMIT
     dram_base: int = DRAM_BASE
     dram_limit: int = DRAM_LIMIT
+
+    def __post_init__(self) -> None:
+        if self.dram_base != DRAM_BASE:
+            raise BusError(
+                f"the DRAM window starts at 0x{DRAM_BASE:x}, not 0x{self.dram_base:x}",
+                self.dram_base,
+            )
 
     @property
     def dram_size(self) -> int:

@@ -36,10 +36,10 @@ import numpy as np
 
 from repro.baremetal.codegen import MAGIC_DONE
 from repro.baremetal.pipeline import BaremetalBundle
-from repro.core.address_map import DRAM_BASE, DRAM_SIZE
+from repro.core.address_map import DRAM_SIZE, dram_offset
 from repro.core.executor import RunStats
 from repro.core.soc import Soc, SocRunResult, read_output_tensor
-from repro.errors import BusError, ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.mem.sparse_memory import SparseMemory
 from repro.nvdla.config import HardwareConfig, NV_SMALL, Precision, get_config
 from repro.nvdla.descriptors import TensorDesc
@@ -249,22 +249,14 @@ class _ImagePort:
     The fast tier only moves bytes; nothing here is priced.
     """
 
-    def __init__(self, dram_base: int, storage: SparseMemory | None = None) -> None:
-        self.dram_base = dram_base
+    def __init__(self, storage: SparseMemory | None = None) -> None:
         self.storage = storage
 
-    def _rebase(self, address: int) -> int:
-        if address < self.dram_base:
-            raise BusError(
-                f"NVDLA DBB access at 0x{address:08x} below the DRAM window", address
-            )
-        return address - self.dram_base
-
     def read(self, address: int, nbytes: int) -> bytes:
-        return self.storage.read(self._rebase(address), nbytes)
+        return self.storage.read(dram_offset(address), nbytes)
 
     def write(self, address: int, data: bytes) -> None:
-        self.storage.write(self._rebase(address), data)
+        self.storage.write(dram_offset(address), data)
 
 
 class FastPathExecutor:
@@ -299,7 +291,7 @@ class FastPathExecutor:
         self.frequency_hz = frequency_hz
         self.profiles: ProfileTable = calibration if calibration is not None else {}
         self.memory_bus_width_bits = memory_bus_width_bits
-        self.mcifs: list[Mcif] = [Mcif(_ImagePort(DRAM_BASE))]
+        self.mcifs: list[Mcif] = [Mcif(_ImagePort())]
         self.mcif = self.mcifs[0]
         self.port: _ImagePort = self.mcif.port
         self.max_resident_bundles = max_resident_bundles
@@ -344,7 +336,7 @@ class FastPathExecutor:
             ),
             profile=self._profile(bundle),
         )
-        port = _ImagePort(DRAM_BASE, state.image)
+        port = _ImagePort(state.image)
         for image in bundle.images.preload:
             port.write(image.load_address, image.data)
         self._states[id(bundle)] = state
@@ -389,7 +381,7 @@ class FastPathExecutor:
         requests, batched = self._requests(bundle, input_image)
         state = self._resident(bundle)
         while len(self.mcifs) < len(requests):
-            self.mcifs.append(Mcif(_ImagePort(DRAM_BASE)))
+            self.mcifs.append(Mcif(_ImagePort()))
         mcifs = self.mcifs[: len(requests)]
         for mcif in self.mcifs[len(requests) :]:
             mcif.port.storage = None  # past this batch: let go of the last image
@@ -405,7 +397,7 @@ class FastPathExecutor:
                     launches, self.config, mcifs, weight_cache=state.weight_cache
                 )
             outputs = [
-                read_output_tensor(mcif.port.storage, bundle, self.config, DRAM_BASE)
+                read_output_tensor(mcif.port.storage, bundle, self.config)
                 for mcif in mcifs
             ]
             output = np.stack(outputs) if batched else outputs[0]

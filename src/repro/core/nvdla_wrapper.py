@@ -16,10 +16,10 @@ Two paths through the wrapper:
   → the DRAM arbiter.  DMA is priced ``Mcif.stream_cycles`` →
   :meth:`WrapperDbbPort.stream_cycles` → ``DramTiming.stream_cycles``.
 
-The wrapper also rebases DBB addresses: NVDLA descriptors use absolute
-bus addresses (the DRAM window starts at
-:data:`~repro.core.address_map.DRAM_BASE`) while the arbiter/DRAM pair
-is zero-based.
+NVDLA descriptors use absolute bus addresses while the arbiter/DRAM
+pair is zero-based, so the DBB port rebases every access with
+:func:`~repro.core.address_map.dram_offset`, the one rebase the fast
+tier and the SoC's preload share.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.bus.bridges import AhbToApbBridge, ApbToCsbAdapter
 from repro.bus.types import AccessType, BusPort, Reply, Transfer
 from repro.bus.width_converter import AxiWidthConverter
 from repro.clock import Clock
-from repro.core.address_map import AddressMap, DEFAULT_MAP
+from repro.core.address_map import dram_offset
 from repro.core.arbiter import DramArbiter
 from repro.errors import BusError
 from repro.nvdla.config import HardwareConfig
@@ -69,36 +69,23 @@ REGISTER_PATH_CYCLES = AhbToApbBridge.crossed(
 class WrapperDbbPort:
     """The engine-facing memory port: converter + arbiter + rebase."""
 
-    def __init__(
-        self,
-        arbiter: DramArbiter,
-        converter: AxiWidthConverter,
-        dram_base: int,
-    ) -> None:
+    def __init__(self, arbiter: DramArbiter, converter: AxiWidthConverter) -> None:
         self._arbiter = arbiter
         self._converter = converter
-        self._dram_base = dram_base
-
-    def _rebase(self, address: int) -> int:
-        if address < self._dram_base:
-            raise BusError(
-                f"NVDLA DBB access at 0x{address:08x} below the DRAM window", address
-            )
-        return address - self._dram_base
 
     def read(self, address: int, nbytes: int) -> bytes:
-        data, _ = self._arbiter.stream_read(self._rebase(address), nbytes)
+        data, _ = self._arbiter.stream_read(dram_offset(address), nbytes)
         return data
 
     def write(self, address: int, data: bytes) -> None:
-        self._arbiter.stream_write(self._rebase(address), data)
+        self._arbiter.stream_write(dram_offset(address), data)
 
     def stream_cycles(self, address: int, nbytes: int) -> int:
         """DMA pacing: the slower of the DRAM's stream price and the
         width-converter's narrow side.  The address is only checked
         (below the DRAM window is a bus error): the price does not
         depend on it."""
-        self._rebase(address)
+        dram_offset(address)
         dram_cycles = self._arbiter.dram.timing.stream_cycles(nbytes)
         return max(dram_cycles, self._converter.stream_cycles(nbytes))
 
@@ -115,7 +102,6 @@ class NvdlaWrapper:
         config: HardwareConfig,
         arbiter: DramArbiter,
         clock: Clock,
-        address_map: AddressMap = DEFAULT_MAP,
         fidelity: str = "functional",
         memory_bus_width_bits: int = 32,
     ) -> None:
@@ -125,9 +111,7 @@ class NvdlaWrapper:
             master_width_bits=config.dbb_width_bits,
             slave_width_bits=memory_bus_width_bits,
         )
-        self.dbb_port = WrapperDbbPort(
-            arbiter, self.width_converter, dram_base=address_map.dram_base
-        )
+        self.dbb_port = WrapperDbbPort(arbiter, self.width_converter)
         self.engine = NvdlaEngine(
             config,
             dbb=self.dbb_port,

@@ -44,6 +44,7 @@ from repro.core.address_map import (
     STATUS_RESULT,
     STATUS_WORDS_BYTES,
     AddressMap,
+    dram_offset,
 )
 from repro.core.arbiter import DramArbiter
 from repro.core.executor import BaremetalExecutor, RunStats
@@ -197,7 +198,6 @@ class Soc:
             config,
             arbiter=self.arbiter,
             clock=self.clock,
-            address_map=address_map,
             fidelity=fidelity,
             memory_bus_width_bits=memory_bus_width_bits,
         )
@@ -256,7 +256,7 @@ class Soc:
 
     def preload_dram(self, address: int, data: bytes) -> None:
         """Testbench-style preload (Fig. 4's Zynq path models timing)."""
-        self.dram.storage.write(address - self.address_map.dram_base, data)
+        self.dram.storage.write(dram_offset(address), data)
 
     def load_bundle(self, bundle: BaremetalBundle) -> None:
         """Program memory + every preload image of a bundle."""
@@ -302,13 +302,11 @@ class Soc:
 
     def _read_status_u32(self, offset: int) -> int:
         """The status word at ``offset`` in the status page."""
-        return self.dram.storage.read_u32(STATUS_PAGE_BASE + offset - self.address_map.dram_base)
+        return self.dram.storage.read_u32(dram_offset(STATUS_PAGE_BASE + offset))
 
     def read_output(self, bundle: BaremetalBundle) -> np.ndarray:
         """Unpack the network output tensor from DRAM (dequantised)."""
-        return read_output_tensor(
-            self.dram.storage, bundle, self.config, self.address_map.dram_base
-        )
+        return read_output_tensor(self.dram.storage, bundle, self.config)
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -320,31 +318,9 @@ class Soc:
             f"{self.wrapper.describe()}; decoder {self.address_map.describe()}"
         )
 
-    def stats_summary(self) -> dict:
-        return {
-            "cpu": {
-                "instructions": self.cpu.instret,
-                "cycles": self.cpu.cycles,
-                "cpi": self.cpu.pipeline.stats.cpi,
-            },
-            "nvdla": self.wrapper.engine.summary(),
-            "dram": {
-                "bytes_read": self.dram.stats.bytes_read,
-                "bytes_written": self.dram.stats.bytes_written,
-                "row_hit_rate": (
-                    self.dram.stats.row_hits
-                    / max(1, self.dram.stats.row_hits + self.dram.stats.row_misses)
-                ),
-            },
-            "arbiter": {
-                "cpu_grants": self.arbiter.stats.cpu_grants,
-                "contended": self.arbiter.stats.contended_grants,
-            },
-        }
-
 
 def read_output_tensor(
-    storage, bundle: BaremetalBundle, config: HardwareConfig, dram_base: int
+    storage, bundle: BaremetalBundle, config: HardwareConfig
 ) -> np.ndarray:
     """Unpack + dequantise a bundle's output tensor from a DRAM image.
 
@@ -354,7 +330,7 @@ def read_output_tensor(
     """
     ref = bundle.loadable.output_tensor
     atom = config.atom_channels(ref.precision)
-    raw = storage.read(ref.require_address() - dram_base, ref.packed_bytes(atom))
+    raw = storage.read(dram_offset(ref.require_address()), ref.packed_bytes(atom))
     tensor = unpack_feature(raw, ref.shape, atom, ref.precision)
     if ref.precision is Precision.INT8:
         return tensor.astype(np.float32) * ref.scale

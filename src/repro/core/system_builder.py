@@ -11,10 +11,15 @@ Around the SoC proper, the bring-up system adds:
   between the PS-side AXI (300 MHz) and the MIG DDR4 user interface
   (100 MHz),
 - the **MIG DDR4 controller** — the :class:`~repro.mem.dram.Dram`
-  model inside the SoC.
+  model inside the SoC, reached at bus addresses rebased by
+  :func:`~repro.core.address_map.dram_offset`.
 
-`run_experiment` reproduces the published procedure: preload via the
-Zynq path (timed), flip the SmartConnect to the SoC, run inference.
+The setup is one fixed composition: its clocks and crossing latencies
+are the constants of :class:`~repro.bus.interconnect.AxiInterconnect`
+and :class:`~repro.bus.interconnect.AxiSmartConnect`, and the Zynq runs
+on the interconnect's fast side.  `run_experiment` reproduces the
+published procedure: preload via the Zynq path (timed), flip the
+SmartConnect to the SoC, run inference.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from dataclasses import dataclass
 from repro.baremetal.pipeline import BaremetalBundle
 from repro.bus.interconnect import AxiInterconnect, AxiSmartConnect
 from repro.bus.types import AccessType, Transfer
+from repro.core.address_map import dram_offset
 from repro.core.soc import Soc, SocRunResult
 
 
@@ -39,9 +45,8 @@ class PreloadResult:
 class ZynqPreloader:
     """The PS-side master that initialises DRAM through SmartConnect."""
 
-    def __init__(self, smartconnect: AxiSmartConnect, frequency_hz: float = 300e6) -> None:
+    def __init__(self, smartconnect: AxiSmartConnect) -> None:
         self.smartconnect = smartconnect
-        self.frequency_hz = frequency_hz
 
     def preload(self, images: list[tuple[int, bytes]]) -> PreloadResult:
         """Write (address, data) images through the Zynq path."""
@@ -78,7 +83,7 @@ class ZynqPreloader:
         return PreloadResult(
             bytes_loaded=total_bytes,
             zynq_cycles=total_cycles,
-            seconds=total_cycles / self.frequency_hz,
+            seconds=total_cycles / AxiInterconnect.FAST_HZ,
         )
 
 
@@ -90,7 +95,7 @@ class _RebasedDramPort:
 
     def transfer(self, xfer: Transfer):
         rebased = Transfer(
-            address=xfer.address - self._soc.address_map.dram_base,
+            address=dram_offset(xfer.address),
             size=xfer.size,
             access=xfer.access,
             data=xfer.data,
@@ -105,21 +110,12 @@ class TestSystem:
 
     __test__ = False  # not a pytest test class despite the name
 
-    def __init__(
-        self,
-        soc: Soc,
-        zynq_frequency_hz: float = 300e6,
-        mig_frequency_hz: float = 100e6,
-    ) -> None:
+    def __init__(self, soc: Soc) -> None:
         self.soc = soc
         # Zynq → SmartConnect → AXI Interconnect (CDC) → MIG DDR4.
-        self.axi_interconnect = AxiInterconnect(
-            _RebasedDramPort(soc),
-            fast_hz=zynq_frequency_hz,
-            slow_hz=mig_frequency_hz,
-        )
+        self.axi_interconnect = AxiInterconnect(_RebasedDramPort(soc))
         self.smartconnect = AxiSmartConnect(self.axi_interconnect)
-        self.zynq = ZynqPreloader(self.smartconnect, frequency_hz=zynq_frequency_hz)
+        self.zynq = ZynqPreloader(self.smartconnect)
         self.preload_result: PreloadResult | None = None
 
     def run_experiment(self, bundle: BaremetalBundle) -> SocRunResult:

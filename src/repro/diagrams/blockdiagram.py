@@ -12,6 +12,7 @@ widths, address windows, clock frequencies.
 from __future__ import annotations
 
 from repro.baremetal.pipeline import BaremetalBundle
+from repro.bus.interconnect import AxiInterconnect
 from repro.core.address_map import PROGRAM_MEMORY_SIZE
 from repro.core.soc import Soc
 from repro.core.system_builder import TestSystem
@@ -145,7 +146,7 @@ def render_fig4_test_setup(system: TestSystem) -> str:
 
  +-----------+     +--------------+     +-----------------+     +----------+
  | Zynq PS   |====>| AXI          |====>| AXI Interconnect|====>| MIG DDR4 |
- | (ARM)     |     | SmartConnect |     | {system.axi_interconnect.fast_hz / 1e6:g}/{system.axi_interconnect.slow_hz / 1e6:g} MHz CDC  |     | {soc.dram.size // (1 << 20)} MiB  |
+ | (ARM)     |     | SmartConnect |     | {AxiInterconnect.FAST_HZ / 1e6:g}/{AxiInterconnect.SLOW_HZ / 1e6:g} MHz CDC  |     | {soc.dram.size // (1 << 20)} MiB  |
  | preloads  |     | owner: {system.smartconnect.selected:<5} |     +-----------------+     +----+-----+
  | .bin files|     +------+-------+                                  ^
  +-----------+            ^                                          |

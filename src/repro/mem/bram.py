@@ -35,7 +35,3 @@ class Bram(BusPort):
             return Reply(cycles=self.ACCESS_CYCLES)
         data = self.storage.read(xfer.address, xfer.total_bytes)
         return Reply(data=data, cycles=self.ACCESS_CYCLES)
-
-    def load_image(self, image: bytes, base: int = 0) -> None:
-        """Load a raw binary image."""
-        self.storage.write(base, image)

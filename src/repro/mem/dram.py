@@ -148,11 +148,3 @@ class Dram(BusPort):
         self.stats.bytes_written += len(data)
         self.storage.write(address, data)
         return cycles
-
-    def peak_bandwidth_bytes_per_cycle(self) -> float:
-        """Ideal data-bus limit, ignoring controller overheads."""
-        return self.timing.width_bytes / BEAT_CYCLES
-
-    def effective_stream_bandwidth(self, nbytes: int = 1 << 20) -> float:
-        """Sustained streaming bytes/cycle for a ``nbytes`` block."""
-        return nbytes / self.timing.stream_cycles(nbytes)

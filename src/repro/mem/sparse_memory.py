@@ -10,8 +10,6 @@ share one large preloaded one.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import MemoryError_
 
 _PAGE_BITS = 16
@@ -95,61 +93,13 @@ class SparseMemory:
             self._page(page_index)[in_page : in_page + chunk] = view[offset : offset + chunk]
             offset += chunk
 
-    def read_u8(self, address: int) -> int:
-        return self.read(address, 1)[0]
-
-    def read_u16(self, address: int) -> int:
-        return int.from_bytes(self.read(address, 2), "little")
-
     def read_u32(self, address: int) -> int:
         return int.from_bytes(self.read(address, 4), "little")
-
-    def read_u64(self, address: int) -> int:
-        return int.from_bytes(self.read(address, 8), "little")
-
-    def write_u8(self, address: int, value: int) -> None:
-        self.write(address, (value & 0xFF).to_bytes(1, "little"))
-
-    def write_u16(self, address: int, value: int) -> None:
-        self.write(address, (value & 0xFFFF).to_bytes(2, "little"))
-
-    def write_u32(self, address: int, value: int) -> None:
-        self.write(address, (value & 0xFFFFFFFF).to_bytes(4, "little"))
-
-    def write_u64(self, address: int, value: int) -> None:
-        self.write(address, (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little"))
-
-    def read_array(self, address: int, count: int, dtype: np.dtype | str) -> np.ndarray:
-        """Read ``count`` elements of ``dtype`` as a numpy array."""
-        dt = np.dtype(dtype)
-        raw = self.read(address, count * dt.itemsize)
-        return np.frombuffer(raw, dtype=dt).copy()
-
-    def write_array(self, address: int, array: np.ndarray) -> None:
-        """Write a numpy array's raw little-endian bytes."""
-        contiguous = np.ascontiguousarray(array)
-        self.write(address, contiguous.tobytes())
 
     @property
     def resident_bytes(self) -> int:
         """Bytes of host memory actually allocated for pages."""
         return len(self._pages) * _PAGE_SIZE
-
-    def touched_ranges(self) -> list[tuple[int, int]]:
-        """Coalesced [start, end) page ranges that have been written."""
-        if not self._pages:
-            return []
-        indices = sorted(self._pages)
-        ranges: list[tuple[int, int]] = []
-        start = prev = indices[0]
-        for index in indices[1:]:
-            if index == prev + 1:
-                prev = index
-                continue
-            ranges.append((start << _PAGE_BITS, (prev + 1) << _PAGE_BITS))
-            start = prev = index
-        ranges.append((start << _PAGE_BITS, (prev + 1) << _PAGE_BITS))
-        return ranges
 
     def clear(self) -> None:
         """Drop all pages (memory reads as ``fill``, or its base, again)."""

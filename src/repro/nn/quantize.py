@@ -42,22 +42,6 @@ class CalibrationTable:
             lines.append(f"{blob} {scale:.9g}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "CalibrationTable":
-        name = "unknown"
-        scales: dict[str, float] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if line.startswith("#"):
-                if "for" in line:
-                    name = line.rsplit("for", 1)[1].strip()
-                continue
-            if not line:
-                continue
-            blob, value = line.rsplit(None, 1)
-            scales[blob] = float(value)
-        return cls(network=name, scales=scales)
-
 
 def calibrate_network(
     net: Network,

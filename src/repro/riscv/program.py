@@ -52,20 +52,8 @@ class Program:
     def end(self) -> int:
         return self.base + self.size_bytes
 
-    def word_at(self, address: int) -> int:
-        if address % 4 != 0:
-            raise IsaError(f"unaligned program address 0x{address:08x}")
-        index = (address - self.base) // 4
-        if not 0 <= index < len(self.words):
-            raise IsaError(f"address 0x{address:08x} outside program image")
-        return self.words[index]
-
     def to_bytes(self) -> bytes:
         return struct.pack(f"<{len(self.words)}I", *self.words)
-
-    def to_bin_file(self) -> bytes:
-        """Raw ``.bin`` image (what the Zynq preloads into memory)."""
-        return self.to_bytes()
 
     def to_mem_file(self) -> str:
         """Vivado ``.mem`` format: ``@word_address`` then hex words."""

@@ -54,6 +54,8 @@ from repro.errors import TraceError
 CSB_KEYWORD = "nvdla.csb_adaptor"
 DBB_KEYWORD = "nvdla.dbb_adaptor"
 DBB_LINE_BYTES = 64
+#: Span lanes of :meth:`TraceLog.to_spans`: register programming, then memory.
+LANE_NAMES = {0: "csb", 1: "dbb"}
 
 _BINARY_MAGIC = b"VPTB"
 _BINARY_VERSION = 1
@@ -396,15 +398,6 @@ class TraceLog:
                 "attrs": attrs,
             })
         return spans
-
-    def to_trace_events(self, frequency_hz: float = 100e6) -> dict:
-        """Chrome trace-event JSON of the log, loadable in Perfetto."""
-        from repro.obs.export import to_chrome_trace
-
-        return to_chrome_trace(
-            self.to_spans(frequency_hz),
-            process_names={0: "csb", 1: "dbb"},
-        )
 
 
 _CSB_RE = re.compile(

@@ -12,8 +12,8 @@ from repro.bus import (
     ApbToCsbAdapter,
     AxiWidthConverter,
 )
-from repro.bus.interconnect import LoopbackPort
 from repro.bus.types import AccessType, Transfer
+from tests.bus.loopback import LoopbackPort
 
 
 def test_ahb_single_transfer_cost():

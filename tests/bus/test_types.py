@@ -1,13 +1,12 @@
-"""Transfer/Reply invariants and block helpers."""
+"""Transfer/Reply invariants and the single-beat port helpers."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.bus.interconnect import LoopbackPort
 from repro.bus.types import AccessType, Reply, Transfer
 from repro.errors import AlignmentError, BusError
+from tests.bus.loopback import LoopbackPort
 
 
 def test_read_transfer_defaults():
@@ -61,18 +60,3 @@ def test_port_read_write_convenience():
     port.write(0x20, 0xAB, size=1)
     assert port.read(0x20, size=1).value() == 0xAB
 
-
-@given(data=st.binary(min_size=1, max_size=257), offset=st.integers(0, 64))
-def test_block_roundtrip_any_alignment(data, offset):
-    port = LoopbackPort(1024)
-    port.write_block(offset, data)
-    reply = port.read_block(offset, len(data))
-    assert reply.data == data
-    assert reply.cycles >= 1
-
-
-def test_block_cycles_scale_with_size():
-    port = LoopbackPort(1 << 16)
-    small = port.write_block(0, b"\x00" * 16).cycles
-    large = port.write_block(0, b"\x00" * 4096).cycles
-    assert large > small

@@ -10,7 +10,7 @@ from repro.baremetal.codegen import MAGIC_DONE, MAGIC_FAIL
 from repro.bus.ahb import AhbLiteBus
 from repro.bus.apb import ApbBus
 from repro.bus.bridges import AhbToApbBridge, ApbToCsbAdapter
-from repro.core import DEFAULT_MAP, Soc, TestSystem
+from repro.core import DEFAULT_MAP, AddressMap, Soc, TestSystem
 from repro.core.address_map import DRAM_BASE, DRAM_SIZE, NVDLA_LIMIT, PROGRAM_MEMORY_SIZE
 from repro.core.nvdla_wrapper import CsbPort
 from repro.errors import BusError, CpuFault, MemoryError_
@@ -33,6 +33,41 @@ def test_address_map_matches_paper():
 
 def test_address_map_description():
     assert "512 MiB" in DEFAULT_MAP.describe()
+
+
+def test_address_map_keeps_the_dram_window_at_dram_base():
+    """Every DRAM rebase starts the window at ``DRAM_BASE``, so a
+    decoder view that moves it would disagree with them."""
+    with pytest.raises(BusError, match="DRAM window starts at 0x100000"):
+        AddressMap(dram_base=2 * DRAM_BASE)
+
+
+def test_every_dram_rebase_rejects_an_address_below_the_window():
+    """The SoC's DBB port and preload, the fast tier's image port and
+    the Fig. 4 Zynq path share one rebase, so an address below
+    ``DRAM_BASE`` fails on each with the same bus error."""
+    from repro.core.fastpath import FastPathExecutor
+    from repro.mem import SparseMemory
+
+    address = DRAM_BASE // 2
+    soc = Soc(NV_SMALL)
+    image_port = FastPathExecutor(NV_SMALL).port
+    image_port.storage = SparseMemory(DRAM_SIZE)
+    system = TestSystem(Soc(NV_SMALL))
+    attempts = [
+        lambda: soc.wrapper.dbb_port.read(address, 4),
+        lambda: soc.wrapper.dbb_port.write(address, bytes(4)),
+        lambda: soc.wrapper.dbb_port.stream_cycles(address, 64),
+        lambda: image_port.read(address, 4),
+        lambda: image_port.write(address, bytes(4)),
+        lambda: soc.preload_dram(address, b"\x01"),
+        lambda: system.zynq.preload([(address, bytes(4))]),
+    ]
+    for attempt in attempts:
+        with pytest.raises(BusError) as excinfo:
+            attempt()
+        assert str(excinfo.value) == "access at 0x00080000 below the DRAM window"
+        assert excinfo.value.address == address
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +262,7 @@ def test_jump_past_program_memory_faults_with_the_pc(soc):
 
 def test_preload_and_describe(soc):
     soc.preload_dram(DRAM_BASE + 0x100, b"\x42")
-    assert soc.dram.storage.read_u8(0x100) == 0x42
+    assert soc.dram.storage.read(0x100, 1) == b"\x42"
     assert "NVDLA" in soc.describe() or "nv_small" in soc.describe()
 
 
@@ -318,16 +353,6 @@ def test_frequency_scales_seconds_not_cycles(lenet_bundle):
     assert fast_result.seconds == pytest.approx(slow_result.seconds / 2)
 
 
-def test_stats_summary_structure(lenet_bundle):
-    soc = Soc(NV_SMALL)
-    soc.load_bundle(lenet_bundle)
-    soc.run_inference(lenet_bundle)
-    summary = soc.stats_summary()
-    assert summary["nvdla"]["ops"] == lenet_bundle.loadable.hw_op_count()
-    assert summary["cpu"]["instructions"] > 0
-    assert 0 <= summary["dram"]["row_hit_rate"] <= 1
-
-
 # ----------------------------------------------------------------------
 # The Fig. 4 test system.
 # ----------------------------------------------------------------------
@@ -349,6 +374,23 @@ def test_smartconnect_blocks_soc_during_preload(lenet_bundle):
     system = TestSystem(Soc(NV_SMALL))
     with pytest.raises(BusError):
         system.smartconnect.read(0x0, master="soc")
+
+
+@pytest.mark.parametrize(
+    ("model", "zynq_cycles", "nbytes", "seconds"),
+    [("lenet5", 387_219, 506_792, 0.00129073), ("resnet18", 545_157, 713_576, 0.00181719)],
+)
+def test_preload_timing_is_pinned(model, zynq_cycles, nbytes, seconds):
+    """The Zynq preload through the SmartConnect and the 300/100 MHz
+    interconnect, in 4 KiB bursts: a change to any crossing or sync
+    latency or to a clock moves these numbers."""
+    from repro.nn.zoo import ZOO
+
+    system = TestSystem(Soc(NV_SMALL))
+    assert system.run_experiment(generate_baremetal(ZOO[model](), NV_SMALL)).ok
+    preload = system.preload_result
+    assert (preload.zynq_cycles, preload.bytes_loaded) == (zynq_cycles, nbytes)
+    assert preload.seconds == seconds
 
 
 def test_preload_timing_scales_with_size(lenet_bundle):

@@ -252,7 +252,7 @@ def layered_instruction_port(program) -> AhbLiteBus:
     """The core's instruction port as a walk through the layer models:
     AHB-Lite → program BRAM, holding ``program``."""
     bram = Bram(PROGRAM_MEMORY_SIZE)
-    bram.load_image(program.to_bytes(), base=program.base)
+    bram.storage.write(program.base, program.to_bytes())
     return AhbLiteBus(bram)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,44 +38,21 @@ def test_sparse_bounds_checked():
 
 def test_sparse_scalar_accessors():
     memory = SparseMemory(64)
-    memory.write_u32(0, 0xDEADBEEF)
-    memory.write_u16(8, 0x1234)
-    memory.write_u8(12, 0x7F)
-    memory.write_u64(16, 0x1122334455667788)
-    assert memory.read_u32(0) == 0xDEADBEEF
-    assert memory.read_u16(8) == 0x1234
-    assert memory.read_u8(12) == 0x7F
-    assert memory.read_u64(16) == 0x1122334455667788
-
-
-def test_sparse_numpy_arrays():
-    memory = SparseMemory(4096)
-    array = np.arange(100, dtype=np.int32)
-    memory.write_array(16, array)
-    back = memory.read_array(16, 100, np.int32)
-    assert np.array_equal(array, back)
+    memory.write(0, b"\xef\xbe\xad\xde\x01")
+    assert memory.read_u32(0) == 0xDEADBEEF  # little-endian
+    assert memory.read_u32(4) == 0x01
 
 
 def test_sparse_resident_is_lazy():
     memory = SparseMemory(1 << 30)
     assert memory.resident_bytes == 0
-    memory.write_u8(0x10000000, 1)
+    memory.write(0x10000000, b"\x01")
     assert memory.resident_bytes == 1 << 16  # one page
-
-
-def test_touched_ranges_coalesce():
-    memory = SparseMemory(1 << 20)
-    memory.write_u8(0, 1)
-    memory.write_u8((1 << 16) + 5, 1)  # adjacent page
-    memory.write_u8(5 << 16, 1)  # distant page
-    ranges = memory.touched_ranges()
-    assert len(ranges) == 2
-    assert ranges[0] == (0, 2 << 16)
 
 
 def test_clear_resets_content():
     memory = SparseMemory(256)
-    memory.write_u32(0, 7)
+    memory.write(0, (7).to_bytes(4, "little"))
     memory.clear()
     assert memory.read_u32(0) == 0
 
@@ -154,16 +130,11 @@ def test_dram_streaming_beats_random_access():
     assert stream_cycles < word_cycles / 2
 
 
-def test_dram_effective_bandwidth_below_peak():
-    dram = Dram(size=1 << 22)
-    effective = dram.effective_stream_bandwidth()
-    assert 0 < effective < dram.peak_bandwidth_bytes_per_cycle()
-
-
 def test_dram_width_affects_bandwidth():
     narrow = Dram(size=1 << 20, timing=DramTiming(data_width_bits=32))
     wide = Dram(size=1 << 20, timing=DramTiming(data_width_bits=64))
-    assert wide.effective_stream_bandwidth() > narrow.effective_stream_bandwidth()
+    nbytes = 1 << 20
+    assert wide.timing.stream_cycles(nbytes) < narrow.timing.stream_cycles(nbytes)
 
 
 def test_dram_write_transfer():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.nn import CalibrationTable, ReferenceExecutor, calibrate_network, quantize_weights
+from repro.nn import ReferenceExecutor, calibrate_network, quantize_weights
 from repro.nn.graph import Network
 from repro.nn.layers import EltwiseKind, PoolKind
 from repro.nn.quantize import dequantize, requant_constants
@@ -110,10 +110,13 @@ def test_calibration_covers_all_blobs(tiny_net):
 
 def test_calibration_text_roundtrip(tiny_net):
     table = calibrate_network(tiny_net, samples=1)
-    back = CalibrationTable.from_text(table.to_text())
-    assert back.scales.keys() == table.scales.keys()
+    header, *lines = table.to_text().splitlines()
+    assert header == f"# calibration table for {table.network}"
+    assert lines == [f"{blob} {scale:.9g}" for blob, scale in sorted(table.scales.items())]
+    back = dict(line.rsplit(None, 1) for line in lines)
+    assert back.keys() == table.scales.keys()
     for blob, scale in table.scales.items():
-        assert back.scales[blob] == pytest.approx(scale, rel=1e-6)
+        assert float(back[blob]) == pytest.approx(scale, rel=1e-6)
 
 
 def test_calibration_needs_samples(tiny_net):

@@ -34,17 +34,8 @@ def test_mem_file_format_has_address_directive():
 
 def test_bin_roundtrip():
     program = assemble("li a0, 42\nebreak\n")
-    back = Program.from_bytes(program.to_bin_file())
+    back = Program.from_bytes(program.to_bytes())
     assert back.words == program.words
-
-
-def test_word_at_bounds_checked():
-    program = assemble("nop\n", base=0x10)
-    assert program.word_at(0x10) == program.words[0]
-    with pytest.raises(IsaError):
-        program.word_at(0x20)
-    with pytest.raises(IsaError):
-        program.word_at(0x11)
 
 
 def test_unaligned_base_rejected():

@@ -269,6 +269,9 @@ def test_trace_vp_converts_a_vp_log(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     names = [e["name"] for e in payload["traceEvents"] if e.get("ph") == "X"]
     assert names == ["csb.write", "dbb.read"]
+    lanes = {m["pid"]: m["args"]["name"] for m in payload["traceEvents"]
+             if m["ph"] == "M" and m["name"] == "process_name"}
+    assert lanes == {0: "csb", 1: "dbb"}
 
 
 def test_bench_cluster_writes_trace(tmp_path, capsys):

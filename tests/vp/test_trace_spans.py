@@ -1,8 +1,6 @@
-"""VP trace log → obs spans / Chrome trace-event conversion."""
+"""VP trace log → obs span conversion."""
 
 from __future__ import annotations
-
-import json
 
 from repro.vp.trace_log import TraceLog, parse_trace
 
@@ -41,17 +39,6 @@ def test_frequency_scales_timestamps():
     assert slow[0]["start_s"] == 2 * fast[0]["start_s"]
 
 
-def test_to_trace_events_labels_the_bus_lanes():
-    payload = sample_log().to_trace_events()
-    events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
-    meta = {(m["name"], m["pid"]): m["args"]["name"]
-            for m in payload["traceEvents"] if m["ph"] == "M"}
-    assert len(events) == 3
-    assert meta[("process_name", 0)] == "csb"
-    assert meta[("process_name", 1)] == "dbb"
-    json.loads(json.dumps(payload))  # Perfetto-loadable as-is
-
-
 def test_parsed_trace_converts_like_the_original():
     log = sample_log()
     reparsed = parse_trace(log.render())
@@ -60,5 +47,3 @@ def test_parsed_trace_converts_like_the_original():
 
 def test_empty_log_converts_cleanly():
     assert TraceLog().to_spans() == []
-    assert TraceLog().to_trace_events() == {
-        "traceEvents": [], "displayTimeUnit": "ms"}
