@@ -1,8 +1,11 @@
-"""VP trace log → obs span conversion."""
+"""VP trace log → obs spans / Chrome trace-event conversion."""
 
 from __future__ import annotations
 
-from repro.vp.trace_log import TraceLog, parse_trace
+import json
+
+from repro.obs import to_chrome_trace
+from repro.vp.trace_log import LANE_NAMES, TraceLog, parse_trace
 
 
 def sample_log():
@@ -39,6 +42,17 @@ def test_frequency_scales_timestamps():
     assert slow[0]["start_s"] == 2 * fast[0]["start_s"]
 
 
+def test_to_trace_events_labels_the_bus_lanes():
+    payload = to_chrome_trace(sample_log().to_spans(), process_names=LANE_NAMES)
+    events = [e for e in payload["traceEvents"] if e["ph"] == "X"]
+    meta = {(m["name"], m["pid"]): m["args"]["name"]
+            for m in payload["traceEvents"] if m["ph"] == "M"}
+    assert len(events) == 3
+    assert meta[("process_name", 0)] == "csb"
+    assert meta[("process_name", 1)] == "dbb"
+    json.loads(json.dumps(payload))  # Perfetto-loadable as-is
+
+
 def test_parsed_trace_converts_like_the_original():
     log = sample_log()
     reparsed = parse_trace(log.render())
@@ -47,3 +61,5 @@ def test_parsed_trace_converts_like_the_original():
 
 def test_empty_log_converts_cleanly():
     assert TraceLog().to_spans() == []
+    assert to_chrome_trace(TraceLog().to_spans(), process_names=LANE_NAMES) == {
+        "traceEvents": [], "displayTimeUnit": "ms"}
