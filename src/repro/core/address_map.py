@@ -64,21 +64,17 @@ def dram_offset(address: int) -> int:
 class AddressMap:
     """The SoC decoder windows.
 
-    The DRAM window starts at :data:`DRAM_BASE`, where every
-    :func:`dram_offset` rebase puts it; only its limit may move.
+    The DRAM window always starts at :data:`DRAM_BASE`, where every
+    :func:`dram_offset` rebase puts it; only the limits may move.
     """
 
     nvdla_base: int = NVDLA_BASE
     nvdla_limit: int = NVDLA_LIMIT
-    dram_base: int = DRAM_BASE
     dram_limit: int = DRAM_LIMIT
 
-    def __post_init__(self) -> None:
-        if self.dram_base != DRAM_BASE:
-            raise BusError(
-                f"the DRAM window starts at 0x{DRAM_BASE:x}, not 0x{self.dram_base:x}",
-                self.dram_base,
-            )
+    @property
+    def dram_base(self) -> int:
+        return DRAM_BASE
 
     @property
     def dram_size(self) -> int:

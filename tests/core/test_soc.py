@@ -10,7 +10,7 @@ from repro.baremetal.codegen import MAGIC_DONE, MAGIC_FAIL
 from repro.bus.ahb import AhbLiteBus
 from repro.bus.apb import ApbBus
 from repro.bus.bridges import AhbToApbBridge, ApbToCsbAdapter
-from repro.core import DEFAULT_MAP, AddressMap, Soc, TestSystem
+from repro.core import DEFAULT_MAP, Soc, TestSystem
 from repro.core.address_map import DRAM_BASE, DRAM_SIZE, NVDLA_LIMIT, PROGRAM_MEMORY_SIZE
 from repro.core.nvdla_wrapper import CsbPort
 from repro.errors import BusError, CpuFault, MemoryError_
@@ -33,13 +33,6 @@ def test_address_map_matches_paper():
 
 def test_address_map_description():
     assert "512 MiB" in DEFAULT_MAP.describe()
-
-
-def test_address_map_keeps_the_dram_window_at_dram_base():
-    """Every DRAM rebase starts the window at ``DRAM_BASE``, so a
-    decoder view that moves it would disagree with them."""
-    with pytest.raises(BusError, match="DRAM window starts at 0x100000"):
-        AddressMap(dram_base=2 * DRAM_BASE)
 
 
 def test_every_dram_rebase_rejects_an_address_below_the_window():

@@ -150,9 +150,7 @@ def test_routes_match_layer_walk(contended):
 
 def test_straddling_accesses_match_layer_walk():
     """Windows whose limits are not word-aligned: a beat can straddle out."""
-    amap = AddressMap(
-        nvdla_base=0x0, nvdla_limit=0xFFFFE, dram_base=0x100000, dram_limit=0x200FFFFD
-    )
+    amap = AddressMap(nvdla_base=0x0, nvdla_limit=0xFFFFE, dram_limit=0x200FFFFD)
     resolved, layered = _twins(amap)
     addresses = (0xFFFFC, 0xFFFFE, 0xFFFFF, 0x200FFFFC, 0x200FFFFD, 0x200FFFFE)
     _check_grid(resolved, layered, addresses, [0x0], (0x200FFFFC,))

@@ -4,20 +4,20 @@
 Flags every ``def`` or ``class`` in ``src/`` whose name has no other
 word-boundary occurrence in ``src``, ``benchmarks``, ``examples``,
 ``tools`` or ``perfbench`` -- code the system never runs, kept alive
-only by its own tests.  Dunder methods are exempt (Python calls them),
-and so is this file, so that the allowlist below does not count as a
-use.  Findings print as ``path:line: name`` and the exit status is
-non-zero when there are any.
+only by its own tests.  The scan reads text, not code: a mention in a
+docstring or comment counts as a use, so a definition named only in
+prose passes.  Dunder methods are exempt (Python calls them), and so is
+this file, so that the allowlist below does not count as a use.
+Findings print as ``path:line: name`` and the exit status is non-zero
+when there are any.
 
 Usage::
 
     python tools/lint_unreached.py
-    python tools/lint_unreached.py --root path/to/tree
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
 from collections import Counter
@@ -51,7 +51,7 @@ def _sources(root: Path) -> list[Path]:
     return files
 
 
-def unreached(root: Path, allow: dict[str, str] = ALLOWLIST) -> list[tuple[Path, int, str]]:
+def unreached(root: Path) -> list[tuple[Path, int, str]]:
     """``(path, line, name)`` of each ``src/`` definition used nowhere else."""
     words: Counter[str] = Counter()
     definitions: list[tuple[Path, int, str]] = []
@@ -68,19 +68,15 @@ def unreached(root: Path, allow: dict[str, str] = ALLOWLIST) -> list[tuple[Path,
         (path, line, name)
         for path, line, name in definitions
         if words[name] <= 1
-        and name not in allow
+        and name not in ALLOWLIST
         and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--root", type=Path, default=REPO_ROOT, help="repository root to scan")
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
-    findings = unreached(root)
+def main() -> int:
+    findings = unreached(REPO_ROOT)
     for path, line, name in findings:
-        print(f"{path.relative_to(root)}:{line}: {name}")
+        print(f"{path.relative_to(REPO_ROOT)}:{line}: {name}")
     verdict = "FAIL" if findings else "OK"
     print(f"unreached lint: {verdict} — {len(findings)} definition(s) only tests reach")
     return 1 if findings else 0
